@@ -1,7 +1,8 @@
 """Command line front-end: check, flatten, validate, gen, bench.
 
 Exit codes: 0 formula holds, 1 formula fails, 2 parse/usage error,
-3 validation error, 4 capacity exceeded.
+3 validation error, 4 capacity exceeded, 5 internal error (engine
+divergence or any unexpected exception).
 """
 
 import argparse
@@ -13,12 +14,14 @@ from dataclasses import dataclass, field
 
 from .errors import (CapacityError, FormulaSyntaxError, ModelSyntaxError,
                      ValidationError)
-from .evidence import counterexamples_for, extract_evidences, serialize_trace
+# counterexamples_for and extract_evidences stay attributes of this module
+# so that instrumentation wrapping them here keeps working.
+from .evidence import (counterexamples_for, extract_evidences,
+                       serialize_trace, trace_forms, traces_for)
 from .flat_checker import check_flat
-from .formula import (ExistsG, ExistsU, ExistsX, ForallF, ForallG, ForallU,
-                      ForallX, normalize, parse_formula, render)
+from .formula import parse_formula, render
 from .gen import random_shsm
-from .hier_checker import check_hier, count_copies
+from .hier_checker import check_hier
 from .hsm import (DEFAULT_FLAT_BUDGET, flat_size, flatten, is_hsm,
                   repair_top_exit_loops, validate_shsm)
 from .modelfile import kripke_to_model, parse_model, render_model
@@ -97,10 +100,7 @@ def _load_model(path, repair):
 def _budget(args):
     if getattr(args, "budget", None) is not None:
         return args.budget
-    env = os.environ.get("GCTL_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_FLAT_BUDGET
+    return int(os.environ.get("GCTL_BUDGET") or DEFAULT_FLAT_BUDGET)
 
 
 def _formula_from(args):
@@ -114,55 +114,33 @@ def _formula_from(args):
     return text.strip(), parse_formula(text)
 
 
-def _run_flat(model, f, budget):
-    started = time.perf_counter()
+def _run_flat(model, f, budget, keep_analyses):
     ks = flatten(model, budget=budget)
-    table = check_flat(ks, f)
-    millis = (time.perf_counter() - started) * 1000.0
+    table = check_flat(ks, f, keep_analyses)
     per_sub = [(render(g), table.millis[i])
                for i, g in enumerate(table.subformulas)]
-    return table.root_row()[ks.initial], ks, table, per_sub, millis
+    return table.root_row()[ks.initial], ks, table, per_sub
 
 
-def _run_hier(model, f):
-    started = time.perf_counter()
-    verdict, w = check_hier(model, f)
-    millis = (time.perf_counter() - started) * 1000.0
-    per_sub = [(st.op, st.millis) for st in count_copies(w)]
-    return verdict, w, per_sub, millis
-
-
-def _extract_traces(model, f, verdict, witnesses, budget, report):
+def _extract_traces(model, f, verdict, witnesses, budget, report, ks=None,
+                    table=None):
     """Traces run on the flattening of the input model so hierarchical state
-    names come out unchanged."""
+    names come out unchanged.  The model is flattened only when a trace
+    applies, and not again when `ks` is given."""
     if witnesses <= 0:
         return []
-    ks = flatten(model, budget=budget)
-    table = check_flat(ks, f)
-    root = normalize(f)
-    if verdict and isinstance(root, (ExistsX, ExistsG, ExistsU)):
-        if witnesses > root.grade + 1:
-            # Boost the grade so more than grade+1 distinct traces can come
-            # out of one run.
-            if isinstance(root, ExistsU):
-                root = ExistsU(witnesses - 1, root.left, root.right)
-            elif isinstance(root, ExistsG):
-                root = ExistsG(witnesses - 1, root.child)
-            else:
-                root = ExistsX(witnesses - 1, root.child)
-            table = check_flat(ks, root)
-        avail = table.count_row(root)[ks.initial]
-        want = min(witnesses, avail)
-        return extract_evidences(ks, ks.initial, root, want, table)
-    if not verdict and isinstance(f, (ForallX, ForallG, ForallF, ForallU)):
-        return counterexamples_for(ks, ks.initial, f, witnesses, table)
-    report.notes.append(
-        "traces are emitted for satisfied E-path formulas and failed "
-        "A-path formulas only")
-    return []
+    if not trace_forms(f, verdict, witnesses):
+        report.notes.append(
+            "traces are emitted for satisfied E-path formulas and failed "
+            "A-path formulas only")
+        return []
+    if ks is None:
+        ks = flatten(model, budget=budget)
+    return traces_for(ks, ks.initial, f, verdict, witnesses, table)
 
 
 def cmd_check(args):
+    started = time.perf_counter()
     model = _load_model(args.model, args.repair_self_loops)
     text, f = _formula_from(args)
     budget = _budget(args)
@@ -171,27 +149,38 @@ def cmd_check(args):
         engine = "hier" if len(model.machines) > 1 else "flat"
 
     report = CheckReport(formula=text, engine=engine, result=False)
+    ks = table = None
     if engine in ("flat", "both"):
-        verdict, ks, table, per_sub, millis = _run_flat(model, f, budget)
+        # Traces may reuse this table, and then walk its analyses.
+        verdict, ks, table, per_sub = _run_flat(model, f, budget,
+                                                args.witnesses > 0)
         report.result = verdict
         report.flat_states = ks.n_states
         report.per_subformula = per_sub
-        report.millis += millis
     if engine in ("hier", "both"):
-        verdict_h, w, per_sub_h, millis_h = _run_hier(model, f)
+        verdict_h, w = check_hier(model, f)
         if engine == "both" and verdict_h != report.result:
             print(f"engine divergence: flat={report.result} "
                   f"hier={verdict_h}", file=sys.stderr)
             return EXIT_INTERNAL
         report.result = verdict_h
         report.copies = len(w.machines)
-        report.millis += millis_h
         if not report.per_subformula:
-            report.per_subformula = per_sub_h
+            report.per_subformula = [(st.op, st.millis) for st in w.stats]
     report.traces = _extract_traces(model, f, report.result, args.witnesses,
-                                    budget, report)
+                                    budget, report, ks, table)
+    report.millis = (time.perf_counter() - started) * 1000.0
     _emit(args, report)
     return EXIT_HOLDS if report.result else EXIT_FAILS
+
+
+def _write(path, text):
+    """Write text to the file at path, or to stdout when path is empty."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
 
 
 def _emit(args, report):
@@ -199,22 +188,13 @@ def _emit(args, report):
         out = json.dumps(report.to_json(), indent=2, sort_keys=True)
     else:
         out = report.to_text()
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _write(getattr(args, "output", None), out + "\n")
 
 
 def cmd_flatten(args):
     model = _load_model(args.model, args.repair_self_loops)
     ks = flatten(model, budget=_budget(args))
-    text = render_model(kripke_to_model(ks))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write(args.output, render_model(kripke_to_model(ks)))
     print(f"// {ks.n_states} states, {ks.n_transitions} transitions",
           file=sys.stderr)
     return EXIT_HOLDS
@@ -244,12 +224,7 @@ def cmd_gen(args):
     if problems:
         print("generator produced an invalid model", file=sys.stderr)
         return EXIT_INTERNAL
-    text = render_model(model)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write(args.output, render_model(model))
     return EXIT_HOLDS
 
 
@@ -379,6 +354,9 @@ def main(argv=None):
     except CapacityError as e:
         print(f"capacity: {e}", file=sys.stderr)
         return EXIT_CAPACITY
+    except Exception as e:  # a crash must not read as "formula fails"
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

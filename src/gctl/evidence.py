@@ -11,11 +11,12 @@ dot-joined inside a state, the loop of a lasso wrapped in ``( ... )*``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
-from .flat_checker import SatTable, check_flat, globally_analysis, until_analysis
+from .flat_checker import SatTable, check_flat
 from .formula import (And, ExistsG, ExistsU, ExistsX, ForallF, ForallG,
-                      ForallU, ForallX, Not, TrueF, normalize, render)
+                      ForallU, ForallX, Not, normalize, render)
 from .kripke import KripkeStructure
 
 FINITE = "finite"
@@ -66,8 +67,7 @@ def extract_evidences(ks: KripkeStructure, s: int, form, n: int,
         raise ValueError(f"requested {n} traces, limit is grade+1 = {form.grade + 1}")
     if n == 0:
         return []
-    if table is None or _lookup(table, form) is None:
-        table = check_flat(ks, form)
+    table = _labelled(ks, [form], table)
 
     if isinstance(form, ExistsX):
         sat1 = table.row(form.child)
@@ -77,34 +77,34 @@ def extract_evidences(ks: KripkeStructure, s: int, form, n: int,
         return [EvidenceTrace(FINITE, [ks.names[s], ks.names[t]], None, form, 2)
                 for t in hits]
 
+    ana = table.analysis(form)
+    if ana.counts[s] < n:
+        raise ValueError(f"only {ana.counts[s]} evidences at {ks.names[s]}, asked {n}")
     if isinstance(form, ExistsG):
-        ana = globally_analysis(ks, table.row(form.child), form.grade)
-        if ana.counts[s] < n:
-            raise ValueError(f"only {ana.counts[s]} evidences at {ks.names[s]}, asked {n}")
-        paths = _collect_g(ks, ana, s, n)
         out = []
-        for states, loop in paths:
+        for states, loop in _collect_g(ks, ana, s, n):
             states, loop = _normalize_lasso(states, loop)
             out.append(EvidenceTrace(LASSO, [ks.names[i] for i in states], loop,
                                      form, len(states)))
         return out
 
-    sat2 = table.row(form.right)
-    ana = until_analysis(ks, table.row(form.left), sat2, form.grade)
-    if ana.counts[s] < n:
-        raise ValueError(f"only {ana.counts[s]} evidences at {ks.names[s]}, asked {n}")
-    paths = _collect_u(ks, ana, sat2, s, n)
+    paths = _collect_u(ks, ana, table.row(form.right), s, n)
     return [EvidenceTrace(FINITE, [ks.names[i] for i in p], None, form, len(p))
             for p in paths]
 
 
-def _lookup(table, form):
-    return table.index.get(form)
+def _labelled(ks, forms, table):
+    """`table` when it labels every (normalized) form, else one check of
+    their conjunction that keeps the counting analyses extraction walks."""
+    if table is not None and all(g in table.index for g in forms):
+        return table
+    return check_flat(ks, reduce(And, forms), keep_analyses=True)
 
 
-def _bfs_path(sub_succ, start, goal_test):
-    """Shortest path from start to a goal state, successors in index order;
-    returns the state list or None."""
+def _bfs_path(sub_succ, start, goal_test, keep=None):
+    """Shortest path from start to a goal state, successors in index order,
+    through states passing `keep` (all when None); returns the state list or
+    None."""
     if goal_test(start):
         return [start]
     parent = {start: None}
@@ -113,7 +113,7 @@ def _bfs_path(sub_succ, start, goal_test):
         next_queue = []
         for u in queue:
             for v in sub_succ[u]:
-                if v in parent:
+                if v in parent or (keep is not None and not keep(v)):
                     continue
                 parent[v] = u
                 if goal_test(v):
@@ -130,14 +130,14 @@ def _bfs_path(sub_succ, start, goal_test):
 def _shortest_cycle(sub_succ, comp_id, x):
     """Shortest cycle x -> ... -> x inside x's SCC (deterministic)."""
     best = None
+    comp = comp_id[x]
     for w in sub_succ[x]:
-        if comp_id[w] != comp_id[x]:
+        if comp_id[w] != comp:
             continue
         if w == x:
             return [x]
-        back = _bfs_path([
-            [v for v in sub_succ[u] if comp_id[v] == comp_id[x]]
-            for u in range(len(sub_succ))], w, lambda v: v == x)
+        back = _bfs_path(sub_succ, w, lambda v: v == x,
+                         lambda v: comp_id[v] == comp)
         if back is not None:
             cand = [x] + back[:-1]
             if best is None or len(cand) < len(best):
@@ -266,68 +266,81 @@ def _normalize_lasso(states, loop):
 
 
 # ---------------------------------------------------------------------------
-# Counterexamples for failed universal formulas
+# Traces for a verdict: evidences and counterexamples
 # ---------------------------------------------------------------------------
+
+
+def trace_forms(f, verdict: bool, n: int) -> list:
+    """Path forms whose evidences are the traces for f with this verdict,
+    graded so that n distinct ones can exist: the root of a satisfied E
+    formula, or the dual of a failed A formula (A U has two violation
+    families, drawn in turn).  Empty when no trace applies."""
+    if verdict:
+        root = normalize(f)
+        if isinstance(root, (ExistsX, ExistsG, ExistsU)):
+            return [replace(root, grade=max(root.grade, n - 1))]
+        return []
+    if not isinstance(f, (ForallX, ForallG, ForallF, ForallU)):
+        return []
+    boosted = max(f.grade, n - 1)
+    if isinstance(f, ForallU):
+        left, right = normalize(f.left), normalize(f.right)
+        stay = And(left, Not(right))
+        leave = And(Not(left), Not(right))
+        return [ExistsG(boosted, stay), ExistsU(boosted, stay, leave)]
+    # normalize() writes A<=k as the negation of its dual E>k form.
+    return [replace(normalize(f).child, grade=boosted)]
+
+
+def traces_for(ks: KripkeStructure, s: int, f, verdict: bool, n: int,
+               table: SatTable = None) -> list:
+    """Up to n pairwise distinct traces for f at s with this verdict: the
+    evidences of a satisfied E formula or the counterexamples of a failed A
+    formula, none when `trace_forms` is empty.  `table` is reused when it
+    labels every trace form."""
+    forms = trace_forms(f, verdict, n)
+    if not forms:
+        return []
+    if not verdict:
+        return counterexamples_for(ks, s, f, n, table)
+    table = _labelled(ks, forms, table)
+    want = min(n, table.count_row(forms[0])[s])
+    return extract_evidences(ks, s, forms[0], want, table)
 
 
 def counterexamples_for(ks: KripkeStructure, s: int, f, n: int,
                         table: SatTable = None) -> list:
     """Up to n pairwise distinct traces violating a universal formula.
 
-    The traces are evidences of the dual existential form; finite ones are
+    The traces are evidences of the dual existential forms; finite ones are
     extended past the violating state when an inner path witness explains
     the violation.  Returns at most the number of distinct violations.
+    `table` is reused when it labels every dual form.
     """
     if not isinstance(f, (ForallX, ForallG, ForallF, ForallU)):
         raise ValueError(f"not a universal temporal formula: {render(f)}")
-    if table is None:
-        table = check_flat(ks, f)
-    if table.row(f)[s]:
+    forms = trace_forms(f, False, n)
+    table = _labelled(ks, forms, table)
+    avail = [table.count_row(g)[s] for g in forms]
+    # Dual counts are capped above the grade, so their sum decides f.
+    if sum(avail) <= f.grade:
         raise ValueError(f"formula holds at {ks.names[s]}: {render(f)}")
-    if n <= 0:
-        return []
-    boosted = max(f.grade, n - 1)
-
-    if isinstance(f, ForallX):
-        dual = ExistsX(boosted, Not(normalize(f.child)))
-        dual_table = check_flat(ks, dual)
-        avail = dual_table.count_row(dual)[s]
-        traces = extract_evidences(ks, s, dual, min(n, avail), dual_table)
-        return [_deepen(ks, dual_table, tr, dual.child) for tr in traces]
-    if isinstance(f, ForallG):
-        dual = ExistsU(boosted, TrueF(), Not(normalize(f.child)))
-        dual_table = check_flat(ks, dual)
-        avail = dual_table.count_row(dual)[s]
-        traces = extract_evidences(ks, s, dual, min(n, avail), dual_table)
-        return [_deepen(ks, dual_table, tr, dual.right) for tr in traces]
-    if isinstance(f, ForallF):
-        dual = ExistsG(boosted, Not(normalize(f.child)))
-        dual_table = check_flat(ks, dual)
-        avail = dual_table.count_row(dual)[s]
-        return extract_evidences(ks, s, dual, min(n, avail), dual_table)
-
-    # ForallU: violations split into the globally family and the until
-    # family; draw from the first, then the second.
-    left, right = normalize(f.left), normalize(f.right)
-    stay = And(left, Not(right))
-    leave = And(Not(left), Not(right))
-    dual_g = ExistsG(boosted, stay)
-    dual_u = ExistsU(boosted, stay, leave)
-    table_g = check_flat(ks, dual_g)
-    table_u = check_flat(ks, dual_u)
-    take_g = min(n, table_g.count_row(dual_g)[s])
-    traces = extract_evidences(ks, s, dual_g, take_g, table_g)
-    take_u = min(n - take_g, table_u.count_row(dual_u)[s])
-    for tr in extract_evidences(ks, s, dual_u, take_u, table_u):
-        traces.append(_deepen(ks, table_u, tr, dual_u.right))
+    traces = []
+    for g, have in zip(forms, avail):
+        take = min(n - len(traces), have)
+        if take > 0:
+            traces += [_deepen(ks, table, tr)
+                       for tr in extract_evidences(ks, s, g, take, table)]
     return traces
 
 
-def _deepen(ks, table, trace, final_formula):
+def _deepen(ks, table, trace):
     """Extend a finite dual evidence past its last state with a path that
     explains why the violating condition holds there."""
     if trace.kind != FINITE:
         return trace
+    form = trace.form
+    final_formula = form.right if isinstance(form, ExistsU) else form.child
     last = ks.index_of(trace.states[-1])
     suffix, loop_rel = _explain(ks, table, last, final_formula)
     if not suffix and loop_rel is None:
@@ -410,8 +423,7 @@ def validate_trace(ks: KripkeStructure, trace: EvidenceTrace,
         return problems
 
     form = normalize(trace.form)
-    if table is None or _lookup(table, form) is None:
-        table = check_flat(ks, form)
+    table = _labelled(ks, [form], table)
     prefix = idx[:trace.evidence_len]
     if isinstance(form, ExistsX):
         if len(prefix) != 2:

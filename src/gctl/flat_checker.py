@@ -254,6 +254,7 @@ class SatTable:
     index: dict = field(default_factory=dict)
     sat: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
+    analyses: dict = field(default_factory=dict)   # E G / E U rows
     millis: dict = field(default_factory=dict)
 
     def row(self, f):
@@ -268,9 +269,27 @@ class SatTable:
     def count_row(self, f):
         return self.counts[self.index[normalize(f)]]
 
+    def analysis(self, f) -> PathCountAnalysis:
+        """Counting analysis of an E G / E U row: the one check_flat kept,
+        else computed now and kept."""
+        i = self.index[normalize(f)]
+        if i not in self.analyses:
+            self.analyses[i] = _path_analysis(self, self.subformulas[i])
+        return self.analyses[i]
 
-def check_flat(ks: KripkeStructure, f) -> SatTable:
-    """Label every state with every subformula of f (normalized first)."""
+
+def _path_analysis(table, g) -> PathCountAnalysis:
+    if isinstance(g, ExistsG):
+        return globally_analysis(table.ks, table.row(g.child), g.grade)
+    return until_analysis(table.ks, table.row(g.left), table.row(g.right),
+                          g.grade)
+
+
+def check_flat(ks: KripkeStructure, f, keep_analyses=False) -> SatTable:
+    """Label every state with every subformula of f (normalized first).
+
+    With keep_analyses the table keeps the counting analysis of every
+    E G / E U row, for trace extraction to walk."""
     root = f if is_normalized(f) else normalize(f)
     table = SatTable(ks=ks, root=root)
     table.subformulas = subformulas_bottom_up(root)
@@ -295,17 +314,12 @@ def check_flat(ks: KripkeStructure, f) -> SatTable:
             cnt = [count_next(ks, s, child, cap) for s in range(n)]
             table.counts[i] = cnt
             row = [c >= cap for c in cnt]
-        elif isinstance(g, ExistsG):
-            child = table.sat[table.index[g.child]]
-            cnt = count_globally(ks, child, g.grade)
-            table.counts[i] = cnt
-            row = [c >= g.grade + 1 for c in cnt]
-        elif isinstance(g, ExistsU):
-            left = table.sat[table.index[g.left]]
-            right = table.sat[table.index[g.right]]
-            cnt = count_until(ks, left, right, g.grade)
-            table.counts[i] = cnt
-            row = [c >= g.grade + 1 for c in cnt]
+        elif isinstance(g, (ExistsG, ExistsU)):
+            ana = _path_analysis(table, g)
+            if keep_analyses:
+                table.analyses[i] = ana
+            table.counts[i] = ana.counts
+            row = [c >= ana.cap for c in ana.counts]
         elif isinstance(g, ForallU):
             # Every violating path falls in exactly one of two families:
             # forever (left and not right), or (left and not right) until

@@ -120,11 +120,16 @@ def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
                   for v in m.vertices]
         plain = []
         boxed = []
-        for u, z, v in m.edges:
+        # Keep one edge per flat transition, as flattening does: drop repeats,
+        # and an exit b.z -> b when the boxed machine steps from z to its
+        # initial vertex itself.
+        for u, z, v in dict.fromkeys(m.edges):
             if z is None:
                 plain.append((pos_of[u], pos_of[v]))
             else:
                 target = model.machine(m.expand[u])
+                if v == u and (z, None, target.initial) in target.edges:
+                    continue
                 boxed.append((pos_of[u], target.outputs.index(z), pos_of[v]))
         machines.append(WorkMachine(
             m.name, m.name, list(m.vertices),
@@ -142,10 +147,10 @@ def _entry_flag(machines, m, pos, key):
     return target.flags[key][target.entry]
 
 
-def _rebuild(w, made, order_hint, op, kind, grade, grade0_factor, started):
+def _rebuild(w, made, op, kind, grade, grade0_factor, started):
     """Assemble the demanded copies into a new SpecializedHsm and record the
     pass statistics."""
-    ordered = sorted(made, key=lambda key: (order_hint[key[0]], made[key][0]))
+    ordered = sorted(made, key=lambda key: (key[0], made[key][0]))
     position = {key: i for i, key in enumerate(ordered)}
     new_machines = []
     for key in ordered:
@@ -222,8 +227,7 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
 
     top = len(machines) - 1
     build(top, tuple(0 for _ in machines[top].outs))
-    order_hint = {mi: mi for mi in range(len(machines))}
-    return _rebuild(w, made, order_hint, op, "X", grade, 1, started)
+    return _rebuild(w, made, op, "X", grade, 1, started)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +325,7 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
 
     top = len(machines) - 1
     build(top, frozenset())
-    order_hint = {mi: mi for mi in range(len(machines))}
-    out = _rebuild(w, made, order_hint, op, f"{kind}0", 0, 1, started)
+    out = _rebuild(w, made, op, f"{kind}0", 0, 1, started)
     stats = out.stats[-1]
     stats.grade0_factor, stats.context_factor = stats.context_factor, 1
     return out
@@ -700,9 +703,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
 
     top = len(machines) - 1
     build(top, tuple(0 for _ in machines[top].outs))
-    order_hint = {mi: mi for mi in range(len(machines))}
-    out = _rebuild(w, made, order_hint, op, mode, grade, grade0_factor, started)
-    return out
+    return _rebuild(w, made, op, mode, grade, grade0_factor, started)
 
 
 # ---------------------------------------------------------------------------
@@ -750,19 +751,15 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
                        m.flags[li][p] and m.flags[ri][p], i)
         elif isinstance(g, ExistsX):
             w = graded_next_pass(w, g.grade, index[g.child], i, op=render(g))
-        elif isinstance(g, ExistsG):
-            if g.grade == 0:
-                w = grade0_pass(w, "G", index[g.child], None, i, op=render(g))
+        elif isinstance(g, (ExistsG, ExistsU)):
+            if isinstance(g, ExistsG):
+                kind, th1, th2 = "G", index[g.child], None
             else:
-                w = graded_gu_pass(w, g.grade, "G", index[g.child], None, i,
-                                   op=render(g))
-        elif isinstance(g, ExistsU):
+                kind, th1, th2 = "U", index[g.left], index[g.right]
             if g.grade == 0:
-                w = grade0_pass(w, "U", index[g.left], index[g.right], i,
-                                op=render(g))
+                w = grade0_pass(w, kind, th1, th2, i, op=render(g))
             else:
-                w = graded_gu_pass(w, g.grade, "U", index[g.left],
-                                   index[g.right], i, op=render(g))
+                w = graded_gu_pass(w, g.grade, kind, th1, th2, i, op=render(g))
         elif isinstance(g, ForallU):
             # Violating paths split into a globally family and an until
             # family; the formula holds when their capped counts sum to at
@@ -785,9 +782,7 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
                        m.counts[cg][p] + m.counts[cu][p] <= k, i)
         else:
             raise TypeError(f"unexpected node in normalized formula: {g!r}")
-        if w.stats and w.stats[-1].op == render(g):
-            pass
-        else:
+        if not (w.stats and w.stats[-1].op == render(g)):
             w.stats.append(PassStats(render(g), "bool", 0, 1, 1,
                                      len(w.machines),
                                      (time.perf_counter() - started) * 1000.0))

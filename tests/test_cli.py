@@ -1,8 +1,13 @@
 import json
 import pathlib
+import time
+from collections import Counter
 
 import pytest
 
+import gctl.cli
+import gctl.evidence
+import gctl.flat_checker
 from gctl.cli import main
 from gctl.hsm import flatten
 from gctl.modelfile import kripke_to_model, parse_model, render_model
@@ -92,6 +97,104 @@ class TestCheck:
         first["stats"].pop("millis")
         second["stats"].pop("millis")
         assert first == second
+
+
+    def test_crash_exits_internal(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(gctl.cli, "check_hier", boom)
+        code = main(["check", "--model", FIG2, "--formula", "E F p3"])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.count("\n") == 1 and "injected fault" in err
+
+    def test_millis_covers_trace_extraction(self, capsys, monkeypatch):
+        extract = gctl.evidence.extract_evidences
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(gctl.evidence, "extract_evidences", slow)
+        code = main(["check", "--model", FIG2, "--formula", "E>1 [true U p1]",
+                     "--witnesses", "2", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and len(doc["traces"]) == 2
+        assert doc["stats"]["millis"] >= 50.0
+
+
+class TestTraceWork:
+    """Flattening and flat checking done per `check` request."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        checking = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                checking.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    checking.pop()
+            return wrapper
+
+        def analysis(fn):
+            def wrapper(*args, **kwargs):
+                calls["analysis" if "check_flat" in checking
+                      else "reanalysis"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gctl.cli, "flatten",
+                            counted("flatten", gctl.cli.flatten))
+        for module in (gctl.cli, gctl.evidence):
+            monkeypatch.setattr(module, "check_flat",
+                                counted("check_flat", module.check_flat))
+        for name in ("globally_analysis", "until_analysis"):
+            monkeypatch.setattr(gctl.flat_checker, name,
+                                analysis(getattr(gctl.flat_checker, name)))
+        return calls
+
+    def _check(self, model, formula, *extra):
+        path = {"fig2": FIG2, "retry": RETRY}[model]
+        return main(["check", "--model", path, "--formula", formula,
+                     "--witnesses", "2", "--format", "json", *extra])
+
+    @pytest.mark.parametrize("model, formula, code", [
+        ("fig2", "E>3 X p1", 1),
+        ("fig2", "E G false", 1),
+        ("fig2", "A G true", 0),
+        ("retry", "A<=1 [!abort U success]", 0),
+    ])
+    def test_no_trace_no_flattening(self, calls, capsys, model, formula,
+                                    code):
+        assert self._check(model, formula) == code
+        assert json.loads(capsys.readouterr().out)["traces"] == []
+        assert calls["flatten"] == 0 and calls["check_flat"] == 0
+
+    @pytest.mark.parametrize("model, formula, code", [
+        ("fig2", "E>1 [true U p1]", 0),
+        ("fig2", "E>1 G true", 0),
+        ("retry", "A G ((t1 & fail) -> A F abort)", 1),
+        ("retry", "A [true U ack]", 1),
+        ("retry", "A [!abort U success]", 1),
+    ])
+    def test_traced_request_flattens_and_checks_once(self, calls, capsys,
+                                                     model, formula, code):
+        assert self._check(model, formula) == code
+        assert json.loads(capsys.readouterr().out)["traces"]
+        assert calls["flatten"] == 1 and calls["check_flat"] == 1
+        assert calls["reanalysis"] == 0
+
+    def test_flat_engine_reuses_its_flattening(self, calls, capsys):
+        assert self._check("fig2", "E>1 [true U p1]", "--engine", "flat") == 0
+        assert len(json.loads(capsys.readouterr().out)["traces"]) == 2
+        assert calls["flatten"] == 1 and calls["check_flat"] == 1
+        assert calls["reanalysis"] == 0
 
 
 class TestFlatten:

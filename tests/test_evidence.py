@@ -4,10 +4,11 @@ import pytest
 
 from gctl.evidence import (EvidenceTrace, all_pairwise_distinct,
                            counterexamples_for, extract_evidences,
-                           serialize_trace, traces_distinct, validate_trace)
+                           serialize_trace, trace_forms, traces_distinct,
+                           validate_trace)
 from gctl.flat_checker import check_flat
-from gctl.formula import (Atom, ExistsG, ExistsU, ExistsX, ForallG, ForallU,
-                          ForallX, Not, TrueF, parse_formula)
+from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallG,
+                          ForallU, ForallX, Not, TrueF, parse_formula)
 from gctl.gen import random_kripke
 from gctl.kripke import KripkeStructure
 
@@ -122,6 +123,49 @@ class TestCounterexamples:
         kinds = {c.kind for c in cexs}
         assert kinds == {"lasso", "finite"}
         assert all_pairwise_distinct(cexs)
+
+
+class TestTraceForms:
+    p, q = Atom("p"), Atom("q")
+
+    def test_no_trace_applies(self):
+        assert trace_forms(parse_formula("E X p"), False, 3) == []
+        assert trace_forms(parse_formula("A G p"), True, 3) == []
+        assert trace_forms(parse_formula("p & q"), True, 3) == []
+
+    def test_satisfied_exists_boosted(self):
+        assert trace_forms(parse_formula("E F p"), True, 3) == [
+            ExistsU(2, TrueF(), self.p)]
+        assert trace_forms(parse_formula("E>4 G p"), True, 3) == [
+            ExistsG(4, self.p)]
+
+    def test_failed_forall_duals(self):
+        assert trace_forms(parse_formula("A X p"), False, 2) == [
+            ExistsX(1, Not(self.p))]
+        assert trace_forms(parse_formula("A<=3 G p"), False, 2) == [
+            ExistsU(3, TrueF(), Not(self.p))]
+        assert trace_forms(parse_formula("A F p"), False, 1) == [
+            ExistsG(0, Not(self.p))]
+        stay = And(self.p, Not(self.q))
+        assert trace_forms(parse_formula("A<=1 [p U q]"), False, 3) == [
+            ExistsG(2, stay), ExistsU(2, stay, And(Not(self.p), Not(self.q)))]
+
+    def test_counterexamples_reuse_given_table(self, monkeypatch):
+        ks = KripkeStructure(["s0", "u", "v", "w"], 0,
+                             [(0, 1), (0, 2), (1, 1), (2, 3), (3, 3)],
+                             [{"p"}, {"p"}, set(), {"q"}])
+        f = ForallU(1, Atom("p"), Atom("q"))
+        forms = trace_forms(f, False, 2)
+        table = check_flat(ks, And(*forms))
+
+        def refuse(*args):
+            raise AssertionError("check_flat called again")
+
+        monkeypatch.setattr("gctl.evidence.check_flat", refuse)
+        cexs = counterexamples_for(ks, 0, f, 2, table)
+        assert len(cexs) == 2 and all_pairwise_distinct(cexs)
+        for c in cexs:
+            assert validate_trace(ks, c, table) == []
 
 
 class TestSerialization:

@@ -386,3 +386,68 @@ class TestEngineEquivalence:
                 mi, pos = lookup[ks.names[s].split(".")[-1]]
                 assert w.machines[mi].flags[idx[root]][pos] == row[s], \
                     (case, render(f), ks.names[s])
+
+
+class TestCoincidingEdges:
+    """Edges that reach the same flat state count once, as in the
+    flattening."""
+
+    REENTRY = """
+    machine M1
+      init in;
+      out z;
+      node in [p];
+      node z;
+      edge in -> z;
+      edge z -> in;
+    end
+    machine M2
+      init s;
+      node s;
+      node t [p];
+      box b expands M1;
+      edge s -> b;
+      edge b.z -> b;
+      %s
+      edge t -> t;
+    end
+    """
+
+    def _agree(self, model, text):
+        f = parse_formula(text)
+        assert check_hier(model, f)[0] == _flat_verdict(model, f), text
+
+    def test_exit_reentering_its_own_box(self):
+        # b.z -> b and M1's own z -> in both land on the flat state b.in.
+        model = parse_model(self.REENTRY % "edge b.z -> t;")
+        self._agree(model, "E F E>2 X p")
+        self._agree(model, "E>1 G true")
+        assert not _flat_verdict(model, parse_formula("E F E>2 X p"))
+        model = parse_model(self.REENTRY % "")
+        self._agree(model, "E>1 G true")
+        self._agree(model, "E F E>2 X p")
+        assert not _flat_verdict(model, parse_formula("E>1 G true"))
+
+    def test_repeated_edges(self):
+        model = parse_model("""
+        machine M1
+          init a;
+          out z;
+          node a;
+          node z [p];
+          edge a -> z;
+          edge a -> z;
+        end
+        machine M2
+          init s;
+          node s;
+          node t [p];
+          box b expands M1;
+          edge s -> b;
+          edge b.z -> t;
+          edge b.z -> t;
+          edge t -> t;
+        end
+        """)
+        for text in ("E F E>1 X p", "E>1 F p", "E F E>1 G p"):
+            self._agree(model, text)
