@@ -11,6 +11,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import (CapacityError, FormulaSyntaxError, ModelSyntaxError,
                      ValidationError)
@@ -19,9 +20,9 @@ from .errors import (CapacityError, FormulaSyntaxError, ModelSyntaxError,
 from .evidence import (counterexamples_for, extract_evidences,
                        serialize_trace, trace_forms, traces_for)
 from .flat_checker import check_flat
-from .formula import parse_formula, render
+from .formula import And, parse_formula, render
 from .gen import random_shsm
-from .hier_checker import check_hier
+from .hier_checker import HierView, check_hier
 from .hsm import (DEFAULT_FLAT_BUDGET, flat_size, flatten, is_hsm,
                   repair_top_exit_loops, validate_shsm)
 from .modelfile import kripke_to_model, parse_model, render_model
@@ -32,6 +33,9 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_CAPACITY = 4
 EXIT_INTERNAL = 5
+
+# The j-th of n pumped traces loops j times, so output grows as n^2.
+MAX_WITNESSES = 1000
 
 
 @dataclass
@@ -114,33 +118,41 @@ def _formula_from(args):
     return text.strip(), parse_formula(text)
 
 
-def _run_flat(model, f, budget, keep_analyses):
+def _run_flat(model, f, budget):
     ks = flatten(model, budget=budget)
-    table = check_flat(ks, f, keep_analyses)
+    table = check_flat(ks, f)
     per_sub = [(render(g), table.millis[i])
                for i, g in enumerate(table.subformulas)]
     return table.root_row()[ks.initial], ks, table, per_sub
 
 
-def _extract_traces(model, f, verdict, witnesses, budget, report, ks=None,
-                    table=None):
-    """Traces run on the flattening of the input model so hierarchical state
-    names come out unchanged.  The model is flattened only when a trace
-    applies, and not again when `ks` is given."""
-    if witnesses <= 0:
+def _extract_traces(model, f, verdict, witnesses, report, ks, table, w):
+    """Traces for the verdict, named by the input model's flattening.  They
+    are read off the flat engine's flattening and table when it ran, else
+    off the hierarchy: the machine copies of a check_hier run that labels
+    the path forms to extract (the verdict's own run `w` when it does)
+    carry the counts the walk needs, and nothing is flattened."""
+    if witnesses == 0:
         return []
-    if not trace_forms(f, verdict, witnesses):
+    forms = trace_forms(f, verdict, witnesses)
+    if not forms:
         report.notes.append(
             "traces are emitted for satisfied E-path formulas and failed "
             "A-path formulas only")
         return []
     if ks is None:
-        ks = flatten(model, budget=budget)
+        if not all(g in w.index for g in forms):
+            _verdict, w = check_hier(model, reduce(And, forms))
+        ks = HierView(model, w)
     return traces_for(ks, ks.initial, f, verdict, witnesses, table)
 
 
 def cmd_check(args):
     started = time.perf_counter()
+    if not 0 <= args.witnesses <= MAX_WITNESSES:
+        print(f"--witnesses must be between 0 and {MAX_WITNESSES}",
+              file=sys.stderr)
+        return EXIT_USAGE
     model = _load_model(args.model, args.repair_self_loops)
     text, f = _formula_from(args)
     budget = _budget(args)
@@ -149,11 +161,9 @@ def cmd_check(args):
         engine = "hier" if len(model.machines) > 1 else "flat"
 
     report = CheckReport(formula=text, engine=engine, result=False)
-    ks = table = None
+    ks = table = w = None
     if engine in ("flat", "both"):
-        # Traces may reuse this table, and then walk its analyses.
-        verdict, ks, table, per_sub = _run_flat(model, f, budget,
-                                                args.witnesses > 0)
+        verdict, ks, table, per_sub = _run_flat(model, f, budget)
         report.result = verdict
         report.flat_states = ks.n_states
         report.per_subformula = per_sub
@@ -168,7 +178,7 @@ def cmd_check(args):
         if not report.per_subformula:
             report.per_subformula = [(st.op, st.millis) for st in w.stats]
     report.traces = _extract_traces(model, f, report.result, args.witnesses,
-                                    budget, report, ks, table)
+                                    report, ks, table, w)
     report.millis = (time.perf_counter() - started) * 1000.0
     _emit(args, report)
     return EXIT_HOLDS if report.result else EXIT_FAILS

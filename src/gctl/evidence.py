@@ -1,7 +1,8 @@
 """Evidence and counterexample trace extraction.
 
 For a satisfied ``E>k`` path formula up to k+1 pairwise distinct evidence
-traces are produced by walking the counting analysis; for a failed ``A<=k``
+traces are produced by one walk guided by capped evidence counts, on a
+flattening or directly on the checked hierarchy; for a failed ``A<=k``
 formula the dual existential form is extracted instead, and the trace is
 extended past the violating state so the reader can see why it violates
 (e.g. the lasso showing an inner eventuality never fires).
@@ -49,16 +50,76 @@ def serialize_trace(trace: EvidenceTrace) -> str:
 
 
 # ---------------------------------------------------------------------------
+# State views
+#
+# Extraction reads a structure through a view: `initial`, `succ(s)` in a
+# fixed order, `name(s)` and its inverse `locate(name)`, `holds(g, s)` for
+# every subformula g of the forms to extract, and `count(g, s)`, the capped
+# evidence count of their E X / E G / E U subformulas.  FlatView backs it
+# with a flattening and its SatTable; gctl.hier_checker.HierView with the
+# machine copies of one check_hier run, without flattening.
+# ---------------------------------------------------------------------------
+
+
+class FlatView:
+    """A Kripke structure labelled by a SatTable."""
+
+    def __init__(self, ks: KripkeStructure, table: SatTable):
+        self.ks = ks
+        self.table = table
+        self.initial = ks.initial
+        self._rows = {}     # formula -> its sat row, looked up once
+        self._counts = {}
+
+    def succ(self, s):
+        return self.ks.succ[s]
+
+    def name(self, s):
+        return self.ks.names[s]
+
+    def locate(self, name):
+        return self.ks.index_of(name)
+
+    def holds(self, g, s):
+        row = self._rows.get(g)
+        if row is None:
+            row = self._rows[g] = self.table.row(g)
+        return row[s]
+
+    def count(self, g, s):
+        row = self._counts.get(g)
+        if row is None:
+            row = self._counts[g] = self.table.count_row(g)
+        return row[s]
+
+
+def _labelled(ks, forms, table):
+    """`table` when it labels every (normalized) form, else one check of
+    their conjunction."""
+    if table is not None and all(g in table.index for g in forms):
+        return table
+    return check_flat(ks, reduce(And, forms))
+
+
+def _view(ks, forms, table):
+    """`ks` itself when it is a view, else its FlatView over `table` or,
+    when that does not label every form, over one check of the forms."""
+    if not isinstance(ks, KripkeStructure):
+        return ks
+    return FlatView(ks, _labelled(ks, forms, table))
+
+
+# ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
 
 
-def extract_evidences(ks: KripkeStructure, s: int, form, n: int,
-                      table: SatTable = None) -> list:
+def extract_evidences(ks, s, form, n: int, table: SatTable = None) -> list:
     """Up to n pairwise distinct evidences of a normalized path formula.
 
-    Requires n <= grade+1 and at least n distinct evidences at s; walks the
-    counting analysis, splitting quotas over successors in index order.
+    `ks` is a view, or a KripkeStructure labelled by `table` (checked here
+    when it does not label the form).  Requires n <= grade+1 and at least n
+    distinct evidences at s.
     """
     form = normalize(form)
     if not isinstance(form, (ExistsX, ExistsG, ExistsU)):
@@ -67,188 +128,148 @@ def extract_evidences(ks: KripkeStructure, s: int, form, n: int,
         raise ValueError(f"requested {n} traces, limit is grade+1 = {form.grade + 1}")
     if n == 0:
         return []
-    table = _labelled(ks, [form], table)
-
+    view = _view(ks, [form], table)
+    have = view.count(form, s)
+    if have < n:
+        raise ValueError(f"only {have} evidences at {view.name(s)}, asked {n}")
     if isinstance(form, ExistsX):
-        sat1 = table.row(form.child)
-        hits = [t for t in ks.succ[s] if sat1[t]][:n]
-        if len(hits) < n:
-            raise ValueError(f"only {len(hits)} evidences at {ks.names[s]}, asked {n}")
-        return [EvidenceTrace(FINITE, [ks.names[s], ks.names[t]], None, form, 2)
+        hits = [t for t in view.succ(s) if view.holds(form.child, t)][:n]
+        return [EvidenceTrace(FINITE, [view.name(s), view.name(t)], None, form, 2)
                 for t in hits]
-
-    ana = table.analysis(form)
-    if ana.counts[s] < n:
-        raise ValueError(f"only {ana.counts[s]} evidences at {ks.names[s]}, asked {n}")
-    if isinstance(form, ExistsG):
-        out = []
-        for states, loop in _collect_g(ks, ana, s, n):
+    out = []
+    for states, loop in _walk(_Steps(view, form), s, n):
+        if loop is not None:
             states, loop = _normalize_lasso(states, loop)
-            out.append(EvidenceTrace(LASSO, [ks.names[i] for i in states], loop,
-                                     form, len(states)))
-        return out
-
-    paths = _collect_u(ks, ana, table.row(form.right), s, n)
-    return [EvidenceTrace(FINITE, [ks.names[i] for i in p], None, form, len(p))
-            for p in paths]
+        out.append(EvidenceTrace(FINITE if loop is None else LASSO,
+                                 [view.name(t) for t in states], loop, form,
+                                 len(states)))
+    return out
 
 
-def _labelled(ks, forms, table):
-    """`table` when it labels every (normalized) form, else one check of
-    their conjunction that keeps the counting analyses extraction walks."""
-    if table is not None and all(g in table.index for g in forms):
-        return table
-    return check_flat(ks, reduce(And, forms), keep_analyses=True)
+class _Steps:
+    """The evidence graph of one E G / E U form on a view: successors with
+    a positive count, for E U out of `left` states only."""
+
+    def __init__(self, view, form):
+        self.view = view
+        self.form = form
+        self.until = isinstance(form, ExistsU)
+
+    def count(self, s):
+        return self.view.count(self.form, s)
+
+    def live(self, s):
+        if self.until and not self.view.holds(self.form.left, s):
+            return []
+        return [t for t in self.view.succ(s) if self.view.count(self.form, t)]
+
+    def single(self, s):
+        """One evidence from s as (states, loop): for E U a shortest path
+        to a `right` state, for E G the lasso that always takes the first
+        live successor."""
+        if not self.until:
+            seen = {s: 0}
+            states = [s]
+            while True:
+                s = self.live(s)[0]
+                if s in seen:
+                    return states, seen[s]
+                seen[s] = len(states)
+                states.append(s)
+        right = self.form.right
+        if self.view.holds(right, s):
+            return [s], None
+        parent = {s: None}
+        queue = [s]
+        while queue:
+            next_queue = []
+            for u in queue:
+                for v in self.live(u):
+                    if v in parent:
+                        continue
+                    parent[v] = u
+                    if self.view.holds(right, v):
+                        path = [v]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return path[::-1], None
+                    next_queue.append(v)
+            queue = next_queue
+        raise ValueError(f"no evidence at {self.view.name(s)}")
 
 
-def _bfs_path(sub_succ, start, goal_test, keep=None):
-    """Shortest path from start to a goal state, successors in index order,
-    through states passing `keep` (all when None); returns the state list or
-    None."""
-    if goal_test(start):
-        return [start]
-    parent = {start: None}
-    queue = [start]
-    while queue:
-        next_queue = []
-        for u in queue:
-            for v in sub_succ[u]:
-                if v in parent or (keep is not None and not keep(v)):
-                    continue
-                parent[v] = u
-                if goal_test(v):
-                    path = [v]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                next_queue.append(v)
-        queue = next_queue
-    return None
+def _walk(steps, s, n):
+    """n distinct evidences from s as (states, loop), loop None for finite
+    ones.
 
-
-def _shortest_cycle(sub_succ, comp_id, x):
-    """Shortest cycle x -> ... -> x inside x's SCC (deterministic)."""
-    best = None
-    comp = comp_id[x]
-    for w in sub_succ[x]:
-        if comp_id[w] != comp:
+    A state with quota q >= 2 splits it over its live successors in order,
+    each taking min(rest, count); quota 1 takes a single evidence.  A state
+    that recurs on the current prefix with the same quota closes a cycle of
+    states whose counts are all >= q >= 2, so the cycle is not forced: one
+    of its states has a live successor off the cycle, and the q evidences
+    loop the cycle 0..q-1 times before leaving there.
+    """
+    out = []
+    prefix = []
+    quota = []
+    where = {}      # state -> its last position on the prefix
+    agenda = [(s, n, None)]
+    while agenda:
+        u, q, restore = agenda.pop()
+        if q is None:
+            prefix.pop()
+            quota.pop()
+            if restore is None:
+                del where[u]
+            else:
+                where[u] = restore
             continue
-        if w == x:
-            return [x]
-        back = _bfs_path(sub_succ, w, lambda v: v == x,
-                         lambda v: comp_id[v] == comp)
-        if back is not None:
-            cand = [x] + back[:-1]
-            if best is None or len(cand) < len(best):
-                best = cand
-    return best
+        if q == 1:
+            out.append(_joined(prefix, *steps.single(u)))
+            continue
+        at = where.get(u)
+        if at is not None and quota[at] == q:
+            out.extend(_pumped(steps, prefix, at, q))
+            continue
+        agenda.append((u, None, at))
+        where[u] = len(prefix)
+        prefix.append(u)
+        quota.append(q)
+        parts = []
+        rest = q
+        for v in steps.live(u):
+            take = min(rest, steps.count(v))
+            if take:
+                parts.append((v, take, None))
+                rest -= take
+                if not rest:
+                    break
+        if rest:
+            raise ValueError(f"successor counts below {q} at {steps.view.name(u)}")
+        agenda.extend(reversed(parts))
+    return out
 
 
-def _pump_prefixes(ana, t, m):
-    """m pairwise divergent prefixes from a state that reaches a branching
-    cycle: approach the nearest branching state, loop j = 0..m-1 times, then
-    leave through a successor the cycle does not use.  Returns the prefixes
-    (each ending at the branching state) and the side successor."""
-    approach = _bfs_path(ana.sub_succ, t, lambda v: ana.pump[v])
-    x = approach[-1]
-    cycle = _shortest_cycle(ana.sub_succ, ana.comp_id, x)
-    follow = cycle[1] if len(cycle) > 1 else x
-    side = next(v for v in ana.sub_succ[x] if v != follow)
-    prefixes = [approach[:-1] + cycle * j + [x] for j in range(m)]
-    return prefixes, side
+def _joined(prefix, states, loop):
+    return prefix + states, None if loop is None else len(prefix) + loop
 
 
-def _split_quota(ana, u, q):
-    """Distribute a quota over u's subgraph successors in index order."""
-    assigned = []
-    for v in ana.sub_succ[u]:
-        if q == 0:
+def _pumped(steps, prefix, at, q):
+    """q evidences through the cycle prefix[at:] (its last state steps back
+    to prefix[at]): from the first cycle state x with a live successor
+    other than its cycle successor, loop j = 0..q-1 times, then leave."""
+    cycle = prefix[at:]
+    for i, x in enumerate(cycle):
+        follow = cycle[(i + 1) % len(cycle)]
+        side = next((v for v in steps.live(x) if v != follow), None)
+        if side is not None:
             break
-        take = min(q, ana.counts[v])
-        if take:
-            assigned.append((v, take))
-            q -= take
-    return assigned
-
-
-def _collect_g(ks, ana, t, m):
-    """m distinct infinite all-core paths from t, as (index list, loop)."""
-    out = []
-    prefix = []
-    agenda = [("visit", t, m)]
-    while agenda:
-        action = agenda.pop()
-        if action[0] == "pop":
-            prefix.pop()
-            continue
-        _, u, q = action
-        if ana.saturated[u]:
-            prefixes, side = _pump_prefixes(ana, u, q)
-            tail, tail_loop = _forced_lasso(ana.sub_succ, side)
-            for p in prefixes:
-                out.append((prefix + p + tail, len(prefix) + len(p) + tail_loop))
-            continue
-        if ana.on_cycle[u]:
-            states, loop = _forced_lasso(ana.sub_succ, u)
-            out.append((prefix + states, len(prefix) + loop))
-            continue
-        prefix.append(u)
-        agenda.append(("pop",))
-        for v, take in reversed(_split_quota(ana, u, q)):
-            agenda.append(("visit", v, take))
-    return out
-
-
-def _forced_lasso(sub_succ, t):
-    """Follow the unique subgraph successor until a repeat; (states, loop)."""
-    seen = {t: 0}
-    states = [t]
-    cur = t
-    while True:
-        cur = sub_succ[cur][0]
-        if cur in seen:
-            return states, seen[cur]
-        seen[cur] = len(states)
-        states.append(cur)
-
-
-def _collect_u(ks, ana, sat2, t, m):
-    """m distinct finite evidences (index lists) from t; m <= counts[t]."""
-    out = []
-    prefix = []
-    agenda = [("visit", t, m)]
-    while agenda:
-        action = agenda.pop()
-        if action[0] == "pop":
-            prefix.pop()
-            continue
-        _, u, q = action
-        if ana.saturated[u]:
-            prefixes, side = _pump_prefixes(ana, u, q)
-            tail = _bfs_path(ana.sub_succ, side, lambda w: sat2[w])
-            for p in prefixes:
-                out.append(prefix + p + tail)
-            continue
-        if ana.on_cycle[u]:
-            path = [u]
-            cur = u
-            while not sat2[cur]:
-                cur = ana.sub_succ[cur][0]
-                path.append(cur)
-            out.append(prefix + path)
-            continue
-        if sat2[u] and q == 1:
-            # The length-one evidence; taken only when nothing longer is
-            # demanded from this subtree (a prefix is not distinct from its
-            # extensions).
-            out.append(prefix + [u])
-            continue
-        prefix.append(u)
-        agenda.append(("pop",))
-        for v, take in reversed(_split_quota(ana, u, q)):
-            agenda.append(("visit", v, take))
-    return out
+    else:
+        raise ValueError(f"forced cycle at {steps.view.name(x)} counted twice")
+    turn = cycle[i:] + cycle[:i]
+    tail = steps.single(side)
+    head = prefix[:at + i]
+    return [_joined(head + turn * j + [x], *tail) for j in range(q)]
 
 
 def _normalize_lasso(states, loop):
@@ -292,105 +313,102 @@ def trace_forms(f, verdict: bool, n: int) -> list:
     return [replace(normalize(f).child, grade=boosted)]
 
 
-def traces_for(ks: KripkeStructure, s: int, f, verdict: bool, n: int,
-               table: SatTable = None) -> list:
+def traces_for(ks, s, f, verdict: bool, n: int, table: SatTable = None) -> list:
     """Up to n pairwise distinct traces for f at s with this verdict: the
     evidences of a satisfied E formula or the counterexamples of a failed A
-    formula, none when `trace_forms` is empty.  `table` is reused when it
-    labels every trace form."""
+    formula, none when `trace_forms` is empty.  `ks` is a view, or a
+    KripkeStructure whose `table` is reused when it labels every form."""
     forms = trace_forms(f, verdict, n)
     if not forms:
         return []
+    view = _view(ks, forms, table)
     if not verdict:
-        return counterexamples_for(ks, s, f, n, table)
-    table = _labelled(ks, forms, table)
-    want = min(n, table.count_row(forms[0])[s])
-    return extract_evidences(ks, s, forms[0], want, table)
+        return counterexamples_for(view, s, f, n)
+    return extract_evidences(view, s, forms[0], min(n, view.count(forms[0], s)))
 
 
-def counterexamples_for(ks: KripkeStructure, s: int, f, n: int,
-                        table: SatTable = None) -> list:
+def counterexamples_for(ks, s, f, n: int, table: SatTable = None) -> list:
     """Up to n pairwise distinct traces violating a universal formula.
 
     The traces are evidences of the dual existential forms; finite ones are
     extended past the violating state when an inner path witness explains
     the violation.  Returns at most the number of distinct violations.
-    `table` is reused when it labels every dual form.
+    `ks` is a view, or a KripkeStructure whose `table` is reused when it
+    labels every dual form.
     """
     if not isinstance(f, (ForallX, ForallG, ForallF, ForallU)):
         raise ValueError(f"not a universal temporal formula: {render(f)}")
     forms = trace_forms(f, False, n)
-    table = _labelled(ks, forms, table)
-    avail = [table.count_row(g)[s] for g in forms]
+    view = _view(ks, forms, table)
+    avail = [view.count(g, s) for g in forms]
     # Dual counts are capped above the grade, so their sum decides f.
     if sum(avail) <= f.grade:
-        raise ValueError(f"formula holds at {ks.names[s]}: {render(f)}")
+        raise ValueError(f"formula holds at {view.name(s)}: {render(f)}")
     traces = []
     for g, have in zip(forms, avail):
         take = min(n - len(traces), have)
         if take > 0:
-            traces += [_deepen(ks, table, tr)
-                       for tr in extract_evidences(ks, s, g, take, table)]
+            traces += [_deepen(view, tr)
+                       for tr in extract_evidences(view, s, g, take)]
     return traces
 
 
-def _deepen(ks, table, trace):
+def _deepen(view, trace):
     """Extend a finite dual evidence past its last state with a path that
     explains why the violating condition holds there."""
     if trace.kind != FINITE:
         return trace
     form = trace.form
     final_formula = form.right if isinstance(form, ExistsU) else form.child
-    last = ks.index_of(trace.states[-1])
-    suffix, loop_rel = _explain(ks, table, last, final_formula)
+    last = view.locate(trace.states[-1])
+    suffix, loop_rel = _explain(view, last, final_formula)
     if not suffix and loop_rel is None:
         return trace
-    states = trace.states + [ks.names[i] for i in suffix]
+    states = trace.states + [view.name(t) for t in suffix]
     if loop_rel is None:
         return EvidenceTrace(FINITE, states, None, trace.form, trace.evidence_len)
     loop = len(trace.states) - 1 + loop_rel
     return EvidenceTrace(LASSO, states, loop, trace.form, trace.evidence_len)
 
 
-def _explain(ks, table, s, g):
+def _explain(view, s, g):
     """A path witness (suffix after s, relative loop index) for a formula
     that holds at s; empty when the formula needs no path to justify."""
     if isinstance(g, Not) and isinstance(g.child, Not):
-        return _explain(ks, table, s, g.child.child)
+        return _explain(view, s, g.child.child)
     if isinstance(g, And):
         for part in (g.left, g.right):
-            suffix, loop = _explain(ks, table, s, part)
+            suffix, loop = _explain(view, s, part)
             if suffix or loop is not None:
                 return suffix, loop
         return [], None
     if isinstance(g, Not) and isinstance(g.child, And):
         # One conjunct fails; explain the failing side's negation.
         inner = g.child
-        if not table.row(inner.left)[s]:
-            return _explain(ks, table, s, Not(inner.left))
-        return _explain(ks, table, s, Not(inner.right))
+        if not view.holds(inner.left, s):
+            return _explain(view, s, Not(inner.left))
+        return _explain(view, s, Not(inner.right))
     if isinstance(g, ExistsX):
-        sat1 = table.row(g.child)
-        t = next((t for t in ks.succ[s] if sat1[t]), None)
+        t = next((t for t in view.succ(s) if view.holds(g.child, t)), None)
         if t is None:
             return [], None
-        rest, loop = _explain(ks, table, t, g.child)
+        rest, loop = _explain(view, t, g.child)
         return [t] + rest, (None if loop is None else loop + 1)
     if isinstance(g, ExistsU):
-        if not table.row(g)[s]:
+        if not view.holds(g, s):
             return [], None
-        ev = extract_evidences(ks, s, g, 1, table)[0]
-        suffix = [ks.index_of(name) for name in ev.states[1:]]
-        rest, loop = _explain(ks, table, ks.index_of(ev.states[-1]), g.right)
+        ev = extract_evidences(view, s, g, 1)[0]
+        suffix = [view.locate(name) for name in ev.states[1:]]
+        rest, loop = _explain(view, view.locate(ev.states[-1]), g.right)
         if rest or loop is not None:
             return suffix + rest, (None if loop is None else loop + len(suffix))
         return suffix, None
     if isinstance(g, ExistsG):
-        if not table.row(g)[s]:
+        if not view.holds(g, s):
             return [], None
-        ev = extract_evidences(ks, s, g, 1, table)[0]
+        ev = extract_evidences(view, s, g, 1)[0]
         # ev.states[0] is s itself; loop indices stay in s-origin coordinates.
-        suffix = [ks.index_of(name) for name in ev.states[1:]]
+        suffix = [view.locate(name) for name in ev.states[1:]]
         return suffix, ev.loop_start
     return [], None
 

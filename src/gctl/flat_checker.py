@@ -80,80 +80,50 @@ def tarjan_scc(n, succ):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PathCountAnalysis:
-    """Everything the counting pass learned about one path formula.
-
-    counts[s] is the number of pairwise distinct evidences from s, capped at
-    `cap`.  `saturated` states reach a cycle with a branching state inside
-    the relevant subgraph (unboundedly many evidences); `on_cycle` states sit
-    on a terminal out-degree-1 cycle (exactly one evidence).
-    """
-
-    cap: int
-    core: list          # subgraph membership (bool per state)
-    sub_succ: list      # adjacency inside the subgraph (empty lists outside)
-    counts: list
-    saturated: list
-    on_cycle: list
-    pump: list          # on a cycle and branching: evidence extraction can
-                        # loop here arbitrarily often
-    comp_id: list       # SCC id per state within the subgraph
-
-
-def _classify_and_count(ks, core, sub_succ, cap, base):
-    """Shared tail of the G/U analyses: SCC classification on the subgraph,
+def _classify_and_count(core, sub_succ, cap, base):
+    """Shared tail of the G/U counts: SCC classification on the subgraph,
     then capped propagation in reverse topological order.
 
-    base[s] is the count contributed by the state itself (a length-one
-    evidence); it is dominated by any extension, never added to one."""
-    n = ks.n_states
+    A component that is a cycle with a branching state, or reaches one,
+    has unboundedly many evidences (the cap); a forced cycle that reaches
+    none has exactly one.  base[s] is the count contributed by the state
+    itself (a length-one evidence); it is dominated by any extension, never
+    added to one."""
+    n = len(core)
     sccs = tarjan_scc(n, sub_succ)
     counts = [0] * n
-    saturated = [False] * n
-    on_cycle = [False] * n
-    pump = [False] * n
     comp_id = [0] * n
-    reach_branch = {}
+    reach_branch = []
     for ci, comp in enumerate(sccs):
         for s in comp:
             comp_id[s] = ci
     for ci, comp in enumerate(sccs):
         cyclic = len(comp) > 1 or comp[0] in sub_succ[comp[0]]
-        branching = False
-        if cyclic:
-            for s in comp:
-                if len(sub_succ[s]) >= 2:
-                    branching = True
-                    pump[s] = True
-        reaches = branching
+        reaches = False
         for s in comp:
+            if cyclic and len(sub_succ[s]) >= 2:
+                reaches = True
             for t in sub_succ[s]:
                 if comp_id[t] != ci and reach_branch[comp_id[t]]:
                     reaches = True
-        reach_branch[ci] = reaches
-        for s in comp:
-            if not core[s]:
-                continue
-            if reaches:
-                saturated[s] = True
-                counts[s] = cap
-            elif cyclic:
-                on_cycle[s] = True
-                counts[s] = 1
-        if not reaches and not cyclic:
+        reach_branch.append(reaches)
+        if reaches or cyclic:
+            value = cap if reaches else 1
+            for s in comp:
+                if core[s]:
+                    counts[s] = value
+        elif core[comp[0]]:
             s = comp[0]
-            if core[s]:
-                ext = 0
-                for t in sub_succ[s]:
-                    ext += counts[t]
-                counts[s] = max(base[s], min(cap, ext))
-    return counts, saturated, on_cycle, pump, comp_id
+            ext = 0
+            for t in sub_succ[s]:
+                ext += counts[t]
+            counts[s] = max(base[s], min(cap, ext))
+    return counts
 
 
-def globally_analysis(ks: KripkeStructure, sat1, grade: int) -> PathCountAnalysis:
-    """Count distinct infinite all-sat1 paths from every state, capped at
-    grade+1."""
+def globally_analysis(ks: KripkeStructure, sat1, grade: int) -> list:
+    """Per-state count (capped at grade+1) of distinct infinite all-sat1
+    paths."""
     cap = grade + 1
     n = ks.n_states
     # Largest set of sat1 states where every member keeps a member successor.
@@ -181,17 +151,14 @@ def globally_analysis(ks: KripkeStructure, sat1, grade: int) -> PathCountAnalysi
     # A state off every cycle contributes only through its successors: each
     # infinite path is pinned down by where it enters a terminal cycle, so
     # plain summation counts distinct paths.
-    counts, saturated, on_cycle, pump, comp_id = _classify_and_count(
-        ks, core, sub_succ, cap, [0] * n)
-    return PathCountAnalysis(cap, core, sub_succ, counts, saturated, on_cycle,
-                             pump, comp_id)
+    return _classify_and_count(core, sub_succ, cap, [0] * n)
 
 
-def until_analysis(ks: KripkeStructure, sat1, sat2, grade: int) -> PathCountAnalysis:
-    """Count distinct finite sat1-until-sat2 evidences from every state,
-    capped at grade+1.  A path that is a prefix of another is not distinct
-    from it, so a sat2 state with live continuations gains nothing from the
-    length-one evidence."""
+def until_analysis(ks: KripkeStructure, sat1, sat2, grade: int) -> list:
+    """Per-state count (capped at grade+1) of distinct finite
+    sat1-until-sat2 evidences.  A path that is a prefix of another is not
+    distinct from it, so a sat2 state with live continuations gains nothing
+    from the length-one evidence."""
     cap = grade + 1
     n = ks.n_states
     # Least set containing sat2 and closed under sat1-predecessors.
@@ -210,10 +177,7 @@ def until_analysis(ks: KripkeStructure, sat1, sat2, grade: int) -> PathCountAnal
     sub_succ = [[t for t in ks.succ[s] if core[t]] if core[s] and sat1[s] else []
                 for s in range(n)]
     base = [1 if sat2[s] else 0 for s in range(n)]
-    counts, saturated, on_cycle, pump, comp_id = _classify_and_count(
-        ks, core, sub_succ, cap, base)
-    return PathCountAnalysis(cap, core, sub_succ, counts, saturated, on_cycle,
-                             pump, comp_id)
+    return _classify_and_count(core, sub_succ, cap, base)
 
 
 def count_next(ks: KripkeStructure, s: int, sat1, cap: int) -> int:
@@ -227,16 +191,9 @@ def count_next(ks: KripkeStructure, s: int, sat1, cap: int) -> int:
     return c
 
 
-def count_globally(ks: KripkeStructure, sat1, grade: int) -> list:
-    """Per-state count (capped at grade+1) of distinct infinite sat1
-    paths."""
-    return globally_analysis(ks, sat1, grade).counts
-
-
-def count_until(ks: KripkeStructure, sat1, sat2, grade: int) -> list:
-    """Per-state count (capped at grade+1) of distinct sat1-until-sat2
-    evidences."""
-    return until_analysis(ks, sat1, sat2, grade).counts
+# The two counts under their public names.
+count_globally = globally_analysis
+count_until = until_analysis
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +211,6 @@ class SatTable:
     index: dict = field(default_factory=dict)
     sat: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
-    analyses: dict = field(default_factory=dict)   # E G / E U rows
     millis: dict = field(default_factory=dict)
 
     def row(self, f):
@@ -269,27 +225,9 @@ class SatTable:
     def count_row(self, f):
         return self.counts[self.index[normalize(f)]]
 
-    def analysis(self, f) -> PathCountAnalysis:
-        """Counting analysis of an E G / E U row: the one check_flat kept,
-        else computed now and kept."""
-        i = self.index[normalize(f)]
-        if i not in self.analyses:
-            self.analyses[i] = _path_analysis(self, self.subformulas[i])
-        return self.analyses[i]
 
-
-def _path_analysis(table, g) -> PathCountAnalysis:
-    if isinstance(g, ExistsG):
-        return globally_analysis(table.ks, table.row(g.child), g.grade)
-    return until_analysis(table.ks, table.row(g.left), table.row(g.right),
-                          g.grade)
-
-
-def check_flat(ks: KripkeStructure, f, keep_analyses=False) -> SatTable:
-    """Label every state with every subformula of f (normalized first).
-
-    With keep_analyses the table keeps the counting analysis of every
-    E G / E U row, for trace extraction to walk."""
+def check_flat(ks: KripkeStructure, f) -> SatTable:
+    """Label every state with every subformula of f (normalized first)."""
     root = f if is_normalized(f) else normalize(f)
     table = SatTable(ks=ks, root=root)
     table.subformulas = subformulas_bottom_up(root)
@@ -315,11 +253,16 @@ def check_flat(ks: KripkeStructure, f, keep_analyses=False) -> SatTable:
             table.counts[i] = cnt
             row = [c >= cap for c in cnt]
         elif isinstance(g, (ExistsG, ExistsU)):
-            ana = _path_analysis(table, g)
-            if keep_analyses:
-                table.analyses[i] = ana
-            table.counts[i] = ana.counts
-            row = [c >= ana.cap for c in ana.counts]
+            if isinstance(g, ExistsG):
+                child = table.sat[table.index[g.child]]
+                cnt = globally_analysis(ks, child, g.grade)
+            else:
+                left = table.sat[table.index[g.left]]
+                right = table.sat[table.index[g.right]]
+                cnt = until_analysis(ks, left, right, g.grade)
+            cap = g.grade + 1
+            table.counts[i] = cnt
+            row = [c >= cap for c in cnt]
         elif isinstance(g, ForallU):
             # Every violating path falls in exactly one of two families:
             # forever (left and not right), or (left and not right) until
@@ -329,8 +272,8 @@ def check_flat(ks: KripkeStructure, f, keep_analyses=False) -> SatTable:
             right = table.sat[table.index[g.right]]
             stay = [a and not b for a, b in zip(left, right)]
             exit_ = [not a and not b for a, b in zip(left, right)]
-            c1 = count_globally(ks, stay, g.grade)
-            c2 = count_until(ks, stay, exit_, g.grade)
+            c1 = globally_analysis(ks, stay, g.grade)
+            c2 = until_analysis(ks, stay, exit_, g.grade)
             cap = g.grade + 1
             table.counts[i] = [min(cap, a + b) for a, b in zip(c1, c2)]
             row = [a + b <= g.grade for a, b in zip(c1, c2)]

@@ -33,7 +33,7 @@ class WorkMachine:
     """One machine of the working model; flags are positional over
     vertices."""
 
-    base: str                 # name of the input machine this descends from
+    source: int               # position of the input machine this copies
     name: str
     vertices: list
     labels: list              # frozenset per vertex
@@ -53,7 +53,7 @@ class WorkMachine:
         return {pos: o for o, pos in enumerate(self.outs)}
 
     def shell_copy(self, name):
-        return WorkMachine(self.base, name, self.vertices, self.labels,
+        return WorkMachine(self.source, name, self.vertices, self.labels,
                            list(self.expand), self.entry, self.outs,
                            self.plain, self.boxed,
                            {k: list(v) for k, v in self.flags.items()},
@@ -80,6 +80,8 @@ class SpecializedHsm:
     machines: list
     stats: list = field(default_factory=list)
     copy_budget: int = DEFAULT_COPY_BUDGET
+    index: dict = field(default_factory=dict)   # subformula -> flag key
+    reduction: dict = None   # ReducedHsm.index of a scope-labelled input
 
     @property
     def top(self):
@@ -114,7 +116,7 @@ class SpecializedHsm:
 
 def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
     machines = []
-    for m in model.machines:
+    for source, m in enumerate(model.machines):
         pos_of = {v: i for i, v in enumerate(m.vertices)}
         expand = [None if m.expand.get(v, 0) == 0 else m.expand[v] - 1
                   for v in m.vertices]
@@ -132,7 +134,7 @@ def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
                     continue
                 boxed.append((pos_of[u], target.outputs.index(z), pos_of[v]))
         machines.append(WorkMachine(
-            m.name, m.name, list(m.vertices),
+            source, m.name, list(m.vertices),
             [m.label(v) for v in m.vertices], expand, pos_of[m.initial],
             [pos_of[z] for z in m.outputs], plain, boxed))
     return SpecializedHsm(machines, copy_budget=copy_budget)
@@ -729,9 +731,11 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
     formula's atoms.
     """
     root = f if is_normalized(f) else normalize(f)
+    reduction = None
     if not is_hsm(model):
         ap = formula_atoms(root)
-        model = reduce_to_hsm(restrict_ap(model, ap), ap).model
+        reduced = reduce_to_hsm(restrict_ap(model, ap), ap)
+        model, reduction = reduced.model, reduced.index
     w = _from_shsm(model, copy_budget)
     subs = subformulas_bottom_up(root)
     index = {g: i for i, g in enumerate(subs)}
@@ -787,4 +791,92 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
                                      len(w.machines),
                                      (time.perf_counter() - started) * 1000.0))
 
+    w.index, w.reduction = index, reduction
     return w.flag_of_entry(index[root]), w
+
+
+# ---------------------------------------------------------------------------
+# Flat states of the checked hierarchy, for trace extraction
+# ---------------------------------------------------------------------------
+
+
+class HierView:
+    """The flattening of a checked model, built only where a walk goes.
+
+    A flat state is the stack of (copy index, vertex position) frames from
+    the top machine down to a node.  Box rewiring has already picked each
+    frame's copy, so the flags and capped counts of the bottom node are
+    those of the flat state.  Names are the input model's dotted vertex
+    sequences, as `flatten` writes them, and successors come in the
+    flattening's index order, which is the order of vertex positions.
+    """
+
+    def __init__(self, model: Shsm, w: SpecializedHsm):
+        self.machines = w.machines
+        self.keys = w.index
+        # Scope reduction keeps each machine's vertex order, so a position
+        # names the same vertex in the input machine it was copied from.
+        origin = {j - 1: i - 1 for (i, _scope), j in (w.reduction or {}).items()}
+        self.vertex_names = [
+            model.machines[origin.get(m.source, m.source)].vertices
+            for m in w.machines]
+        self._succ = {}
+        self._names = {}
+        self._states = {}
+        top = len(self.machines) - 1
+        self.initial = self._enter((), top, self.machines[top].entry)
+
+    def _enter(self, frames, mi, pos):
+        """Frames of the state a transition into vertex pos of copy mi
+        lands on: the vertex itself, or the entries of the boxes it opens."""
+        while True:
+            frames += ((mi, pos),)
+            mi = self.machines[mi].expand[pos]
+            if mi is None:
+                return frames
+            pos = self.machines[mi].entry
+
+    def succ(self, s):
+        out = self._succ.get(s)
+        if out is None:
+            mi, pos = s[-1]
+            m = self.machines[mi]
+            found = {self._enter(s[:-1], mi, v) for u, v in m.plain if u == pos}
+            if len(s) > 1 and pos in m.outs:
+                o = m.outs.index(pos)
+                parent, box = s[-2]
+                found.update(self._enter(s[:-2], parent, v)
+                             for b, o2, v in self.machines[parent].boxed
+                             if b == box and o2 == o)
+            out = sorted(found, key=lambda t: [p for _, p in t])
+            self._succ[s] = out
+        return out
+
+    def name(self, s):
+        text = self._names.get(s)
+        if text is None:
+            text = ".".join(self.vertex_names[mi][pos] for mi, pos in s)
+            self._names[s] = text
+            self._states[text] = s
+        return text
+
+    def locate(self, name):
+        """The state behind a name this view has produced."""
+        return self._states[name]
+
+    def _key(self, g):
+        key = self.keys.get(g)
+        return self.keys[normalize(g)] if key is None else key
+
+    def holds(self, g, s):
+        mi, pos = s[-1]
+        return self.machines[mi].flags[self._key(g)][pos]
+
+    def count(self, g, s):
+        """Capped evidence count of an E X / E G / E U subformula; grade-0
+        G and U passes keep only flags, whose cap is 1."""
+        mi, pos = s[-1]
+        m = self.machines[mi]
+        key = self._key(g)
+        counts = m.counts.get(key)
+        return int(m.flags[key][pos]) if counts is None else counts[pos]

@@ -135,17 +135,16 @@ class TestAcceptance:
 
     def test_criterion_7_grade_independent_runtime(self):
         ks = random_kripke(10_000, 99, out_degree=3)
-
-        def best_time(k):
-            f = ExistsU(k, Atom("p"), Atom("q"))
-            best = float("inf")
-            for _ in range(3):
+        # The first check of a process runs slower, and a slow phase of the
+        # host would land on one grade if grades were timed one after the
+        # other: warm up once, then take the best of rounds over all grades.
+        check_flat(ks, ExistsU(1, Atom("p"), Atom("q")))
+        times = {k: float("inf") for k in (1, 10, 1000)}
+        for _ in range(3):
+            for k in times:
                 started = time.perf_counter()
-                check_flat(ks, f)
-                best = min(best, time.perf_counter() - started)
-            return best
-
-        times = {k: best_time(k) for k in (1, 10, 1000)}
+                check_flat(ks, ExistsU(k, Atom("p"), Atom("q")))
+                times[k] = min(times[k], time.perf_counter() - started)
         ratio = max(times.values()) / min(times.values())
         assert ratio < 2.0, times
         _report(7, "checking E>k [p U q] on 10^4 states for k in "

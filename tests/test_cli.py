@@ -9,6 +9,7 @@ import gctl.cli
 import gctl.evidence
 import gctl.flat_checker
 from gctl.cli import main
+from gctl.gen import random_shsm
 from gctl.hsm import flatten
 from gctl.modelfile import kripke_to_model, parse_model, render_model
 
@@ -99,6 +100,14 @@ class TestCheck:
         assert first == second
 
 
+    @pytest.mark.parametrize("n", ["100000000", "-1"])
+    def test_witness_bound_usage_error(self, capsys, n):
+        code = main(["check", "--model", FIG2, "--formula", "E>1 F p1",
+                     "--witnesses", n])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "--witnesses" in captured.err
+
     def test_crash_exits_internal(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("injected fault")
@@ -125,7 +134,9 @@ class TestCheck:
 
 
 class TestTraceWork:
-    """Flattening and flat checking done per `check` request."""
+    """Flattening, flat and hierarchical checking done per `check` request.
+    Hierarchical requests read their traces off a check_hier run (the
+    verdict's own when it labels the trace forms) and never flatten."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -151,6 +162,8 @@ class TestTraceWork:
 
         monkeypatch.setattr(gctl.cli, "flatten",
                             counted("flatten", gctl.cli.flatten))
+        monkeypatch.setattr(gctl.cli, "check_hier",
+                            counted("check_hier", gctl.cli.check_hier))
         for module in (gctl.cli, gctl.evidence):
             monkeypatch.setattr(module, "check_flat",
                                 counted("check_flat", module.check_flat))
@@ -159,10 +172,10 @@ class TestTraceWork:
                                 analysis(getattr(gctl.flat_checker, name)))
         return calls
 
-    def _check(self, model, formula, *extra):
-        path = {"fig2": FIG2, "retry": RETRY}[model]
+    def _check(self, model, formula, *extra, witnesses="2"):
+        path = {"fig2": FIG2, "retry": RETRY}.get(model, model)
         return main(["check", "--model", path, "--formula", formula,
-                     "--witnesses", "2", "--format", "json", *extra])
+                     "--witnesses", witnesses, "--format", "json", *extra])
 
     @pytest.mark.parametrize("model, formula, code", [
         ("fig2", "E>3 X p1", 1),
@@ -187,8 +200,22 @@ class TestTraceWork:
                                                      model, formula, code):
         assert self._check(model, formula) == code
         assert json.loads(capsys.readouterr().out)["traces"]
-        assert calls["flatten"] == 1 and calls["check_flat"] == 1
+        assert calls["flatten"] == 0 and calls["check_flat"] == 0
+        # A satisfied E root of grade >= 1 is its own trace form for two
+        # traces, so the verdict's check_hier run is reused; the dual forms
+        # of these A formulas need a run of their own.
+        assert calls["check_hier"] == (1 if code == 0 else 2)
         assert calls["reanalysis"] == 0
+
+    def test_traces_beyond_any_flattening(self, calls, capsys, tmp_path):
+        # About 3 * 10^12 flat states.
+        model = random_shsm(40, 1, 1, 2, 2, seed=1, scope_labels=False)
+        path = tmp_path / "deep.gctl"
+        path.write_text(render_model(model))
+        assert self._check(str(path), "E>2 F p1", "--engine", "hier",
+                           witnesses="3") == 0
+        assert len(json.loads(capsys.readouterr().out)["traces"]) == 3
+        assert calls["flatten"] == 0 and calls["check_flat"] == 0
 
     def test_flat_engine_reuses_its_flattening(self, calls, capsys):
         assert self._check("fig2", "E>1 [true U p1]", "--engine", "flat") == 0

@@ -110,16 +110,6 @@ class TestCheckFlat:
         table = check_flat(k, parse_formula("A G p"))
         assert table.root_row()[0]
 
-    def test_analyses_kept_only_on_request(self, diamond):
-        f = parse_formula("E>1 [p U q] & E G p")
-        plain = check_flat(diamond, f)
-        kept = check_flat(diamond, f, keep_analyses=True)
-        assert plain.analyses == {}
-        assert len(kept.analyses) == 2
-        for g in (ExistsU(1, Atom("p"), Atom("q")), ExistsG(0, Atom("p"))):
-            assert plain.analysis(g) == kept.analysis(g)
-            assert kept.analysis(g).counts == kept.count_row(g)
-
 
 class TestOracle:
     def test_single_loop_globally(self):

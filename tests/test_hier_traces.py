@@ -1,0 +1,135 @@
+"""Traces read off the checked hierarchy, against the flattening.
+
+`HierView` states must carry the flat engine's labels and capped counts,
+and traces walked on them must replay on the flattening, be pairwise
+distinct and number as many as the flat counts allow.  Its successors come
+in the flattening's order, so they are the very traces the flat walk gives.
+"""
+
+import random
+from functools import reduce
+
+from gctl.evidence import (all_pairwise_distinct, trace_forms, traces_for,
+                           validate_trace)
+from gctl.flat_checker import check_flat
+from gctl.formula import (And, ExistsF, ExistsG, ExistsU, ExistsX, ForallF,
+                          ForallG, ForallU, ForallX, normalize, parse_formula,
+                          subformulas_bottom_up)
+from gctl.gen import random_formula, random_shsm
+from gctl.hier_checker import HierView, check_hier
+from gctl.hsm import flatten
+from gctl.modelfile import parse_model
+
+PATH_ROOTS = (ExistsX, ExistsG, ExistsF, ExistsU,
+              ForallX, ForallG, ForallF, ForallU)
+COUNTED = (ExistsX, ExistsG, ExistsU)
+
+
+def _reachable(view):
+    seen = {view.initial}
+    stack = [view.initial]
+    while stack:
+        for t in view.succ(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def _hier_traces(model, f, verdict, n):
+    forms = trace_forms(f, verdict, n)
+    view = HierView(model, check_hier(model, reduce(And, forms))[1])
+    return view, traces_for(view, view.initial, f, verdict, n)
+
+
+class TestAgainstFlattening:
+    def test_seeded_models(self):
+        rng = random.Random(31)
+        traced = 0
+        for case in range(250):
+            model = random_shsm(machines=rng.randint(2, 4),
+                                nodes=rng.randint(1, 2),
+                                exits=rng.randint(1, 3),
+                                boxes=rng.randint(1, 2), props=3,
+                                seed=case + 40_000,
+                                scope_labels=rng.random() < 0.5)
+            f = random_formula(rng, ["p0", "p1", "p2"], depth=3,
+                               grades=(0, 1, 2, 3))
+            while not isinstance(f, PATH_ROOTS):
+                f = random_formula(rng, ["p0", "p1", "p2"], depth=3,
+                                   grades=(0, 1, 2, 3))
+            ks = flatten(model)
+            verdict = check_flat(ks, f).root_row()[ks.initial]
+            own = HierView(model, check_hier(model, f)[1])
+            for n in (1, 2, 3, 5):
+                forms = trace_forms(f, verdict, n)
+                if not forms:
+                    break
+                table = check_flat(ks, reduce(And, forms))
+                view, traces = _hier_traces(model, f, verdict, n)
+                where = (case, str(f), n)
+                subs = subformulas_bottom_up(normalize(reduce(And, forms)))
+                for s in _reachable(view):
+                    i = ks.index_of(view.name(s))
+                    for g in subs:
+                        assert view.holds(g, s) == table.row(g)[i], where
+                        if isinstance(g, COUNTED):
+                            assert view.count(g, s) == \
+                                table.count_row(g)[i], where
+                want = 0
+                for g in forms:    # the A U families are drawn in turn
+                    want += min(n - want, table.count_row(g)[ks.initial])
+                assert len(traces) == want, where
+                assert all_pairwise_distinct(traces), where
+                for t in traces:
+                    assert validate_trace(ks, t, table) == [], where
+                # The same traces from the flat walk, and from the verdict's
+                # own run when it labels the forms (the CLI reuses it then).
+                same = [traces_for(ks, ks.initial, f, verdict, n, table)]
+                if all(g in own.keys for g in forms):
+                    same.append(traces_for(own, own.initial, f, verdict, n))
+                for other in same:
+                    assert [(t.states, t.loop_start) for t in traces] == \
+                        [(t.states, t.loop_start) for t in other], where
+                traced += len(traces)
+        assert traced > 800
+
+
+SCOPED = """
+machine Inner
+  init a;
+  out z;
+  node a;
+  node z [q];
+  edge a -> a;
+  edge a -> z;
+  edge z -> z;
+end
+
+machine Top
+  init a@p;
+  node a@p;
+  box b expands Inner [p];
+  node c@p [q];
+  edge a@p -> b;
+  edge a@p -> c@p;
+  edge b.z -> c@p;
+  edge c@p -> c@p;
+end
+"""
+
+
+class TestScopedNames:
+    def test_names_with_at_signs_replay(self):
+        # Under scope p the reduction renames Inner's `a` to `a@p`, the name
+        # of a Top vertex; names come from positions, not from suffixes.
+        model = parse_model(SCOPED)
+        ks = flatten(model)
+        for text, verdict in (("E>1 F (p & q)", True),
+                              ("A<=1 G !(p & q)", False)):
+            f = parse_formula(text)
+            _view, traces = _hier_traces(model, f, verdict, 3)
+            assert len(traces) == 3 and all_pairwise_distinct(traces)
+            for t in traces:
+                assert t.states[:2] == ["a@p", "b.a"]
+                assert validate_trace(ks, t) == []
