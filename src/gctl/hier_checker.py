@@ -29,6 +29,61 @@ DEFAULT_COPY_BUDGET = 250_000
 
 
 @dataclass
+class Adjacency:
+    """Edges of one input machine and the indexes the passes read, built
+    once and shared by every copy of the machine.
+
+    The branching-cycle graph numbers its states: a node or box keeps its
+    position, and the exit state b.z with z the o-th output of the machine
+    b expands is `bz_base[b] + o`, past the last position."""
+
+    succ: list                # plain successors per vertex
+    pred: list                # plain predecessors per vertex
+    exit_succ: list           # per box: successors per exit ordinal; None for nodes
+    exit_pred: list           # exit-state ids with an edge to each vertex
+    ordinal: list             # exit ordinal per vertex, None for non-exits
+    bz_base: list             # first exit-state id per box, None for nodes
+    bz_of: list               # (box pos, exit ordinal) per exit-state id - n
+
+
+def _adjacency(model: Shsm, m: Machine, pos_of) -> Adjacency:
+    """Index the edges of input machine m, keeping one edge per flat
+    transition as flattening does: drop repeats, and an exit b.z -> b when
+    the boxed machine steps from z to its initial vertex itself."""
+    n = len(m.vertices)
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    exit_succ = [None] * n
+    bz_base = [None] * n
+    bz_of = []
+    for pos, v in enumerate(m.vertices):
+        e = m.expand.get(v, 0)
+        if e:
+            k = len(model.machine(e).outputs)
+            exit_succ[pos] = [[] for _ in range(k)]
+            bz_base[pos] = n + len(bz_of)
+            bz_of += [(pos, o) for o in range(k)]
+    exit_pred = [()] * n
+    for u, z, v in dict.fromkeys(m.edges):
+        pu, pv = pos_of[u], pos_of[v]
+        if z is None:
+            succ[pu].append(pv)
+            pred[pv].append(pu)
+        else:
+            target = model.machine(m.expand[u])
+            if v == u and (z, None, target.initial) in target.edges:
+                continue
+            o = target.outputs.index(z)
+            exit_succ[pu][o].append(pv)
+            exit_pred[pv] += (bz_base[pu] + o,)
+    ordinal = [None] * n
+    for o, z in enumerate(m.outputs):
+        ordinal[pos_of[z]] = o
+    return Adjacency(succ, pred, exit_succ, exit_pred, ordinal, bz_base,
+                     bz_of)
+
+
+@dataclass
 class WorkMachine:
     """One machine of the working model; flags are positional over
     vertices."""
@@ -40,8 +95,7 @@ class WorkMachine:
     expand: list              # None for nodes, working-list index for boxes
     entry: int
     outs: list                # positions of output vertices, declaration order
-    plain: list               # (src pos, dst pos)
-    boxed: list               # (box pos, target exit ordinal, dst pos)
+    adj: Adjacency
     flags: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
 
@@ -49,15 +103,12 @@ class WorkMachine:
     def n(self):
         return len(self.vertices)
 
-    def out_ordinals(self):
-        return {pos: o for o, pos in enumerate(self.outs)}
-
     def shell_copy(self, name):
+        """A copy sharing this machine's lists: passes assign new flag,
+        count and expansion lists and never change one in place."""
         return WorkMachine(self.source, name, self.vertices, self.labels,
-                           list(self.expand), self.entry, self.outs,
-                           self.plain, self.boxed,
-                           {k: list(v) for k, v in self.flags.items()},
-                           {k: list(v) for k, v in self.counts.items()})
+                           self.expand, self.entry, self.outs, self.adj,
+                           dict(self.flags), dict(self.counts))
 
 
 @dataclass
@@ -103,11 +154,15 @@ class SpecializedHsm:
             labels = {rename[pos]: m.labels[pos] for pos in range(m.n)}
             expand = {rename[pos]: (0 if m.expand[pos] is None else m.expand[pos] + 1)
                       for pos in range(m.n)}
-            edges = [(rename[u], None, rename[v]) for u, v in m.plain]
-            for b, o, v in m.boxed:
+            edges = [(rename[u], None, rename[v])
+                     for u, vs in enumerate(m.adj.succ) for v in vs]
+            for b, vss in enumerate(m.adj.exit_succ):
+                if vss is None:
+                    continue
                 target = self.machines[m.expand[b]]
-                z_name = f"{target.vertices[target.outs[o]]}~m{m.expand[b]}"
-                edges.append((rename[b], z_name, rename[v]))
+                for o, vs in enumerate(vss):
+                    z_name = f"{target.vertices[target.outs[o]]}~m{m.expand[b]}"
+                    edges.extend((rename[b], z_name, rename[v]) for v in vs)
             machines.append(Machine(
                 m.name, [rename[p] for p in range(m.n)], rename[m.entry],
                 [rename[p] for p in m.outs], labels, expand, edges))
@@ -120,23 +175,10 @@ def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
         pos_of = {v: i for i, v in enumerate(m.vertices)}
         expand = [None if m.expand.get(v, 0) == 0 else m.expand[v] - 1
                   for v in m.vertices]
-        plain = []
-        boxed = []
-        # Keep one edge per flat transition, as flattening does: drop repeats,
-        # and an exit b.z -> b when the boxed machine steps from z to its
-        # initial vertex itself.
-        for u, z, v in dict.fromkeys(m.edges):
-            if z is None:
-                plain.append((pos_of[u], pos_of[v]))
-            else:
-                target = model.machine(m.expand[u])
-                if v == u and (z, None, target.initial) in target.edges:
-                    continue
-                boxed.append((pos_of[u], target.outputs.index(z), pos_of[v]))
         machines.append(WorkMachine(
             source, m.name, list(m.vertices),
             [m.label(v) for v in m.vertices], expand, pos_of[m.initial],
-            [pos_of[z] for z in m.outputs], plain, boxed))
+            [pos_of[z] for z in m.outputs], _adjacency(model, m, pos_of)))
     return SpecializedHsm(machines, copy_budget=copy_budget)
 
 
@@ -187,6 +229,22 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
     cap = grade + 1
     machines = w.machines
     made = {}
+    hits = {}
+
+    def successor_hits(mi):
+        """Per vertex, how many of its successors inside the machine
+        satisfy th1, and per box its capped exit-count context; the same
+        for every context of the machine."""
+        found = hits.get(mi)
+        if found is None:
+            m = machines[mi]
+            hit = [_entry_flag(machines, m, v, th1_key) for v in range(m.n)]
+            internal = [sum(hit[v] for v in vs) for vs in m.adj.succ]
+            box_g = [None if vss is None else
+                     tuple(min(cap, sum(hit[v] for v in vs)) for vs in vss)
+                     for vss in m.adj.exit_succ]
+            found = hits[mi] = (internal, box_g)
+        return found
 
     def build(mi, g):
         key = (mi, g)
@@ -195,40 +253,25 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
         if len(made) >= w.copy_budget:
             raise CapacityError(f"machine copies exceed budget {w.copy_budget}")
         m = machines[mi]
-        copy = m.shell_copy(m.name if g == () or not any(g)
-                            else f"{m.name}~x{len(made)}")
+        copy = m.shell_copy(m.name if not any(g) else f"{m.name}~x{len(made)}")
         made[key] = (len(made), copy, [None] * m.n)
-        internal = [0] * m.n
-        for u, v in m.plain:
-            if _entry_flag(machines, m, v, th1_key):
-                internal[u] += 1
+        internal, box_g = successor_hits(mi)
         counts = [0] * m.n
         flags = [False] * m.n
-        ords = m.out_ordinals()
-        for pos in range(m.n):
-            if m.expand[pos] is not None:
-                continue
-            total = internal[pos] + (g[ords[pos]] if pos in ords else 0)
-            counts[pos] = min(cap, total)
-            flags[pos] = counts[pos] >= cap
+        for pos, o in enumerate(m.adj.ordinal):
+            if m.expand[pos] is None:
+                counts[pos] = min(cap, internal[pos] + (0 if o is None else g[o]))
+                flags[pos] = counts[pos] >= cap
         copy.flags[psi_key] = flags
         copy.counts[psi_key] = counts
         targets = made[key][2]
-        exit_hits = {}
-        for b, o, v in m.boxed:
-            if _entry_flag(machines, m, v, th1_key):
-                exit_hits[(b, o)] = exit_hits.get((b, o), 0) + 1
-        for pos in range(m.n):
-            if m.expand[pos] is None:
-                continue
-            t = m.expand[pos]
-            n_out = len(machines[t].outs)
-            gb = tuple(min(cap, exit_hits.get((pos, o), 0)) for o in range(n_out))
-            targets[pos] = build(t, gb)
+        for pos, t in enumerate(m.expand):
+            if t is not None:
+                targets[pos] = build(t, box_g[pos])
         return key
 
     top = len(machines) - 1
-    build(top, tuple(0 for _ in machines[top].outs))
+    build(top, (0,) * len(machines[top].outs))
     return _rebuild(w, made, op, "X", grade, 1, started)
 
 
@@ -238,60 +281,83 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
 
 
 def _grade0_solutions(machines, kind, th1_key, th2_key):
-    """Per (machine, assumed continuing exits) satisfaction of the classical
-    E G / E U form.  Returns a memoized solver."""
+    """Per (machine, continuing exits) satisfaction of the classical E G /
+    E U form.  Exit sets are bit masks over exit ordinals.  Returns a
+    memoized solver giving (flag per vertex, continuing-exit mask per box).
+
+    E U is a least fixpoint, grown from th2 vertices and th1 exits that
+    continue; E G a greatest one, shrunk as vertices lose their last
+    satisfying successor.  Each change is pushed to the predecessors, and a
+    box solves its target again only when its own exit mask changes."""
     memo = {}
+    until = kind == "U"
 
     def solve(mi, y):
         key = (mi, y)
-        if key in memo:
-            return memo[key]
+        found = memo.get(key)
+        if found is not None:
+            return found
         m = machines[mi]
-        init = kind == "G"
-        sat = [init] * m.n
-        boxval = {pos: init for pos in range(m.n) if m.expand[pos] is not None}
-        plain_from = {}
-        for u, v in m.plain:
-            plain_from.setdefault(u, []).append(v)
-        exits_from = {}
-        for b, o, v in m.boxed:
-            exits_from.setdefault(b, {}).setdefault(o, []).append(v)
-        ords = m.out_ordinals()
-
-        def val(pos):
-            return boxval[pos] if m.expand[pos] is not None else sat[pos]
-
-        changed = True
-        while changed:
-            changed = False
-            for pos in range(m.n):
-                if m.expand[pos] is not None:
-                    yb = frozenset(
-                        o for o, vs in exits_from.get(pos, {}).items()
-                        if any(val(v) for v in vs))
-                    res = solve(m.expand[pos], yb)
-                    new = res[0][machines[m.expand[pos]].entry]
-                    if new != boxval[pos]:
-                        boxval[pos] = new
-                        changed = True
-                    continue
-                follows = any(val(v) for v in plain_from.get(pos, ()))
-                exits = pos in ords and ords[pos] in y
-                if kind == "G":
-                    new = m.flags[th1_key][pos] and (follows or exits)
+        a = m.adj
+        n = m.n
+        expand = m.expand
+        th1 = m.flags[th1_key]
+        val = [not until] * n
+        mask = [0] * n
+        # Satisfying successors of each exit state: E G counts down from
+        # all of them, E U up from none.
+        live = [0] * len(a.bz_of)
+        stack = []
+        if until:
+            th2 = m.flags[th2_key]
+            for pos, o in enumerate(a.ordinal):
+                if expand[pos] is None and (th2[pos] or th1[pos] and (
+                        o is not None and y >> o & 1)):
+                    val[pos] = True
+                    stack.append(pos)
+        else:
+            for i, (b, o) in enumerate(a.bz_of):
+                live[i] = len(a.exit_succ[b][o])
+                if live[i]:
+                    mask[b] |= 1 << o
+            # Satisfying successors of each node, a continuing exit counted.
+            support = [len(vs) for vs in a.succ]
+            for pos, o in enumerate(a.ordinal):
+                if o is not None and y >> o & 1:
+                    support[pos] += 1
+                if expand[pos] is None and not (th1[pos] and support[pos]):
+                    val[pos] = False
+                    stack.append(pos)
+        for pos, t in enumerate(expand):
+            if t is not None and \
+                    solve(t, mask[pos])[0][machines[t].entry] != val[pos]:
+                val[pos] = until
+                stack.append(pos)
+        while stack:
+            v = stack.pop()
+            for u in a.pred[v]:
+                if until:
+                    if not val[u] and th1[u]:
+                        val[u] = True
+                        stack.append(u)
                 else:
-                    new = m.flags[th2_key][pos] or (
-                        m.flags[th1_key][pos] and (follows or exits))
-                if new != sat[pos]:
-                    sat[pos] = new
-                    changed = True
-        box_y = {}
-        for pos in boxval:
-            box_y[pos] = frozenset(
-                o for o, vs in exits_from.get(pos, {}).items()
-                if any(val(v) for v in vs))
-        memo[key] = (sat, box_y, boxval)
-        return memo[key]
+                    support[u] -= 1
+                    if val[u] and not support[u]:
+                        val[u] = False
+                        stack.append(u)
+            for bz in a.exit_pred[v]:
+                i = bz - n
+                live[i] += 1 if until else -1
+                if live[i] == int(until):
+                    b, o = a.bz_of[i]
+                    mask[b] ^= 1 << o
+                    t = expand[b]
+                    if val[b] != until and \
+                            solve(t, mask[b])[0][machines[t].entry] == until:
+                        val[b] = until
+                        stack.append(b)
+        found = memo[key] = (val, mask)
+        return found
 
     return solve
 
@@ -312,21 +378,18 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
         if len(made) >= w.copy_budget:
             raise CapacityError(f"machine copies exceed budget {w.copy_budget}")
         m = machines[mi]
-        sat, box_y, boxval = solve(mi, y)
+        flags, mask = solve(mi, y)
         copy = m.shell_copy(m.name if not y else f"{m.name}~s{len(made)}")
         made[key] = (len(made), copy, [None] * m.n)
-        flags = list(sat)
-        for pos, bv in boxval.items():
-            flags[pos] = bv
         copy.flags[psi_key] = flags
         targets = made[key][2]
-        for pos in range(m.n):
-            if m.expand[pos] is not None:
-                targets[pos] = build(m.expand[pos], box_y[pos])
+        for pos, t in enumerate(m.expand):
+            if t is not None:
+                targets[pos] = build(t, mask[pos])
         return key
 
     top = len(machines) - 1
-    build(top, frozenset())
+    build(top, 0)
     out = _rebuild(w, made, op, f"{kind}0", 0, 1, started)
     stats = out.stats[-1]
     stats.grade0_factor, stats.context_factor = stats.context_factor, 1
@@ -337,30 +400,28 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
 # Non-sink-cycle analysis
 # ---------------------------------------------------------------------------
 
-_N = "n"
-_B = "b"
-_BZ = "bz"
-
-
 @dataclass
 class NscInfo:
     """Branching-cycle analysis of one machine inside the satisfying set.
 
-    `nsc` holds the auxiliary-graph vertices from which a branching cycle
-    (unboundedly many distinct evidences) is reachable; the per-exit
-    summaries let the enclosing machine judge cycles that run through a box
-    of this machine."""
+    States are numbered as in `Adjacency`; `edges` links those in the
+    satisfying set as evidences may step.  `nsc` holds the states from
+    which a branching cycle (unboundedly many distinct evidences) is
+    reachable; the other satisfying states are listed in `order`, one per
+    strongly connected component and successors' components first, with
+    the members of each cycle in `cycles`.  The per-exit summaries let the
+    enclosing machine judge cycles that run through a box of this
+    machine."""
 
-    tags: list
-    edges: dict
+    edges: list
     nsc: set
     nsc_nodes: set
-    sccs: list
+    order: list
+    cycles: dict              # first member -> members of a forced cycle
     path_exists: list
     branch_on_path: list
     interior_exits: list
     internal_outdeg: list
-    live_out: dict
 
 
 def compute_nsc(w: SpecializedHsm, s_key, until_mode=False, th1_key=None):
@@ -376,177 +437,136 @@ def compute_nsc(w: SpecializedHsm, s_key, until_mode=False, th1_key=None):
     return infos
 
 
+def _within(vs, present):
+    """The states of vs in the satisfying set: vs itself when all are."""
+    kept = [v for v in vs if present[v]]
+    return vs if len(kept) == len(vs) else kept
+
+
+def _reach(starts, edges):
+    seen = [False] * len(edges)
+    stack = list(starts)
+    while stack:
+        i = stack.pop()
+        if not seen[i]:
+            seen[i] = True
+            stack.extend(edges[i])
+    return seen
+
+
 def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
     m = machines[mi]
-    s = m.flags[s_key]
+    a = m.adj
+    n = m.n
+    expand = m.expand
+    present = m.flags[s_key] + [False] * len(a.bz_of)
+    size = len(present)
+    for pos, t in enumerate(expand):
+        if t is not None:
+            target = machines[t]
+            ts = target.flags[s_key]
+            present[pos] = ts[target.entry]
+            for o, z in enumerate(target.outs):
+                present[a.bz_base[pos] + o] = ts[z]
 
-    def alive(pos):
-        return (not until_mode) or m.flags[th1_key][pos]
-
-    present = {}
-    tags = []
-
-    def add(tag):
-        present[tag] = True
-        tags.append(tag)
-
-    for pos in range(m.n):
-        if m.expand[pos] is None:
-            if s[pos]:
-                add((_N, pos))
+    n_out = len(m.outs)
+    # States outside the set have no edges.  Many copies lie wholly outside
+    # it, and their analysis is empty.
+    edges = [()] * size
+    if not any(present):
+        return NscInfo(edges, set(), set(), [], {}, [False] * n_out,
+                       [False] * n_out, [()] * n_out, [0] * n_out)
+    th1 = m.flags[th1_key] if until_mode else None
+    boxes = []
+    entering = set()    # boxes entering their target where it saturates
+    for pos, t in enumerate(expand):
+        if not present[pos]:
+            continue
+        if t is None:
+            if th1 is None or th1[pos]:
+                edges[pos] = _within(a.succ[pos], present)
         else:
-            t = machines[m.expand[pos]]
-            if t.flags[s_key][t.entry]:
-                add((_B, pos))
-            for o, zpos in enumerate(t.outs):
-                if t.flags[s_key][zpos]:
-                    add((_BZ, pos, o))
+            boxes.append(pos)
+            if machines[t].entry in infos[t].nsc_nodes:
+                entering.add(pos)
+            base = a.bz_base[pos]
+            edges[pos] = [base + o
+                          for o, reach in enumerate(infos[t].path_exists)
+                          if reach and present[base + o]]
+    for i, (b, o) in enumerate(a.bz_of, n):
+        if present[i]:
+            target = machines[expand[b]]
+            if th1 is None or target.flags[th1_key][target.outs[o]]:
+                edges[i] = _within(a.exit_succ[b][o], present)
 
-    edges = {tag: [] for tag in tags}
+    def branching(i):
+        """A node with two steps, or an exit state with two steps counting
+        those the boxed machine takes from its exit itself."""
+        if i < n:
+            return expand[i] is None and len(edges[i]) >= 2
+        b, o = a.bz_of[i - n]
+        return len(edges[i]) + infos[expand[b]].internal_outdeg[o] >= 2
 
-    def target_tag(pos):
-        if m.expand[pos] is None:
-            tag = (_N, pos)
-        else:
-            tag = (_B, pos)
-        return tag if tag in present else None
+    def branch_through(b, o):
+        """A branching state on an entry-to-exit-o path through box b."""
+        info_t = infos[expand[b]]
+        return info_t.branch_on_path[o] or any(
+            info_t.internal_outdeg[o2] + len(edges[a.bz_base[b] + o2]) >= 2
+            for o2 in info_t.interior_exits[o])
 
-    for u, v in m.plain:
-        if (_N, u) in present and alive(u):
-            tv = target_tag(v)
-            if tv is not None:
-                edges[(_N, u)].append(tv)
-    for b, o, v in m.boxed:
-        src = (_BZ, b, o)
-        if src not in present:
-            continue
-        t = machines[m.expand[b]]
-        if until_mode and not t.flags[th1_key][t.outs[o]]:
-            continue
-        tv = target_tag(v)
-        if tv is not None:
-            edges[src].append(tv)
-    for pos in range(m.n):
-        if m.expand[pos] is None or (_B, pos) not in present:
-            continue
-        info_t = infos[m.expand[pos]]
-        for o in range(len(machines[m.expand[pos]].outs)):
-            if (_BZ, pos, o) in present and info_t.path_exists[o]:
-                edges[(_B, pos)].append((_BZ, pos, o))
-
-    live_out = {}
-    for tag in tags:
-        if tag[0] == _BZ:
-            live_out[(tag[1], tag[2])] = len(edges[tag])
-
-    def branch_through(bpos, o):
-        info_t = infos[m.expand[bpos]]
-        if info_t.branch_on_path[o]:
-            return True
-        for o2 in info_t.interior_exits[o]:
-            if info_t.internal_outdeg[o2] + live_out.get((bpos, o2), 0) >= 2:
-                return True
-        return False
-
-    index = {tag: i for i, tag in enumerate(tags)}
-    adj = [[index[t] for t in edges[tag]] for tag in tags]
-    sccs_idx = tarjan_scc(len(tags), adj)
-    sccs = [[tags[i] for i in comp] for comp in sccs_idx]
-
-    bad = set()
-    for comp in sccs:
+    def branching_cycle(comp):
         members = set(comp)
-        cyclic = len(comp) > 1 or any(t in edges[t] for t in comp)
-        if not cyclic:
-            continue
-        nonsink = False
-        for tag in comp:
-            if tag[0] == _N and len(edges[tag]) >= 2:
-                nonsink = True
-            elif tag[0] == _BZ:
-                info_t = infos[m.expand[tag[1]]]
-                if live_out[(tag[1], tag[2])] + info_t.internal_outdeg[tag[2]] >= 2:
-                    nonsink = True
-            elif tag[0] == _B:
-                for bz in edges[tag]:
-                    if bz in members and branch_through(tag[1], bz[2]):
-                        nonsink = True
-        if nonsink:
-            bad |= members
-    for tag in tags:
-        if tag[0] == _B:
-            info_t = infos[m.expand[tag[1]]]
-            t = machines[m.expand[tag[1]]]
-            if t.entry in info_t.nsc_nodes:
-                bad.add(tag)
+        return any(branching(i) or (i < n and expand[i] is not None and any(
+            bz in members and branch_through(i, bz - a.bz_base[i])
+            for bz in edges[i])) for i in comp)
 
-    rev = {tag: [] for tag in tags}
-    for tag in tags:
-        for t2 in edges[tag]:
-            rev[t2].append(tag)
+    # Components come successors first.  One reaches a branching cycle when
+    # one of its edges leads to one, when a box in it enters its target at
+    # such a state, or when it is a cycle with a branching state.
     nsc = set()
-    stack = list(bad)
-    while stack:
-        tag = stack.pop()
-        if tag in nsc:
+    order = []
+    cycles = {}
+    for comp in tarjan_scc(size, edges):
+        if not present[comp[0]]:
             continue
-        nsc.add(tag)
-        stack.extend(rev[tag])
-    nsc_nodes = {tag[1] for tag in nsc if tag[0] == _N}
+        cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
+        for i in comp:
+            if i in entering or not nsc.isdisjoint(edges[i]):
+                break
+        else:
+            if not (cyclic and branching_cycle(comp)):
+                order.append(comp[0])
+                if cyclic:
+                    cycles[comp[0]] = comp
+                continue
+        nsc.update(comp)
+    nsc_nodes = {i for i in nsc if i < n and expand[i] is None}
 
     # Summaries for the enclosing machine, all relative to entry paths.
-    n_out = len(m.outs)
     path_exists = [False] * n_out
     branch_on_path = [False] * n_out
-    interior_exits = [set() for _ in range(n_out)]
-    internal_outdeg = [len(edges.get((_N, zpos), [])) for zpos in m.outs]
-    entry_tag = (_N, m.entry)
-    if entry_tag in present and entry_tag not in nsc:
-        fwd = set()
-        stack = [entry_tag]
-        while stack:
-            tag = stack.pop()
-            if tag in fwd:
-                continue
-            fwd.add(tag)
-            stack.extend(edges[tag])
-        branchy = set()
-        for tag in tags:
-            if tag[0] == _N and len(edges[tag]) >= 2:
-                branchy.add(tag)
-            elif tag[0] == _BZ:
-                info_t = infos[m.expand[tag[1]]]
-                if live_out[(tag[1], tag[2])] + info_t.internal_outdeg[tag[2]] >= 2:
-                    branchy.add(tag)
-        for o, zpos in enumerate(m.outs):
-            z_tag = (_N, zpos)
-            if z_tag not in present or z_tag not in fwd:
+    interior_exits = [()] * n_out
+    internal_outdeg = [len(edges[z]) for z in m.outs]
+    if present[m.entry] and m.entry not in nsc:
+        rev = [[] for _ in range(size)]
+        for i, succ in enumerate(edges):
+            for j in succ:
+                rev[j].append(i)
+        fwd = _reach([m.entry], edges)
+        branchy = [i for i in range(size) if fwd[i] and branching(i)]
+        for o, z in enumerate(m.outs):
+            if not fwd[z]:
                 continue
             path_exists[o] = True
-            bwd_plus = set()
-            stack = list(rev[z_tag])
-            while stack:
-                tag = stack.pop()
-                if tag in bwd_plus:
-                    continue
-                bwd_plus.add(tag)
-                stack.extend(rev[tag])
-            hit = any(tag in fwd and tag in bwd_plus for tag in branchy)
-            if not hit:
-                for tag in tags:
-                    if tag[0] != _B or tag not in fwd:
-                        continue
-                    for bz in edges[tag]:
-                        if bz in bwd_plus and branch_through(tag[1], bz[2]):
-                            hit = True
-            branch_on_path[o] = hit
-            for o2, z2 in enumerate(m.outs):
-                z2_tag = (_N, z2)
-                if z2_tag in fwd and z2_tag in bwd_plus:
-                    interior_exits[o].add(o2)
+            bwd_plus = _reach(rev[z], rev)
+            branch_on_path[o] = any(bwd_plus[i] for i in branchy) or any(
+                fwd[b] and bwd_plus[bz] and branch_through(b, bz - a.bz_base[b])
+                for b in boxes for bz in edges[b])
+            interior_exits[o] = {o2 for o2, z2 in enumerate(m.outs)
+                                 if fwd[z2] and bwd_plus[z2]}
 
-    return NscInfo(tags, edges, nsc, nsc_nodes, sccs, path_exists,
-                   branch_on_path, interior_exits, internal_outdeg, live_out)
+    return NscInfo(edges, nsc, nsc_nodes, order, cycles, path_exists,
+                   branch_on_path, interior_exits, internal_outdeg)
 
 
 # ---------------------------------------------------------------------------
@@ -579,96 +599,64 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     dag_memo = {}
 
     def dag(mi, g):
+        """Capped evidence counts of machine mi's states under the exit
+        context g, its entry's count and each box's exit context."""
         key = (mi, g)
-        if key in dag_memo:
-            return dag_memo[key]
+        found = dag_memo.get(key)
+        if found is not None:
+            return found
         m = machines[mi]
+        a = m.adj
         info = infos[mi]
-        ords = m.out_ordinals()
-        labels = {}
-        box_g = {}
-        comp_of = {}
-        comps = {}
-        for ci, comp in enumerate(info.sccs):
-            comps[ci] = comp
-            for tag in comp:
-                comp_of[tag] = ci
+        n = m.n
+        expand = m.expand
+        edges = info.edges
+        labels = [0] * len(edges)
 
-        def bz_value(bpos, o):
-            tag = (_BZ, bpos, o)
-            if tag in info.nsc:
-                return cap
-            if tag not in comp_of:
-                return 0
-            return tag_label(tag)
+        def bz_value(b, o):
+            bz = a.bz_base[b] + o
+            return cap if bz in info.nsc else labels[bz]
 
-        def entry_context(bpos):
-            # Only exits reachable from the target's entry influence its
-            # entry label; masking the rest keeps the label dependencies
-            # acyclic (an unreachable exit pair may feed back into this
-            # machine without forming any flat cycle).
-            t_mi = m.expand[bpos]
-            reach = infos[t_mi].path_exists
-            return tuple(bz_value(bpos, o) if reach[o] else 0
-                         for o in range(len(machines[t_mi].outs)))
-
-        def tag_label(tag):
-            # Saturated vertices never appear as dag successors; queried
-            # directly (exit contexts) they contribute the cap.
-            if tag in info.nsc:
-                return cap
-            if tag in labels:
-                return labels[tag]
-            comp = comps[comp_of[tag]]
-            cyclic = len(comp) > 1 or any(t in info.edges[t] for t in comp)
-            if cyclic:
+        # Saturated states (cap) are never successors of the others, which
+        # are labelled here after their successors.
+        for i in info.order:
+            cycle = info.cycles.get(i)
+            if cycle is not None:
                 # A surviving cycle is forced; context continuations on one
                 # of its exits let it branch after any number of turns.
-                rich = any(
-                    t[0] == _N and t[1] in ords and g[ords[t[1]]] >= 1
-                    for t in comp)
-                value = cap if rich else 1
-                for t in comp:
-                    labels[t] = value
-                return labels[tag]
-            if tag[0] == _N:
-                pos = tag[1]
-                base = g[ords[pos]] if pos in ords else 0
-                ext = min(cap, base + sum(tag_label(t)
-                                          for t in info.edges[tag]))
-                if until:
-                    here = 1 if m.flags[th2_key][pos] else 0
-                    labels[tag] = max(here, ext)
-                else:
-                    labels[tag] = ext
-            elif tag[0] == _BZ:
-                labels[tag] = min(cap, sum(tag_label(t)
-                                           for t in info.edges[tag]))
+                rich = any(j < n and expand[j] is None and
+                           a.ordinal[j] is not None and g[a.ordinal[j]] >= 1
+                           for j in cycle)
+                for j in cycle:
+                    labels[j] = cap if rich else 1
+                continue
+            ext = 0
+            for j in edges[i]:
+                ext += labels[j]
+            if i >= n:
+                labels[i] = min(cap, ext)
+            elif expand[i] is None:
+                o = a.ordinal[i]
+                ext = min(cap, ext + (0 if o is None else g[o]))
+                labels[i] = max(int(m.flags[th2_key][i]), ext) if until else ext
             else:
-                labels[tag] = dag(m.expand[tag[1]], entry_context(tag[1]))[1]
-            return labels[tag]
-
-        # Warm in reverse-topological order so the recursion stays shallow.
-        for comp in info.sccs:
-            for tag in comp:
-                if tag not in info.nsc:
-                    tag_label(tag)
+                # Only exits reachable from the target's entry influence its
+                # entry label; masking the rest keeps the label dependencies
+                # acyclic (an unreachable exit pair may feed back into this
+                # machine without forming any flat cycle).
+                reach = infos[expand[i]].path_exists
+                labels[i] = dag(expand[i], tuple(
+                    bz_value(i, o) if r else 0
+                    for o, r in enumerate(reach)))[1]
         # Box rewiring contexts carry every exit's count, including exits
         # the target cannot reach from its entry (their flat states still
-        # exist and their flags must come out right); with all labels fixed
-        # this is cycle-free.
-        for pos in range(m.n):
-            if m.expand[pos] is not None:
-                t_mi = m.expand[pos]
-                box_g[pos] = tuple(bz_value(pos, o)
-                                   for o in range(len(machines[t_mi].outs)))
-        entry_tag = (_N, m.entry)
-        if entry_tag in info.nsc:
-            entry_label = cap
-        else:
-            entry_label = labels.get(entry_tag, 0)
-        dag_memo[key] = (labels, entry_label, box_g)
-        return dag_memo[key]
+        # exist and their flags must come out right).
+        box_g = [None if t is None else
+                 tuple(bz_value(pos, o) for o in range(len(machines[t].outs)))
+                 for pos, t in enumerate(expand)]
+        entry_label = cap if m.entry in info.nsc else labels[m.entry]
+        found = dag_memo[key] = (labels, entry_label, box_g)
+        return found
 
     made = {}
 
@@ -685,26 +673,23 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
         made[key] = (len(made), copy, [None] * m.n)
         flags = [False] * m.n
         counts = [0] * m.n
-        for pos in range(m.n):
-            if m.expand[pos] is not None:
-                continue
-            if pos in info.nsc_nodes:
-                counts[pos] = cap
-            elif m.flags[psi1_key][pos]:
-                counts[pos] = labels.get((_N, pos), 0)
-            flags[pos] = counts[pos] >= cap
+        for pos, t in enumerate(m.expand):
+            if t is None:
+                # Labels of states outside the satisfying set stay 0.
+                counts[pos] = cap if pos in info.nsc_nodes else labels[pos]
+                flags[pos] = counts[pos] >= cap
         copy.flags[psi_key] = flags
         if count_key is not None:
             copy.counts[count_key] = counts
         copy.counts[psi_key] = counts
         targets = made[key][2]
-        for pos in range(m.n):
-            if m.expand[pos] is not None:
-                targets[pos] = build(m.expand[pos], box_g[pos])
+        for pos, t in enumerate(m.expand):
+            if t is not None:
+                targets[pos] = build(t, box_g[pos])
         return key
 
     top = len(machines) - 1
-    build(top, tuple(0 for _ in machines[top].outs))
+    build(top, (0,) * len(machines[top].outs))
     return _rebuild(w, made, op, mode, grade, grade0_factor, started)
 
 
@@ -742,6 +727,7 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
 
     for i, g in enumerate(subs):
         started = time.perf_counter()
+        op = render(g)
         if isinstance(g, Atom):
             _bool_pass(w, lambda m, p, name=g.name: name in m.labels[p], i)
         elif isinstance(g, TrueF):
@@ -754,16 +740,16 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
             _bool_pass(w, lambda m, p, li=li, ri=ri:
                        m.flags[li][p] and m.flags[ri][p], i)
         elif isinstance(g, ExistsX):
-            w = graded_next_pass(w, g.grade, index[g.child], i, op=render(g))
+            w = graded_next_pass(w, g.grade, index[g.child], i, op=op)
         elif isinstance(g, (ExistsG, ExistsU)):
             if isinstance(g, ExistsG):
                 kind, th1, th2 = "G", index[g.child], None
             else:
                 kind, th1, th2 = "U", index[g.left], index[g.right]
             if g.grade == 0:
-                w = grade0_pass(w, kind, th1, th2, i, op=render(g))
+                w = grade0_pass(w, kind, th1, th2, i, op=op)
             else:
-                w = graded_gu_pass(w, g.grade, kind, th1, th2, i, op=render(g))
+                w = graded_gu_pass(w, g.grade, kind, th1, th2, i, op=op)
         elif isinstance(g, ForallU):
             # Violating paths split into a globally family and an until
             # family; the formula holds when their capped counts sum to at
@@ -778,16 +764,16 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
             cg = ("cnt_g", i)
             cu = ("cnt_u", i)
             w = graded_gu_pass(w, g.grade, "G", stay, None, ("psi_g", i),
-                               count_key=cg, op=render(g) + " /globally-family")
+                               count_key=cg, op=op + " /globally-family")
             w = graded_gu_pass(w, g.grade, "U", stay, leave, ("psi_u", i),
-                               count_key=cu, op=render(g) + " /until-family")
+                               count_key=cu, op=op + " /until-family")
             k = g.grade
             _bool_pass(w, lambda m, p, cg=cg, cu=cu, k=k:
                        m.counts[cg][p] + m.counts[cu][p] <= k, i)
         else:
             raise TypeError(f"unexpected node in normalized formula: {g!r}")
-        if not (w.stats and w.stats[-1].op == render(g)):
-            w.stats.append(PassStats(render(g), "bool", 0, 1, 1,
+        if not (w.stats and w.stats[-1].op == op):
+            w.stats.append(PassStats(op, "bool", 0, 1, 1,
                                      len(w.machines),
                                      (time.perf_counter() - started) * 1000.0))
 
@@ -840,14 +826,13 @@ class HierView:
         out = self._succ.get(s)
         if out is None:
             mi, pos = s[-1]
-            m = self.machines[mi]
-            found = {self._enter(s[:-1], mi, v) for u, v in m.plain if u == pos}
-            if len(s) > 1 and pos in m.outs:
-                o = m.outs.index(pos)
+            a = self.machines[mi].adj
+            found = {self._enter(s[:-1], mi, v) for v in a.succ[pos]}
+            o = a.ordinal[pos]
+            if len(s) > 1 and o is not None:
                 parent, box = s[-2]
-                found.update(self._enter(s[:-2], parent, v)
-                             for b, o2, v in self.machines[parent].boxed
-                             if b == box and o2 == o)
+                found.update(self._enter(s[:-2], parent, v) for v in
+                             self.machines[parent].adj.exit_succ[box][o])
             out = sorted(found, key=lambda t: [p for _, p in t])
             self._succ[s] = out
         return out

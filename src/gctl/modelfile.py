@@ -21,6 +21,10 @@ from .hsm import Machine, Shsm
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_^@+]*"
 _IDENT_RE = re.compile(_IDENT)
+_SEMICOLON_RE = re.compile(r"(;)")
+_BOX_RE = re.compile(rf"({_IDENT})\s+expands\s+({_IDENT})\s*(\[.*\])?")
+_EDGE_RE = re.compile(rf"({_IDENT})(\.({_IDENT}))?\s*->\s*({_IDENT})")
+_NODE_RE = re.compile(rf"({_IDENT})\s*(\[.*\])?")
 
 
 class _Lines:
@@ -33,7 +37,7 @@ class _Lines:
         buffer_line = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("//", 1)[0]
-            for piece in re.split(r"(;)", line):
+            for piece in _SEMICOLON_RE.split(line):
                 if piece == ";":
                     # A bare ';' separates nothing.
                     if buffer:
@@ -151,7 +155,7 @@ def _parse_statement(stmt, line, current, by_name):
         v, props = _name_and_props(rest, line)
         _declare(current, v, frozenset(props), 0, line)
     elif keyword == "box":
-        m = re.fullmatch(rf"({_IDENT})\s+expands\s+({_IDENT})\s*(\[.*\])?", rest)
+        m = _BOX_RE.fullmatch(rest)
         if not m:
             raise ModelSyntaxError(
                 "expected 'box <vertex> expands <machine-id> [props]'", line)
@@ -163,7 +167,7 @@ def _parse_statement(stmt, line, current, by_name):
         props = _split_list(bracket[1:-1], line) if bracket else []
         _declare(current, v, frozenset(props), by_name[target], line)
     elif keyword == "edge":
-        m = re.fullmatch(rf"({_IDENT})(\.({_IDENT}))?\s*->\s*({_IDENT})", rest)
+        m = _EDGE_RE.fullmatch(rest)
         if not m:
             raise ModelSyntaxError("expected 'edge <src>[.exit] -> <dst>'", line)
         raw_edges.append((m.group(1), m.group(3), m.group(4), line))
@@ -182,7 +186,7 @@ def _declare(current, v, props, expand_to, line):
 
 
 def _name_and_props(rest, line):
-    m = re.fullmatch(rf"({_IDENT})\s*(\[.*\])?", rest)
+    m = _NODE_RE.fullmatch(rest)
     if not m:
         raise ModelSyntaxError("expected '<vertex> [props]'", line)
     props = _split_list(m.group(2)[1:-1], line) if m.group(2) else []

@@ -3,14 +3,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gctl.hier_checker
 from gctl.flat_checker import check_flat
 from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallF,
                           ForallG, Implies, TrueF, normalize, parse_formula,
                           render, subformulas_bottom_up)
 from gctl.gen import random_formula, random_shsm
-from gctl.hier_checker import (_bool_pass, _from_shsm, check_hier,
-                               compute_nsc, count_copies, grade0_pass,
-                               graded_next_pass)
+from gctl.hier_checker import (HierView, _bool_pass, _from_shsm,
+                               check_hier, compute_nsc, count_copies,
+                               grade0_pass, graded_next_pass)
 from gctl.hsm import flatten
 from gctl.modelfile import parse_model
 
@@ -318,6 +319,101 @@ class TestCountCopies:
                     assert st.grade0_factor <= 2 ** d
 
 
+class TestCopyStatistics:
+    """Copies made by each pass, recorded before the grade-0 pass became a
+    worklist fixpoint: how a fixpoint is reached must not change which
+    contexts are demanded."""
+
+    MODELS = {"fig2": "fig2_model", "retry": "retry_model"}
+    # (model: fixture name or random_shsm arguments, formula, verdict,
+    #  machines after the check, per pass (grade0_factor, context_factor,
+    #  machines_after))
+    PINNED = [
+        ("fig2", "E>1 [true U p1]", True, 4,
+         [(1, 1, 3), (1, 1, 3), (1, 2, 4)]),
+        ("fig2", "A<=1 G !p1", False, 4,
+         [(1, 1, 3), (1, 1, 3), (1, 1, 3), (1, 1, 3), (1, 2, 4), (1, 1, 4)]),
+        ("retry", "A<=1 [!abort U success]", True, 2,
+         [(1, 1, 2)] * 6),
+        ("retry", "E>2 X (E G !abort)", False, 3,
+         [(1, 1, 2), (1, 1, 2), (2, 1, 3), (1, 1, 3)]),
+        ((4, 2, 3, 2, 3, 1253, False), "A<=3 F p2", True, 8,
+         [(1, 1, 4), (1, 1, 4), (4, 1, 8), (1, 1, 8)]),
+        ((3, 1, 3, 2, 3, 1235, True),
+         "E>3 [p1 U E>2 [A X true U E>3 F p2]]", False, 6,
+         [(1, 1, 3)] * 6 + [(2, 3, 6), (1, 1, 6), (1, 1, 6)]),
+        ((4, 2, 3, 2, 3, 1107, True), "E>1 X E>3 G (true & p0)", False, 10,
+         [(1, 1, 7), (1, 1, 7), (1, 1, 7), (2, 2, 10), (1, 1, 10)]),
+        ((4, 2, 2, 2, 3, 1088, True),
+         "A<=2 X E>1 [E>2 [p2 U p0] U A [true U true]]", True, 9,
+         [(1, 1, 7), (1, 1, 7), (2, 2, 9)] + [(1, 1, 9)] * 12),
+        ((4, 1, 3, 2, 3, 1111, False), "A F (p1 | A<=3 G p2)", False, 7,
+         [(1, 1, 4)] * 5 + [(1, 2, 5)] + [(1, 1, 5)] * 5
+         + [(2, 1, 7), (1, 1, 7)]),
+        ((3, 2, 1, 2, 3, 1261, False),
+         "A<=2 [A<=2 G A<=2 [p1 U p0] U p0]", False, 5,
+         [(1, 1, 3)] * 4 + [(2, 1, 4)] + [(1, 1, 4)] * 4
+         + [(1, 2, 5), (1, 1, 5), (1, 1, 5)]),
+        ((8, 1, 1, 2, 2, 1, False), "E>2 F (p1 & E>1 X p0)", False, 10,
+         [(1, 1, 8), (1, 1, 8), (1, 1, 8), (1, 2, 10), (1, 1, 10),
+          (1, 1, 10)]),
+        ((5, 3, 3, 3, 3, 2, True), "E>1 [p0 U E>2 G !p2]", False, 24,
+         [(1, 1, 13), (1, 1, 13), (1, 1, 13), (3, 2, 22), (3, 1, 24)]),
+    ]
+
+    def test_pinned_cases(self, request):
+        for spec, text, verdict, machines, passes in self.PINNED:
+            if isinstance(spec, str):
+                model = request.getfixturevalue(self.MODELS[spec])
+            else:
+                m, nodes, exits, boxes, props, seed, scoped = spec
+                model = random_shsm(m, nodes, exits, boxes, props, seed,
+                                    scope_labels=scoped)
+            got, w = check_hier(model, parse_formula(text))
+            assert (got, len(w.machines)) == (verdict, machines), (spec, text)
+            assert [(st.grade0_factor, st.context_factor, st.machines_after)
+                    for st in count_copies(w)] == passes, (spec, text)
+
+
+class TestAdjacencyBuiltOnce:
+    """Each input machine's edges are indexed once per check, however many
+    passes, copies and contexts the check makes."""
+
+    def test_once_per_reduced_machine(self, monkeypatch, fig2_model):
+        built = []
+        inputs = []
+        adjacency = gctl.hier_checker._adjacency
+        from_shsm = gctl.hier_checker._from_shsm
+
+        def counted_adjacency(*args):
+            built.append(args[1].name)
+            return adjacency(*args)
+
+        def recorded_from_shsm(model, copy_budget):
+            inputs.append(model)
+            return from_shsm(model, copy_budget)
+
+        monkeypatch.setattr(gctl.hier_checker, "_adjacency",
+                            counted_adjacency)
+        monkeypatch.setattr(gctl.hier_checker, "_from_shsm",
+                            recorded_from_shsm)
+        scoped = random_shsm(5, 3, 3, 3, 3, 2, scope_labels=True)
+        for model, text in ((fig2_model, "A<=1 G !p1"),
+                            (scoped, "E>1 [p0 U E>2 G !p2]"),
+                            (scoped, "A<=2 [p0 U E>1 X p2] & E G !p1")):
+            built.clear()
+            inputs.clear()
+            _, w = check_hier(model, parse_formula(text))
+            assert len(inputs) == 1
+            assert built == [m.name for m in inputs[0].machines]
+            assert len(w.machines) > len(built)
+            assert any(st.kind != "bool" for st in w.stats)
+            # Every copy reads its input machine's one index.
+            first = {}
+            for m in w.machines:
+                assert first.setdefault(m.source, m.adj) is m.adj
+
+
 class TestForallUntilGraded:
     def test_matches_flat_on_fixtures(self, fig2_model, retry_model):
         from gctl.formula import ForallU
@@ -365,6 +461,37 @@ class TestEngineEquivalence:
                             props=2, seed=model_seed)
         f = random_formula(random.Random(formula_seed), ["p0", "p1"], depth=3)
         assert check_hier(model, f)[0] == _flat_verdict(model, f)
+
+    def test_whole_formula_fuzz(self):
+        # Whole formulas over models with up to 3 exits, scope labels on and
+        # off: the verdict, and the root flag of every flat state reachable
+        # in the checked hierarchy, equal the flat engine's.
+        rng = random.Random(4242)
+        for case in range(1000):
+            model = random_shsm(machines=rng.randint(2, 4),
+                                nodes=rng.randint(1, 2),
+                                exits=rng.randint(1, 3),
+                                boxes=rng.randint(1, 2), props=3,
+                                seed=case + 90_000,
+                                scope_labels=rng.random() < 0.5)
+            f = random_formula(rng, ["p0", "p1", "p2"], depth=3,
+                               grades=(0, 1, 2, 3))
+            ks = flatten(model)
+            row = check_flat(ks, f).root_row()
+            verdict, w = check_hier(model, f)
+            where = (case, render(f))
+            assert verdict == row[ks.initial], where
+            view = HierView(model, w)
+            seen = {view.initial}
+            stack = [view.initial]
+            while stack:
+                s = stack.pop()
+                assert view.holds(f, s) == row[ks.index_of(view.name(s))], \
+                    where + (view.name(s),)
+                for t in view.succ(s):
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
 
     def test_context_uniformity(self):
         rng = random.Random(7)
