@@ -11,7 +11,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 from .errors import (CapacityError, FormulaSyntaxError, ModelSyntaxError,
                      ValidationError)
@@ -280,6 +280,7 @@ def cmd_bench(args):
     return EXIT_HOLDS
 
 
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gctl",

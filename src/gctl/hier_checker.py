@@ -16,9 +16,10 @@ successors, so flags can be read off vertices afterwards.
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
+from . import flat_checker
 from .errors import CapacityError
-from .flat_checker import tarjan_scc
 from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
                       TrueF, is_normalized, normalize, render,
                       subformulas_bottom_up)
@@ -103,12 +104,13 @@ class WorkMachine:
     def n(self):
         return len(self.vertices)
 
-    def shell_copy(self, name):
-        """A copy sharing this machine's lists: passes assign new flag,
-        count and expansion lists and never change one in place."""
+    def shell_copy(self, name, flags, counts):
+        """A copy sharing this machine's lists, with flags and counts by key
+        added: passes assign new flag, count and expansion lists and never
+        change one in place."""
         return WorkMachine(self.source, name, self.vertices, self.labels,
                            self.expand, self.entry, self.outs, self.adj,
-                           dict(self.flags), dict(self.counts))
+                           {**self.flags, **flags}, {**self.counts, **counts})
 
 
 @dataclass
@@ -182,32 +184,44 @@ def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
     return SpecializedHsm(machines, copy_budget=copy_budget)
 
 
-def _entry_flag(machines, m, pos, key):
-    """Flag of the state a transition into `pos` lands on: the vertex itself
-    for nodes, the entry of the expanded machine for boxes."""
-    if m.expand[pos] is None:
-        return m.flags[key][pos]
-    target = machines[m.expand[pos]]
-    return target.flags[key][target.entry]
+def _specialize(w, top_context, label, op, kind, grade, grade0_factor,
+                started):
+    """Copy each machine once per context demanded of it, rewire every box
+    to the copy of its own context and record the pass statistics.
 
-
-def _rebuild(w, made, op, kind, grade, grade0_factor, started):
-    """Assemble the demanded copies into a new SpecializedHsm and record the
-    pass statistics."""
-    ordered = sorted(made, key=lambda key: (key[0], made[key][0]))
-    position = {key: i for i, key in enumerate(ordered)}
-    new_machines = []
-    for key in ordered:
-        _, machine, targets = made[key]
-        machine.expand = [None if t is None else position[t] for t in targets]
-        new_machines.append(machine)
-    per_source = {}
-    for key in ordered:
-        per_source[key[0]] = per_source.get(key[0], 0) + 1
-    factor = max(per_source.values(), default=1)
+    `label(mi, g)` gives machine mi's flags and counts by key under context
+    g, and the context of each box (anything for nodes).  Expansion targets
+    precede their machines, so walking from the top machine down reaches a
+    machine only once all its contexts are known."""
+    machines = w.machines
+    demanded = [{} for _ in machines]    # per machine: context -> ordinal
+    demanded[-1][top_context] = 0
+    made = []                            # (machine, ordinal, copy, contexts)
+    for mi in range(len(machines) - 1, -1, -1):
+        m = machines[mi]
+        for g, i in demanded[mi].items():
+            if len(made) >= w.copy_budget:
+                raise CapacityError(
+                    f"machine copies exceed budget {w.copy_budget}")
+            flags, counts, contexts = label(mi, g)
+            made.append((mi, i, m.shell_copy(
+                f"{m.name}~{i}" if i else m.name, flags, counts), contexts))
+            for t, c in zip(m.expand, contexts):
+                if t is not None:
+                    demanded[t].setdefault(c, len(demanded[t]))
+    # Copies of one machine sit together, in the machines' order, so
+    # expansion targets still precede their machines.
+    first = [0]
+    for d in demanded:
+        first.append(first[-1] + len(d))
+    new_machines = [None] * len(made)
+    for mi, i, copy, contexts in made:
+        copy.expand = [None if t is None else first[t] + demanded[t][c]
+                       for t, c in zip(copy.expand, contexts)]
+        new_machines[first[mi] + i] = copy
     out = SpecializedHsm(new_machines, w.stats, w.copy_budget)
-    out.stats.append(PassStats(op, kind, grade, grade0_factor, factor,
-                               len(new_machines),
+    out.stats.append(PassStats(op, kind, grade, grade0_factor,
+                               max(map(len, demanded)), len(new_machines),
                                (time.perf_counter() - started) * 1000.0))
     return out
 
@@ -228,51 +242,33 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
     started = time.perf_counter()
     cap = grade + 1
     machines = w.machines
-    made = {}
-    hits = {}
 
+    @cache
     def successor_hits(mi):
         """Per vertex, how many of its successors inside the machine
         satisfy th1, and per box its capped exit-count context; the same
-        for every context of the machine."""
-        found = hits.get(mi)
-        if found is None:
-            m = machines[mi]
-            hit = [_entry_flag(machines, m, v, th1_key) for v in range(m.n)]
-            internal = [sum(hit[v] for v in vs) for vs in m.adj.succ]
-            box_g = [None if vss is None else
-                     tuple(min(cap, sum(hit[v] for v in vs)) for vs in vss)
-                     for vss in m.adj.exit_succ]
-            found = hits[mi] = (internal, box_g)
-        return found
-
-    def build(mi, g):
-        key = (mi, g)
-        if key in made:
-            return key
-        if len(made) >= w.copy_budget:
-            raise CapacityError(f"machine copies exceed budget {w.copy_budget}")
+        for every context of the machine.  A step into a box lands on its
+        target's entry."""
         m = machines[mi]
-        copy = m.shell_copy(m.name if not any(g) else f"{m.name}~x{len(made)}")
-        made[key] = (len(made), copy, [None] * m.n)
-        internal, box_g = successor_hits(mi)
-        counts = [0] * m.n
-        flags = [False] * m.n
-        for pos, o in enumerate(m.adj.ordinal):
-            if m.expand[pos] is None:
-                counts[pos] = min(cap, internal[pos] + (0 if o is None else g[o]))
-                flags[pos] = counts[pos] >= cap
-        copy.flags[psi_key] = flags
-        copy.counts[psi_key] = counts
-        targets = made[key][2]
-        for pos, t in enumerate(m.expand):
-            if t is not None:
-                targets[pos] = build(t, box_g[pos])
-        return key
+        hit = [m.flags[th1_key][v] if t is None else
+               machines[t].flags[th1_key][machines[t].entry]
+               for v, t in enumerate(m.expand)]
+        return ([sum(hit[v] for v in vs) for vs in m.adj.succ],
+                [None if vss is None else
+                 tuple(min(cap, sum(hit[v] for v in vs)) for vs in vss)
+                 for vss in m.adj.exit_succ])
 
-    top = len(machines) - 1
-    build(top, (0,) * len(machines[top].outs))
-    return _rebuild(w, made, op, "X", grade, 1, started)
+    def label(mi, g):
+        m = machines[mi]
+        internal, box_g = successor_hits(mi)
+        counts = [0 if t is not None else
+                  min(cap, internal[pos] + (0 if o is None else g[o]))
+                  for pos, (t, o) in enumerate(zip(m.expand, m.adj.ordinal))]
+        return ({psi_key: [c >= cap for c in counts]}, {psi_key: counts},
+                box_g)
+
+    top_context = (0,) * len(machines[-1].outs)
+    return _specialize(w, top_context, label, op, "X", grade, 1, started)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +285,10 @@ def _grade0_solutions(machines, kind, th1_key, th2_key):
     continue; E G a greatest one, shrunk as vertices lose their last
     satisfying successor.  Each change is pushed to the predecessors, and a
     box solves its target again only when its own exit mask changes."""
-    memo = {}
     until = kind == "U"
 
+    @cache
     def solve(mi, y):
-        key = (mi, y)
-        found = memo.get(key)
-        if found is not None:
-            return found
         m = machines[mi]
         a = m.adj
         n = m.n
@@ -356,8 +348,7 @@ def _grade0_solutions(machines, kind, th1_key, th2_key):
                             solve(t, mask[b])[0][machines[t].entry] == until:
                         val[b] = until
                         stack.append(b)
-        found = memo[key] = (val, mask)
-        return found
+        return val, mask
 
     return solve
 
@@ -367,30 +358,13 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
     """Classical (grade-0) hierarchical pass: specialize machines per set of
     continuing exits so the flag becomes context-free."""
     started = time.perf_counter()
-    machines = w.machines
-    solve = _grade0_solutions(machines, kind, th1_key, th2_key)
-    made = {}
+    solve = _grade0_solutions(w.machines, kind, th1_key, th2_key)
 
-    def build(mi, y):
-        key = (mi, y)
-        if key in made:
-            return key
-        if len(made) >= w.copy_budget:
-            raise CapacityError(f"machine copies exceed budget {w.copy_budget}")
-        m = machines[mi]
+    def label(mi, y):
         flags, mask = solve(mi, y)
-        copy = m.shell_copy(m.name if not y else f"{m.name}~s{len(made)}")
-        made[key] = (len(made), copy, [None] * m.n)
-        copy.flags[psi_key] = flags
-        targets = made[key][2]
-        for pos, t in enumerate(m.expand):
-            if t is not None:
-                targets[pos] = build(t, mask[pos])
-        return key
+        return {psi_key: flags}, {}, mask
 
-    top = len(machines) - 1
-    build(top, 0)
-    out = _rebuild(w, made, op, f"{kind}0", 0, 1, started)
+    out = _specialize(w, 0, label, op, f"{kind}0", 0, 1, started)
     stats = out.stats[-1]
     stats.grade0_factor, stats.context_factor = stats.context_factor, 1
     return out
@@ -526,7 +500,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
     nsc = set()
     order = []
     cycles = {}
-    for comp in tarjan_scc(size, edges):
+    for comp in flat_checker.tarjan_scc(size, edges):
         if not present[comp[0]]:
             continue
         cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
@@ -575,7 +549,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
 
 
 def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
-                   th2_key, psi_key, count_key=None, op="E GU") -> SpecializedHsm:
+                   th2_key, psi_key, op="E GU") -> SpecializedHsm:
     """Label vertices with 'at least grade+1 distinct evidences' for
     G th1 (mode 'G') or th1 U th2 (mode 'U').
 
@@ -587,8 +561,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     """
     psi1_key = ("g0", psi_key)
     w = grade0_pass(w, mode, th1_key, th2_key, psi1_key, op=op)
-    grade0_factor = w.stats[-1].grade0_factor
-    w.stats.pop()
+    grade0_factor = w.stats.pop().grade0_factor
 
     started = time.perf_counter()
     cap = grade + 1
@@ -596,15 +569,10 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     until = mode == "U"
     infos = compute_nsc(w, psi1_key, until_mode=until, th1_key=th1_key)
 
-    dag_memo = {}
-
+    @cache
     def dag(mi, g):
         """Capped evidence counts of machine mi's states under the exit
         context g, its entry's count and each box's exit context."""
-        key = (mi, g)
-        found = dag_memo.get(key)
-        if found is not None:
-            return found
         m = machines[mi]
         a = m.adj
         info = infos[mi]
@@ -655,42 +623,21 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
                  tuple(bz_value(pos, o) for o in range(len(machines[t].outs)))
                  for pos, t in enumerate(expand)]
         entry_label = cap if m.entry in info.nsc else labels[m.entry]
-        found = dag_memo[key] = (labels, entry_label, box_g)
-        return found
+        return labels, entry_label, box_g
 
-    made = {}
-
-    def build(mi, g):
-        key = (mi, g)
-        if key in made:
-            return key
-        if len(made) >= w.copy_budget:
-            raise CapacityError(f"machine copies exceed budget {w.copy_budget}")
-        m = machines[mi]
-        info = infos[mi]
+    def label(mi, g):
         labels, _entry, box_g = dag(mi, g)
-        copy = m.shell_copy(m.name if not any(g) else f"{m.name}~g{len(made)}")
-        made[key] = (len(made), copy, [None] * m.n)
-        flags = [False] * m.n
-        counts = [0] * m.n
-        for pos, t in enumerate(m.expand):
-            if t is None:
-                # Labels of states outside the satisfying set stay 0.
-                counts[pos] = cap if pos in info.nsc_nodes else labels[pos]
-                flags[pos] = counts[pos] >= cap
-        copy.flags[psi_key] = flags
-        if count_key is not None:
-            copy.counts[count_key] = counts
-        copy.counts[psi_key] = counts
-        targets = made[key][2]
-        for pos, t in enumerate(m.expand):
-            if t is not None:
-                targets[pos] = build(t, box_g[pos])
-        return key
+        nsc_nodes = infos[mi].nsc_nodes
+        # Labels of states outside the satisfying set stay 0.
+        counts = [0 if t is not None else cap if pos in nsc_nodes
+                  else labels[pos]
+                  for pos, t in enumerate(machines[mi].expand)]
+        return ({psi_key: [c >= cap for c in counts]}, {psi_key: counts},
+                box_g)
 
-    top = len(machines) - 1
-    build(top, (0,) * len(machines[top].outs))
-    return _rebuild(w, made, op, mode, grade, grade0_factor, started)
+    top_context = (0,) * len(machines[-1].outs)
+    return _specialize(w, top_context, label, op, mode, grade, grade0_factor,
+                       started)
 
 
 # ---------------------------------------------------------------------------
@@ -761,12 +708,12 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
                        m.flags[li][p] and not m.flags[ri][p], stay)
             _bool_pass(w, lambda m, p, li=li, ri=ri:
                        not m.flags[li][p] and not m.flags[ri][p], leave)
-            cg = ("cnt_g", i)
-            cu = ("cnt_u", i)
-            w = graded_gu_pass(w, g.grade, "G", stay, None, ("psi_g", i),
-                               count_key=cg, op=op + " /globally-family")
-            w = graded_gu_pass(w, g.grade, "U", stay, leave, ("psi_u", i),
-                               count_key=cu, op=op + " /until-family")
+            cg = ("psi_g", i)
+            cu = ("psi_u", i)
+            w = graded_gu_pass(w, g.grade, "G", stay, None, cg,
+                               op=op + " /globally-family")
+            w = graded_gu_pass(w, g.grade, "U", stay, leave, cu,
+                               op=op + " /until-family")
             k = g.grade
             _bool_pass(w, lambda m, p, cg=cg, cu=cu, k=k:
                        m.counts[cg][p] + m.counts[cu][p] <= k, i)

@@ -1,9 +1,13 @@
 import random
+import sys
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gctl.hier_checker
+from gctl.errors import CapacityError
 from gctl.flat_checker import check_flat
 from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallF,
                           ForallG, Implies, TrueF, normalize, parse_formula,
@@ -412,6 +416,42 @@ class TestAdjacencyBuiltOnce:
             first = {}
             for m in w.machines:
                 assert first.setdefault(m.source, m.adj) is m.adj
+
+
+class TestCopyBudget:
+    """A pass may make at most `copy_budget` machine copies."""
+
+    @pytest.mark.parametrize("text, kind", [
+        ("E>1 X p0", "X"), ("E [p0 U p1]", "U0"), ("E>1 G p0", "G")])
+    def test_budget_is_inclusive(self, text, kind):
+        model = random_shsm(3, 2, 2, 2, 2, 3, scope_labels=False)
+        f = parse_formula(text)
+        verdict, w = check_hier(model, f)
+        last = w.stats[-1]
+        assert last.kind == kind
+        # The pass copies some machine more than once.
+        assert max(last.grade0_factor, last.context_factor) > 1
+        need = max(st.machines_after for st in w.stats)
+        assert need > len(model.machines)
+        got, w2 = check_hier(model, f, copy_budget=need)
+        assert (got, len(w2.machines)) == (verdict, len(w.machines))
+        with pytest.raises(CapacityError):
+            check_hier(model, f, copy_budget=need - 1)
+
+
+class TestDeepHierarchy:
+    """Copy construction walks the machine list, so a hierarchy deeper than
+    the interpreter's recursion limit checks."""
+
+    @pytest.mark.parametrize("text, grade", [("E X p1", 0), ("E>1 X p1", 1)])
+    def test_next_on_3000_levels(self, text, grade):
+        model = random_shsm(3000, 1, 1, 2, 2, seed=1, scope_labels=False)
+        assert len(model.machines) > sys.getrecursionlimit()
+        _verdict, w = check_hier(model, parse_formula(text))
+        bound = (grade + 2) ** model.max_exits()
+        per_source = Counter(m.source for m in w.machines)
+        assert max(per_source.values()) <= bound
+        assert len(w.machines) <= bound * len(model.machines)
 
 
 class TestForallUntilGraded:
