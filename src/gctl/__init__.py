@@ -6,7 +6,7 @@ from .evidence import (EvidenceTrace, counterexamples_for, extract_evidences,
                        serialize_trace, validate_trace)
 from .flat_checker import SatTable, check_flat, oracle_check, oracle_count
 from .formula import Formula, normalize, parse_formula, render
-from .hier_checker import SpecializedHsm, check_hier, count_copies
+from .hier_checker import SpecializedHsm, check_hier
 from .hsm import (Machine, Shsm, flat_size, flatten, is_hsm, reduce_to_hsm,
                   restrict_ap, validate_shsm)
 from .kripke import KripkeStructure, validate_kripke
@@ -27,7 +27,6 @@ __all__ = [
     "ValidationError",
     "check_flat",
     "check_hier",
-    "count_copies",
     "counterexamples_for",
     "extract_evidences",
     "flat_size",

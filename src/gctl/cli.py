@@ -38,6 +38,10 @@ EXIT_INTERNAL = 5
 MAX_WITNESSES = 1000
 
 
+class UsageError(Exception):
+    """A bad argument or environment setting; exits 2."""
+
+
 @dataclass
 class CheckReport:
     formula: str
@@ -102,9 +106,14 @@ def _load_model(path, repair):
 
 
 def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    return int(os.environ.get("GCTL_BUDGET") or DEFAULT_FLAT_BUDGET)
+    """--budget, else env GCTL_BUDGET, else the default."""
+    value = args.budget
+    if value is None:
+        value = os.environ.get("GCTL_BUDGET") or DEFAULT_FLAT_BUDGET
+    if not str(value).strip().isdecimal():
+        raise UsageError(f"the flat state budget must be a nonnegative "
+                         f"integer, got {value!r}")
+    return int(value)
 
 
 def _formula_from(args):
@@ -150,9 +159,7 @@ def _extract_traces(model, f, verdict, witnesses, report, ks, table, w):
 def cmd_check(args):
     started = time.perf_counter()
     if not 0 <= args.witnesses <= MAX_WITNESSES:
-        print(f"--witnesses must be between 0 and {MAX_WITNESSES}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--witnesses must be between 0 and {MAX_WITNESSES}")
     model = _load_model(args.model, args.repair_self_loops)
     text, f = _formula_from(args)
     budget = _budget(args)
@@ -227,6 +234,13 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
+    if args.machines < 1 or min(args.nodes, args.exits, args.boxes,
+                                args.props) < 0:
+        raise UsageError("gen needs --machines >= 1 and nonnegative "
+                         "--nodes, --exits, --boxes and --props")
+    if args.exits < 1 and args.machines > 1 and args.boxes > 0:
+        raise UsageError("--exits must be at least 1 when boxes expand to "
+                         "lower machines (--machines > 1 and --boxes > 0)")
     model = random_shsm(args.machines, args.nodes, args.exits, args.boxes,
                         args.props, args.seed,
                         scope_labels=not args.plain_boxes)
@@ -240,8 +254,7 @@ def cmd_gen(args):
 
 def cmd_bench(args):
     if args.repeat <= 0:
-        print("--repeat must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--repeat must be positive")
     model = _load_model(args.model, args.repair_self_loops)
     text, f = _formula_from(args)
     budget = _budget(args)
@@ -352,6 +365,9 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except UsageError as e:
+        print(e, file=sys.stderr)
+        return EXIT_USAGE
     except (FormulaSyntaxError, ModelSyntaxError) as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return EXIT_USAGE

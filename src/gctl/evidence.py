@@ -17,7 +17,8 @@ from functools import reduce
 
 from .flat_checker import SatTable, check_flat
 from .formula import (And, ExistsG, ExistsU, ExistsX, ForallF, ForallG,
-                      ForallU, ForallX, Not, normalize, render)
+                      ForallU, ForallX, Not, normalize, render,
+                      violation_families)
 from .kripke import KripkeStructure
 
 FINITE = "finite"
@@ -305,10 +306,7 @@ def trace_forms(f, verdict: bool, n: int) -> list:
         return []
     boosted = max(f.grade, n - 1)
     if isinstance(f, ForallU):
-        left, right = normalize(f.left), normalize(f.right)
-        stay = And(left, Not(right))
-        leave = And(Not(left), Not(right))
-        return [ExistsG(boosted, stay), ExistsU(boosted, stay, leave)]
+        return violation_families(f, boosted)
     # normalize() writes A<=k as the negation of its dual E>k form.
     return [replace(normalize(f).child, grade=boosted)]
 

@@ -10,12 +10,11 @@ classification + capped propagation) and a bounded-enumeration oracle used
 to cross-check it in tests.
 """
 
-import time
 from dataclasses import dataclass, field
 
 from .errors import OracleLimitError
 from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
-                      TrueF, is_normalized, normalize, subformulas_bottom_up)
+                      TrueF, evaluate, is_normalized, normalize)
 from .kripke import KripkeStructure
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,7 @@ class SatTable:
     index: dict = field(default_factory=dict)
     sat: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
-    millis: dict = field(default_factory=dict)
+    millis: list = field(default_factory=list)
 
     def row(self, f):
         return self.sat[self.index[normalize(f)]]
@@ -224,61 +223,50 @@ class SatTable:
         return self.counts[self.index[normalize(f)]]
 
 
+def _row_ops(ks: KripkeStructure, rows, counts, path_counts):
+    """`evaluate` hooks of a flat decider, over per-state rows by position.
+
+    `path_counts` maps ExistsX, ExistsG and ExistsU to a function giving
+    the per-state capped evidence counts of such a form from its operand
+    rows; counts are kept in `counts` by position.  A<=k U holds where the
+    counts of its two violation families sum to at most k."""
+    n = ks.n_states
+
+    def path(count):
+        def op(g, i, *operands):
+            cnt = counts[i] = count(g, *(rows[j] for j in operands))
+            return [c > g.grade for c in cnt]
+        return op
+
+    def forall_until(g, i, fam_g, fam_u):
+        total = [a + b for a, b in zip(counts[fam_g], counts[fam_u])]
+        counts[i] = [min(g.grade + 1, c) for c in total]
+        return [c <= g.grade for c in total]
+
+    return {
+        Atom: lambda g, i: [g.name in ks.labels[s] for s in range(n)],
+        TrueF: lambda g, i: [True] * n,
+        Not: lambda g, i, c: [not v for v in rows[c]],
+        And: lambda g, i, l, r: [a and b for a, b in zip(rows[l], rows[r])],
+        ForallU: forall_until,
+        **{kind: path(count) for kind, count in path_counts.items()},
+    }
+
+
 def check_flat(ks: KripkeStructure, f) -> SatTable:
     """Label every state with every subformula of f (normalized first)."""
     root = f if is_normalized(f) else normalize(f)
     table = SatTable(ks=ks, root=root)
-    table.subformulas = subformulas_bottom_up(root)
-    table.index = {g: i for i, g in enumerate(table.subformulas)}
     n = ks.n_states
-    for i, g in enumerate(table.subformulas):
-        started = time.perf_counter()
-        if isinstance(g, Atom):
-            row = [g.name in ks.labels[s] for s in range(n)]
-        elif isinstance(g, TrueF):
-            row = [True] * n
-        elif isinstance(g, Not):
-            child = table.sat[table.index[g.child]]
-            row = [not v for v in child]
-        elif isinstance(g, And):
-            left = table.sat[table.index[g.left]]
-            right = table.sat[table.index[g.right]]
-            row = [a and b for a, b in zip(left, right)]
-        elif isinstance(g, ExistsX):
-            child = table.sat[table.index[g.child]]
-            cap = g.grade + 1
-            cnt = [count_next(ks, s, child, cap) for s in range(n)]
-            table.counts[i] = cnt
-            row = [c >= cap for c in cnt]
-        elif isinstance(g, (ExistsG, ExistsU)):
-            if isinstance(g, ExistsG):
-                child = table.sat[table.index[g.child]]
-                cnt = globally_analysis(ks, child, g.grade)
-            else:
-                left = table.sat[table.index[g.left]]
-                right = table.sat[table.index[g.right]]
-                cnt = until_analysis(ks, left, right, g.grade)
-            cap = g.grade + 1
-            table.counts[i] = cnt
-            row = [c >= cap for c in cnt]
-        elif isinstance(g, ForallU):
-            # Every violating path falls in exactly one of two families:
-            # forever (left and not right), or (left and not right) until
-            # (neither).  The formula holds when the families together show
-            # at most `grade` distinct violations.
-            left = table.sat[table.index[g.left]]
-            right = table.sat[table.index[g.right]]
-            stay = [a and not b for a, b in zip(left, right)]
-            exit_ = [not a and not b for a, b in zip(left, right)]
-            c1 = globally_analysis(ks, stay, g.grade)
-            c2 = until_analysis(ks, stay, exit_, g.grade)
-            cap = g.grade + 1
-            table.counts[i] = [min(cap, a + b) for a, b in zip(c1, c2)]
-            row = [a + b <= g.grade for a, b in zip(c1, c2)]
-        else:
-            raise TypeError(f"unexpected node in normalized formula: {g!r}")
-        table.sat.append(row)
-        table.millis[i] = (time.perf_counter() - started) * 1000.0
+    ops = _row_ops(ks, table.sat, table.counts, {
+        ExistsX: lambda g, child: [count_next(ks, s, child, g.grade + 1)
+                                   for s in range(n)],
+        ExistsG: lambda g, child: globally_analysis(ks, child, g.grade),
+        ExistsU: lambda g, left, right: until_analysis(ks, left, right,
+                                                       g.grade),
+    })
+    table.index, table.millis = evaluate(root, ops, table.sat)
+    table.subformulas = list(table.index)
     return table
 
 
@@ -360,40 +348,15 @@ def _oracle_tree_count(ks, s, kind, cap, sat1, sat2, depth):
 
 def oracle_check(ks: KripkeStructure, f) -> list:
     """Per-state verdicts for f computed with oracle_count only."""
-    root = normalize(f)
     n = ks.n_states
-    rows = {}
-    for g in subformulas_bottom_up(root):
-        if isinstance(g, Atom):
-            rows[g] = [g.name in ks.labels[s] for s in range(n)]
-        elif isinstance(g, TrueF):
-            rows[g] = [True] * n
-        elif isinstance(g, Not):
-            rows[g] = [not v for v in rows[g.child]]
-        elif isinstance(g, And):
-            rows[g] = [a and b for a, b in zip(rows[g.left], rows[g.right])]
-        elif isinstance(g, ExistsX):
-            cap = g.grade + 1
-            rows[g] = [oracle_count(ks, s, "X", g.grade, rows[g.child]) >= cap
-                       for s in range(n)]
-        elif isinstance(g, ExistsG):
-            cap = g.grade + 1
-            rows[g] = [oracle_count(ks, s, "G", g.grade, rows[g.child]) >= cap
-                       for s in range(n)]
-        elif isinstance(g, ExistsU):
-            cap = g.grade + 1
-            rows[g] = [
-                oracle_count(ks, s, "U", g.grade, rows[g.left], rows[g.right]) >= cap
-                for s in range(n)]
-        elif isinstance(g, ForallU):
-            stay = [a and not b for a, b in zip(rows[g.left], rows[g.right])]
-            exit_ = [not a and not b for a, b in zip(rows[g.left], rows[g.right])]
-            verdict = []
-            for s in range(n):
-                c1 = oracle_count(ks, s, "G", g.grade, stay)
-                c2 = oracle_count(ks, s, "U", g.grade, stay, exit_)
-                verdict.append(c1 + c2 <= g.grade)
-            rows[g] = verdict
-        else:
-            raise TypeError(f"unexpected node {g!r}")
-    return rows[root]
+    rows = []
+
+    def counted(kind):
+        return lambda g, *operands: [
+            oracle_count(ks, s, kind, g.grade, *operands) for s in range(n)]
+
+    ops = _row_ops(ks, rows, {}, {ExistsX: counted("X"), ExistsG: counted("G"),
+                                  ExistsU: counted("U")})
+    root = normalize(f)
+    index, _millis = evaluate(root, ops, rows)
+    return rows[index[root]]

@@ -6,6 +6,7 @@ Grade 0 is the classical semantics.
 """
 
 import re
+import time
 from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError
@@ -474,3 +475,62 @@ def subformulas_bottom_up(f: Formula) -> list:
 
     visit(f)
     return list(seen)
+
+
+# ---------------------------------------------------------------------------
+# Bottom-up evaluation, shared by every decider
+# ---------------------------------------------------------------------------
+
+
+def violation_families(f: ForallU, grade: int = None) -> list:
+    """The two path forms whose evidences are the violations of
+    ``A<=k [l U r]``: ``E>k G (l & !r)`` and ``E>k [(l & !r) U (!l & !r)]``.
+    Every violating path falls in exactly one of them, so the formula holds
+    where their capped counts sum to at most k.  `grade` overrides k."""
+    grade = f.grade if grade is None else grade
+    left, right = normalize(f.left), normalize(f.right)
+    stay = And(left, Not(right))
+    return [ExistsG(grade, stay),
+            ExistsU(grade, stay, And(Not(left), Not(right)))]
+
+
+def evaluate(root: Formula, ops: dict, labels: list = None):
+    """Label the subformulas of a normalized formula bottom-up.
+
+    For each subformula g at position i this calls
+    ``ops[type(g)](g, i, *operand positions)``; the operands of an
+    ``A<=k U`` node are its two `violation_families` forms, labelled before
+    it.  The root's subformulas keep their `subformulas_bottom_up`
+    positions; family forms not among them take the positions after.  When
+    `labels` is given it gets one slot per position, holding what the hook
+    returned.  Returns (subformula -> position, milliseconds per position).
+    """
+    subs = subformulas_bottom_up(root)
+    index = {g: i for i, g in enumerate(subs)}
+    order = []          # positions in labelling order; repeats are skipped
+    families = {}       # position of an A<=k U node -> its families' positions
+    for i, g in enumerate(subs):
+        if isinstance(g, ForallU):
+            forms = violation_families(g)
+            for form in forms:
+                order += (index.setdefault(h, len(index))
+                          for h in subformulas_bottom_up(form))
+            families[i] = [index[form] for form in forms]
+        order.append(i)
+    forms = list(index)
+    millis = [0.0] * len(forms)
+    if labels is not None:
+        labels[:] = [None] * len(forms)
+    done = [False] * len(forms)
+    for i in order:
+        if done[i]:
+            continue
+        done[i] = True
+        g = forms[i]
+        operands = families.get(i) or [index[h] for h in children(g)]
+        started = time.perf_counter()
+        label = ops[type(g)](g, i, *operands)
+        millis[i] = (time.perf_counter() - started) * 1000.0
+        if labels is not None:
+            labels[i] = label
+    return index, millis

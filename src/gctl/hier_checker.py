@@ -21,8 +21,7 @@ from functools import cache
 from . import flat_checker
 from .errors import CapacityError
 from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
-                      TrueF, is_normalized, normalize, render,
-                      subformulas_bottom_up)
+                      TrueF, evaluate, is_normalized, normalize, render)
 from .formula import atoms as formula_atoms
 from .hsm import Machine, Shsm, is_hsm, reduce_to_hsm, restrict_ap
 
@@ -650,11 +649,6 @@ def _bool_pass(w, compute, key):
         m.flags[key] = [compute(m, pos) for pos in range(m.n)]
 
 
-def count_copies(w: SpecializedHsm):
-    """Per-pass copy statistics recorded while checking."""
-    return list(w.stats)
-
-
 def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
     """Check f on the hierarchical model without flattening it.
 
@@ -669,61 +663,45 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
         reduced = reduce_to_hsm(restrict_ap(model, ap), ap)
         model, reduction = reduced.model, reduced.index
     w = _from_shsm(model, copy_budget)
-    subs = subformulas_bottom_up(root)
-    index = {g: i for i, g in enumerate(subs)}
 
-    for i, g in enumerate(subs):
-        started = time.perf_counter()
-        op = render(g)
-        if isinstance(g, Atom):
-            _bool_pass(w, lambda m, p, name=g.name: name in m.labels[p], i)
-        elif isinstance(g, TrueF):
-            _bool_pass(w, lambda m, p: True, i)
-        elif isinstance(g, Not):
-            ci = index[g.child]
-            _bool_pass(w, lambda m, p, ci=ci: not m.flags[ci][p], i)
-        elif isinstance(g, And):
-            li, ri = index[g.left], index[g.right]
-            _bool_pass(w, lambda m, p, li=li, ri=ri:
-                       m.flags[li][p] and m.flags[ri][p], i)
-        elif isinstance(g, ExistsX):
-            w = graded_next_pass(w, g.grade, index[g.child], i, op=op)
-        elif isinstance(g, (ExistsG, ExistsU)):
-            if isinstance(g, ExistsG):
-                kind, th1, th2 = "G", index[g.child], None
-            else:
-                kind, th1, th2 = "U", index[g.left], index[g.right]
-            if g.grade == 0:
-                w = grade0_pass(w, kind, th1, th2, i, op=op)
-            else:
-                w = graded_gu_pass(w, g.grade, kind, th1, th2, i, op=op)
-        elif isinstance(g, ForallU):
-            # Violating paths split into a globally family and an until
-            # family; the formula holds when their capped counts sum to at
-            # most the grade.
-            li, ri = index[g.left], index[g.right]
-            stay = ("fam_stay", i)
-            leave = ("fam_leave", i)
-            _bool_pass(w, lambda m, p, li=li, ri=ri:
-                       m.flags[li][p] and not m.flags[ri][p], stay)
-            _bool_pass(w, lambda m, p, li=li, ri=ri:
-                       not m.flags[li][p] and not m.flags[ri][p], leave)
-            cg = ("psi_g", i)
-            cu = ("psi_u", i)
-            w = graded_gu_pass(w, g.grade, "G", stay, None, cg,
-                               op=op + " /globally-family")
-            w = graded_gu_pass(w, g.grade, "U", stay, leave, cu,
-                               op=op + " /until-family")
-            k = g.grade
-            _bool_pass(w, lambda m, p, cg=cg, cu=cu, k=k:
-                       m.counts[cg][p] + m.counts[cu][p] <= k, i)
-        else:
-            raise TypeError(f"unexpected node in normalized formula: {g!r}")
-        if not (w.stats and w.stats[-1].op == op):
-            w.stats.append(PassStats(op, "bool", 0, 1, 1,
+    def boolean(flag):
+        """A hook labelling every vertex with `flag(g, *operands)(m, pos)`."""
+        def op(g, i, *operands):
+            started = time.perf_counter()
+            _bool_pass(w, flag(g, *operands), i)
+            w.stats.append(PassStats(render(g), "bool", 0, 1, 1,
                                      len(w.machines),
                                      (time.perf_counter() - started) * 1000.0))
+        return op
 
+    def next_op(g, i, child):
+        nonlocal w
+        w = graded_next_pass(w, g.grade, child, i, op=render(g))
+
+    def globally_until(kind):
+        def op(g, i, th1, th2=None):
+            nonlocal w
+            if g.grade == 0:
+                w = grade0_pass(w, kind, th1, th2, i, op=render(g))
+            else:
+                w = graded_gu_pass(w, g.grade, kind, th1, th2, i,
+                                   op=render(g))
+        return op
+
+    index, _millis = evaluate(root, {
+        Atom: boolean(lambda g: lambda m, p: g.name in m.labels[p]),
+        TrueF: boolean(lambda g: lambda m, p: True),
+        Not: boolean(lambda g, c: lambda m, p: not m.flags[c][p]),
+        And: boolean(lambda g, l, r: lambda m, p:
+                     m.flags[l][p] and m.flags[r][p]),
+        ExistsX: next_op,
+        ExistsG: globally_until("G"),
+        ExistsU: globally_until("U"),
+        # A<=k U holds where its two violation families' capped counts
+        # sum to at most k.
+        ForallU: boolean(lambda g, fg, fu: lambda m, p:
+                         m.counts[fg][p] + m.counts[fu][p] <= g.grade),
+    })
     w.index, w.reduction = index, reduction
     return w.flag_of_entry(index[root]), w
 

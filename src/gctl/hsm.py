@@ -31,12 +31,6 @@ class Machine:
     def label(self, v):
         return self.labels.get(v, frozenset())
 
-    def plain_edges(self):
-        return [(u, v) for u, z, v in self.edges if z is None]
-
-    def box_edges(self):
-        return [(u, z, v) for u, z, v in self.edges if z is not None]
-
 
 @dataclass
 class Shsm:
@@ -241,12 +235,6 @@ def _flat_sink_problems(model):
     return problems
 
 
-def check_valid(model: Shsm, restricted: bool = False) -> None:
-    problems = validate_shsm(model, restricted)
-    if problems:
-        raise ValidationError(problems)
-
-
 def is_hsm(model: Shsm) -> bool:
     """True when no box carries a label."""
     for m in model.machines:
@@ -289,8 +277,7 @@ def flat_size(model: Shsm) -> int:
     return sizes[model.h]
 
 
-def flatten(model: Shsm, budget: int = DEFAULT_FLAT_BUDGET,
-            require_total: bool = True) -> KripkeStructure:
+def flatten(model: Shsm, budget: int = DEFAULT_FLAT_BUDGET) -> KripkeStructure:
     """Expand the hierarchy into the equivalent flat Kripke structure.
 
     States are the complete well-formed vertex sequences, named by joining
@@ -345,11 +332,10 @@ def flatten(model: Shsm, budget: int = DEFAULT_FLAT_BUDGET,
     seqs, labels, edges, start, _ = build(model.h)
     names = [".".join(seq) for seq in seqs]
     ks = KripkeStructure(names, start[model.top.initial], edges, labels)
-    if require_total:
-        sinks = [names[s] for s in range(ks.n_states) if not ks.succ[s]]
-        if sinks:
-            raise ValidationError(
-                [f"flattening is not total; sink states: {', '.join(sinks)}"])
+    sinks = [names[s] for s in range(ks.n_states) if not ks.succ[s]]
+    if sinks:
+        raise ValidationError(
+            [f"flattening is not total; sink states: {', '.join(sinks)}"])
     return ks
 
 

@@ -4,8 +4,6 @@ States carry human-readable names (dot-joined vertex sequences when produced
 by flattening a hierarchical model); all algorithms run on dense indices.
 """
 
-from .errors import ValidationError
-
 
 class KripkeStructure:
     """Finite total transition system with propositional labels."""
@@ -86,9 +84,3 @@ def validate_kripke(ks: KripkeStructure) -> list:
         if not ks.succ[s]:
             problems.append(f"sink state {ks.names[s]!r} (index {s}): totality violated")
     return problems
-
-
-def check_valid(ks: KripkeStructure) -> None:
-    problems = validate_kripke(ks)
-    if problems:
-        raise ValidationError(problems)

@@ -76,6 +76,20 @@ class TestCheck:
                      "--engine", "flat"])
         assert code == 0
 
+    @pytest.mark.parametrize("env, flag", [
+        ("abc", None), ("1e3", None), ("-1", None), (None, "-1"),
+        (None, "abc"), ("100", "-5")])
+    def test_bad_budget_usage_error(self, capsys, monkeypatch, env, flag):
+        if env is not None:
+            monkeypatch.setenv("GCTL_BUDGET", env)
+        extra = [] if flag is None else [f"--budget={flag}"]
+        for engine in ("flat", "hier"):
+            code = main(["check", "--model", FIG2, "--formula", "E F p3",
+                         "--engine", engine, *extra])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "budget" in captured.err.lower()
+
     def test_missing_model(self, capsys):
         code = main(["check", "--model", "/nonexistent.gctl",
                      "--formula", "true"])
@@ -217,6 +231,22 @@ class TestTraceWork:
         assert len(json.loads(capsys.readouterr().out)["traces"]) == 3
         assert calls["flatten"] == 0 and calls["check_flat"] == 0
 
+    @pytest.mark.parametrize("engine", ["hier", "flat"])
+    def test_graded_forall_until_traces_from_the_verdict_run(
+            self, calls, capsys, engine):
+        # The verdict run labels the two violation families of A<=1 U, which
+        # are the trace forms for two counterexamples.
+        assert self._check("fig2", "A<=1 [true U p1]", "--engine",
+                           engine) == 1
+        assert len(json.loads(capsys.readouterr().out)["traces"]) == 2
+        if engine == "hier":
+            assert calls["check_hier"] == 1
+            assert calls["flatten"] == 0 and calls["check_flat"] == 0
+        else:
+            assert calls["check_hier"] == 0
+            assert calls["flatten"] == 1 and calls["check_flat"] == 1
+        assert calls["reanalysis"] == 0
+
     def test_flat_engine_reuses_its_flattening(self, calls, capsys):
         assert self._check("fig2", "E>1 [true U p1]", "--engine", "flat") == 0
         assert len(json.loads(capsys.readouterr().out)["traces"]) == 2
@@ -291,6 +321,28 @@ class TestGen:
         other = tmp_path / "c.gctl"
         main(["gen", "--machines", "3", "--seed", "12", "--output", str(other)])
         assert a.read_text() != other.read_text()
+
+    @pytest.mark.parametrize("args, code", [
+        (["--machines", "0"], 2),
+        (["--machines", "-1"], 2),
+        (["--machines", "3", "--exits", "0"], 2),
+        (["--exits", "-1"], 2),
+        (["--nodes", "-1"], 2),
+        (["--boxes", "-1"], 2),
+        (["--props", "-1"], 2),
+        (["--machines", "1", "--exits", "0"], 0),
+        (["--boxes", "0", "--exits", "0"], 0),
+        (["--machines", "2", "--nodes", "0", "--boxes", "0", "--props", "0",
+          "--exits", "0"], 0),
+    ])
+    def test_argument_bounds(self, tmp_path, capsys, args, code):
+        out = tmp_path / "m.gctl"
+        assert main(["gen", *args, "--output", str(out)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.count("\n") == 1 and not out.exists()
+        else:
+            assert main(["validate", "--model", str(out)]) == 0
 
     def test_generated_validates(self, tmp_path, capsys):
         out = tmp_path / "m.gctl"

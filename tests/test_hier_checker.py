@@ -14,7 +14,7 @@ from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallF,
                           render, subformulas_bottom_up)
 from gctl.gen import random_formula, random_shsm
 from gctl.hier_checker import (HierView, _bool_pass, _from_shsm,
-                               check_hier, compute_nsc, count_copies,
+                               check_hier, compute_nsc,
                                grade0_pass, graded_next_pass)
 from gctl.hsm import flatten
 from gctl.modelfile import parse_model
@@ -297,13 +297,13 @@ class TestCountCopies:
         _, w = check_hier(fig2_model, f)
         k_bar = 1 + 2
         d = 1
-        for st in count_copies(w):
+        for st in w.stats:
             if st.kind in ("G", "U"):
                 assert st.context_factor <= k_bar ** d
 
     def test_no_graded_operators_single_copy(self, retry_model):
         _, w = check_hier(retry_model, ExistsX(0, Atom("fail")))
-        for st in count_copies(w):
+        for st in w.stats:
             assert st.context_factor <= 2  # grade 0: at most (0+2)^d
         assert len(w.machines) <= 2 * len(retry_model.machines) + 2
 
@@ -317,7 +317,7 @@ class TestCountCopies:
             _, w = check_hier(model, f)
             k_bar = grade + 2
             d = model.max_exits()
-            for st in count_copies(w):
+            for st in w.stats:
                 if st.kind in ("G", "U"):
                     assert st.context_factor <= k_bar ** d
                     assert st.grade0_factor <= 2 ** d
@@ -331,14 +331,15 @@ class TestCopyStatistics:
     MODELS = {"fig2": "fig2_model", "retry": "retry_model"}
     # (model: fixture name or random_shsm arguments, formula, verdict,
     #  machines after the check, per pass (grade0_factor, context_factor,
-    #  machines_after))
+    #  machines_after)).  An A<=k U row lists the passes of its violation
+    #  families' subformulas, boolean ones included.
     PINNED = [
         ("fig2", "E>1 [true U p1]", True, 4,
          [(1, 1, 3), (1, 1, 3), (1, 2, 4)]),
         ("fig2", "A<=1 G !p1", False, 4,
          [(1, 1, 3), (1, 1, 3), (1, 1, 3), (1, 1, 3), (1, 2, 4), (1, 1, 4)]),
         ("retry", "A<=1 [!abort U success]", True, 2,
-         [(1, 1, 2)] * 6),
+         [(1, 1, 2)] * 10),
         ("retry", "E>2 X (E G !abort)", False, 3,
          [(1, 1, 2), (1, 1, 2), (2, 1, 3), (1, 1, 3)]),
         ((4, 2, 3, 2, 3, 1253, False), "A<=3 F p2", True, 8,
@@ -356,8 +357,8 @@ class TestCopyStatistics:
          + [(2, 1, 7), (1, 1, 7)]),
         ((3, 2, 1, 2, 3, 1261, False),
          "A<=2 [A<=2 G A<=2 [p1 U p0] U p0]", False, 5,
-         [(1, 1, 3)] * 4 + [(2, 1, 4)] + [(1, 1, 4)] * 4
-         + [(1, 2, 5), (1, 1, 5), (1, 1, 5)]),
+         [(1, 1, 3)] * 8 + [(2, 1, 4)] + [(1, 1, 4)] * 5
+         + [(1, 2, 5)] + [(1, 1, 5)] * 4),
         ((8, 1, 1, 2, 2, 1, False), "E>2 F (p1 & E>1 X p0)", False, 10,
          [(1, 1, 8), (1, 1, 8), (1, 1, 8), (1, 2, 10), (1, 1, 10),
           (1, 1, 10)]),
@@ -376,7 +377,7 @@ class TestCopyStatistics:
             got, w = check_hier(model, parse_formula(text))
             assert (got, len(w.machines)) == (verdict, machines), (spec, text)
             assert [(st.grade0_factor, st.context_factor, st.machines_after)
-                    for st in count_copies(w)] == passes, (spec, text)
+                    for st in w.stats] == passes, (spec, text)
 
 
 class TestAdjacencyBuiltOnce:

@@ -5,11 +5,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gctl.flat_checker import (check_flat, count_globally, count_next,
-                               count_until, oracle_check, oracle_count)
+from gctl.flat_checker import (ORACLE_MAX_STATES, check_flat, count_globally,
+                               count_next, count_until, oracle_check,
+                               oracle_count)
 from gctl.formula import (Atom, ExistsG, ExistsU, ExistsX, ForallF, ForallG,
                           ForallU, ForallX, Not, TrueF, render)
-from gctl.gen import random_formula, random_kripke
+from gctl.gen import random_formula, random_kripke, random_shsm
+from gctl.hier_checker import check_hier
+from gctl.hsm import flat_size, flatten
 
 
 @st.composite
@@ -93,3 +96,30 @@ class TestDualities:
             ks = random_kripke(rng.randint(1, 6), seed + 4000)
             f = ForallU(0, Atom("p"), Atom("q"))
             assert oracle_check(ks, f) == check_flat(ks, f).root_row()
+
+
+class TestGradedForallUntil:
+    """`A<=k U` for k >= 1 has no rewrite into the existential fragment:
+    every decider counts its two violation families.  The oracle counts
+    them by enumeration, the flat and hierarchical engines by analysis."""
+
+    def test_three_deciders_agree(self):
+        verdicts = []
+        for seed in range(120):
+            rng = random.Random(seed)
+            model = random_shsm(rng.randint(1, 3), rng.randint(0, 2),
+                                rng.randint(1, 2), rng.randint(1, 2), 2,
+                                seed + 5000, scope_labels=rng.random() < 0.5)
+            if flat_size(model) > ORACLE_MAX_STATES:
+                continue
+            ks = flatten(model)
+            left, right = (random_formula(rng, ["p0", "p1"], depth=1)
+                           for _ in range(2))
+            for k in (1, 2, 3):
+                f = ForallU(k, left, right)
+                rows = check_flat(ks, f).root_row()
+                assert oracle_check(ks, f) == rows, (seed, render(f))
+                assert check_hier(model, f)[0] == rows[ks.initial], \
+                    (seed, render(f))
+                verdicts.append(rows[ks.initial])
+        assert len(verdicts) >= 250 and verdicts.count(False) >= 25
