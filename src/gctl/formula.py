@@ -17,6 +17,24 @@ _KEYWORDS = frozenset({"true", "false", "E", "A", "X", "F", "G", "U"})
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_^@+]*")
 
 
+def _node(cls):
+    """A frozen formula dataclass whose hash is computed once, on first use.
+    The generated hash would rehash the whole subtree on every dict lookup."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = fields_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls.__hash__ = __hash__
+    cls._hash = None
+    return cls
+
+
 def _check_grade(grade):
     if not isinstance(grade, int) or isinstance(grade, bool) or grade < 0:
         raise ValueError(f"grade must be a nonnegative integer, got {grade!r}")
@@ -24,7 +42,7 @@ def _check_grade(grade):
         raise ValueError(f"grade {grade} exceeds the supported maximum {MAX_GRADE}")
 
 
-@dataclass(frozen=True)
+@_node
 class Atom:
     name: str
 
@@ -33,40 +51,40 @@ class Atom:
             raise ValueError(f"invalid atom name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class FalseF:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class ExistsX:
     grade: int
     child: "Formula"
@@ -75,7 +93,7 @@ class ExistsX:
         _check_grade(self.grade)
 
 
-@dataclass(frozen=True)
+@_node
 class ExistsG:
     grade: int
     child: "Formula"
@@ -84,7 +102,7 @@ class ExistsG:
         _check_grade(self.grade)
 
 
-@dataclass(frozen=True)
+@_node
 class ExistsF:
     grade: int
     child: "Formula"
@@ -93,7 +111,7 @@ class ExistsF:
         _check_grade(self.grade)
 
 
-@dataclass(frozen=True)
+@_node
 class ExistsU:
     grade: int
     left: "Formula"
@@ -103,7 +121,7 @@ class ExistsU:
         _check_grade(self.grade)
 
 
-@dataclass(frozen=True)
+@_node
 class ForallX:
     grade: int
     child: "Formula"
@@ -112,7 +130,7 @@ class ForallX:
         _check_grade(self.grade)
 
 
-@dataclass(frozen=True)
+@_node
 class ForallG:
     grade: int
     child: "Formula"
@@ -121,7 +139,7 @@ class ForallG:
         _check_grade(self.grade)
 
 
-@dataclass(frozen=True)
+@_node
 class ForallF:
     grade: int
     child: "Formula"
@@ -130,7 +148,7 @@ class ForallF:
         _check_grade(self.grade)
 
 
-@dataclass(frozen=True)
+@_node
 class ForallU:
     grade: int
     left: "Formula"
@@ -489,9 +507,14 @@ def violation_families(f: ForallU, grade: int = None) -> list:
     where their capped counts sum to at most k.  `grade` overrides k."""
     grade = f.grade if grade is None else grade
     left, right = normalize(f.left), normalize(f.right)
-    stay = And(left, Not(right))
+    stay = And(left, _negate(right))
     return [ExistsG(grade, stay),
-            ExistsU(grade, stay, And(Not(left), Not(right)))]
+            ExistsU(grade, stay, And(_negate(left), _negate(right)))]
+
+
+def _negate(f):
+    """``!f``, with a double negation folded."""
+    return f.child if isinstance(f, Not) else Not(f)
 
 
 def evaluate(root: Formula, ops: dict, labels: list = None):

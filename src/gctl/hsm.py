@@ -204,10 +204,12 @@ def _flat_sink_problems(model):
                 enterable.add(e)
                 order.append(e)
 
+    # Per enterable machine: the sources of its plain edges.
+    plain_sources = {i: {u for u, z, _ in model.machine(i).edges if z is None}
+                     for i in enterable}
     problems = []
     for i in sorted(enterable):
         m = model.machine(i)
-        has_plain = {u for u, z, v in m.edges if z is None}
         exit_covered = {}
         for u, z, v in m.edges:
             if z is not None:
@@ -215,17 +217,17 @@ def _flat_sink_problems(model):
         for v in sorted(reach_vertex[i]):
             if m.is_box(v):
                 continue
-            if v in has_plain:
+            if v in plain_sources[i]:
                 continue
             if i == h:
                 problems.append(
                     f"flat sink: machine {m.name} vertex {v!r} has no outgoing edge")
         for v in sorted(v for v in reach_vertex[i] if m.is_box(v)):
-            target = model.machine(m.expand[v])
+            e = m.expand[v]
+            target = model.machine(e)
             covered = exit_covered.get(v, set())
-            inner_plain = {u for u, z, _ in target.edges if z is None}
-            for u in sorted(reach_vertex[m.expand[v]]):
-                if target.is_box(u) or u in inner_plain:
+            for u in sorted(reach_vertex[e]):
+                if target.is_box(u) or u in plain_sources[e]:
                     continue
                 if u in target.outputs and u in covered:
                     continue

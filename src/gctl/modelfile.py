@@ -12,6 +12,7 @@ Inside a block:
     edge <src>.<exit> -> <dst>;
 
 A box edge names the exit of the expanded machine it leaves through.
+README.md ("Model files") states the accepted grammar exactly.
 """
 
 import re
@@ -19,188 +20,181 @@ import re
 from .errors import ModelSyntaxError
 from .hsm import Machine, Shsm
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_^@+]*"
-_IDENT_RE = re.compile(_IDENT)
-_SEMICOLON_RE = re.compile(r"(;)")
-_BOX_RE = re.compile(rf"({_IDENT})\s+expands\s+({_IDENT})\s*(\[.*\])?")
-_EDGE_RE = re.compile(rf"({_IDENT})(\.({_IDENT}))?\s*->\s*({_IDENT})")
-_NODE_RE = re.compile(rf"({_IDENT})\s*(\[.*\])?")
+_ID = r"[A-Za-z_][A-Za-z0-9_^@+]*"
+_IDENT_RE = re.compile(_ID)
+_COMMENT_RE = re.compile(r"//[^\n]*")
+_MACHINE_WORD_RE = re.compile(r"machine[^\S\n]+([^\s;]+)")
+# A line that starts with 'end' or 'machine <id>' cannot continue a statement.
+_BLOCK_LINE_RE = re.compile(r"\n[^\S\n]*(?:end(?![^\s;])|machine[^\S\n]+[^\s;])")
+_LIST = rf"{_ID}(?:\s*,\s*{_ID})*"
+
+# One statement after whitespace and stray ';'.  Its kind is the name of
+# the outermost group that matched.
+_STATEMENT_RE = re.compile(rf"""[\s;]*(?:
+    (?P<edge>edge\s+(?P<src>{_ID})(?:\.(?P<exit>{_ID}))?\s*->\s*(?P<dst>{_ID})\s*;)
+  | (?P<vertex>(?:node|(?P<box>box))\s+(?P<name>{_ID})
+        (?(box)\s+expands\s+(?P<target>{_ID}))
+        \s*(?:\[\s*(?:(?P<props>{_LIST})\s*)?\]\s*)?;)
+  | (?P<init>init\s+(?P<initial>{_ID})\s*;)
+  | (?P<out>out(?:\s+(?P<outputs>{_LIST}))?\s*;)
+  | (?P<machine>machine(?:[^\S\n]+(?P<id>{_ID})(?![^\s;])
+        |\s+(?P<id_on_next_line>{_ID})\s*;))
+  | (?P<end>end)(?![^\s;])
+  | (?P<eof>\Z)
+  | (?P<bad>)
+)""", re.VERBOSE)
+
+# What follows 'node' or 'box', matched on a rejected statement with its
+# whitespace collapsed, to tell which part of it is wrong.
+_VERTEX_SHAPES = {
+    "node": (re.compile(rf"{_ID}\s*(?P<props>\[.*\])?"),
+             "expected '<vertex> [props]'"),
+    "box": (re.compile(
+        rf"(?P<v>{_ID})\s+expands\s+(?P<target>{_ID})\s*(?P<props>\[.*\])?"),
+            "expected 'box <vertex> expands <machine-id> [props]'"),
+}
 
 
-class _Lines:
-    """Statement stream: comments stripped, statements split on ';'/block
-    keywords, each tagged with its source line for error messages."""
-
-    def __init__(self, text):
-        self.statements = []
-        buffer = []
-        buffer_line = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("//", 1)[0]
-            for piece in _SEMICOLON_RE.split(line):
-                if piece == ";":
-                    # A bare ';' separates nothing.
-                    if buffer:
-                        self.statements.append(
-                            (" ".join(buffer).strip(), buffer_line or lineno))
-                    buffer = []
-                    buffer_line = None
-                    continue
-                piece = piece.strip()
-                if not piece:
-                    continue
-                # 'machine X' and 'end' stand alone without semicolons.
-                for word in _split_block_words(piece):
-                    if word in ("end",) or word.startswith("machine "):
-                        if buffer:
-                            raise ModelSyntaxError(
-                                f"statement {' '.join(buffer)!r} is missing ';'",
-                                buffer_line or lineno)
-                        self.statements.append((word, lineno))
-                    else:
-                        if not buffer:
-                            buffer_line = lineno
-                        buffer.append(word)
-        if buffer:
-            raise ModelSyntaxError(
-                f"statement {' '.join(buffer)!r} is missing ';'", buffer_line)
+def _line(text, pos):
+    return text.count("\n", 0, pos) + 1
 
 
-def _split_block_words(piece):
-    """Separate 'machine <id>' and 'end' tokens from statement text."""
-    out = []
-    tokens = piece.split()
-    i = 0
-    while i < len(tokens):
-        if tokens[i] == "machine" and i + 1 < len(tokens):
-            out.append(f"machine {tokens[i + 1]}")
-            i += 2
-        elif tokens[i] == "end":
-            out.append("end")
-            i += 1
-        else:
-            # Re-join the rest as one fragment; statement text keeps spaces.
-            out.append(" ".join(tokens[i:]))
-            break
-    return out
-
-
-def _check_ident(name, line, what="name"):
-    if not _IDENT_RE.fullmatch(name):
-        raise ModelSyntaxError(f"invalid {what} {name!r}", line)
-    return name
+def _items(group):
+    return map(str.strip, group.split(",")) if group else ()
 
 
 def parse_model(text: str) -> Shsm:
-    statements = _Lines(text).statements
+    text = _COMMENT_RE.sub("", text.replace("\r\n", "\n").replace("\r", "\n"))
     machines = []
-    by_name = {}
-    current = None
-
-    def finish():
-        nonlocal current
-        if current is None:
-            return
-        name, line, init, outs, vertices, labels, expand, raw_edges = current
-        if init is None:
-            raise ModelSyntaxError(f"machine {name} has no 'init'", line)
-        edges = []
-        for u, z, v, eline in raw_edges:
-            for end in (u, v):
-                if end not in labels:
-                    raise ModelSyntaxError(
-                        f"edge references undeclared vertex {end!r}", eline)
-            edges.append((u, z, v))
-        machines.append(Machine(name, vertices, init, outs, labels, expand, edges))
-        by_name[name] = len(machines)
-        current = None
-
-    for stmt, line in statements:
-        if stmt.startswith("machine "):
-            finish()
-            name = _check_ident(stmt.split(None, 1)[1], line, "machine id")
-            if name in by_name:
-                raise ModelSyntaxError(f"duplicate machine id {name!r}", line)
-            current = (name, line, None, [], [], {}, {}, [])
-            current = list(current)
-            continue
-        if stmt == "end":
+    by_name = {}            # machine id -> 1-based index
+    current = None          # the open block
+    opened = 0              # where the open block's 'machine' stands
+    unchecked = []          # (edge, position) of edges naming later vertices
+    # Each match starts where the last one ended: 'bad' matches if nothing else.
+    for m in _STATEMENT_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "edge":
             if current is None:
-                raise ModelSyntaxError("'end' outside a machine block", line)
-            finish()
-            continue
-        if current is None:
-            raise ModelSyntaxError(f"statement {stmt!r} outside a machine block", line)
-        _parse_statement(stmt, line, current, by_name)
+                _reject(text, m.start(kind), current, by_name)
+            edge = m.group("src", "exit", "dst")
+            if edge[0] not in labels or edge[2] not in labels:
+                unchecked.append((edge, m.start(kind)))
+            edges.append(edge)
+        elif kind == "vertex":
+            v, target, props = m.group("name", "target", "props")
+            expands = 0 if target is None else by_name.get(target)
+            if current is None or expands is None:
+                _reject(text, m.start(kind), current, by_name)
+            if v in labels:
+                raise ModelSyntaxError(
+                    f"vertex {v!r} declared twice", _line(text, m.start(kind)))
+            vertices.append(v)
+            labels[v] = frozenset(_items(props))
+            expand[v] = expands
+        elif kind == "machine":
+            if current is not None:
+                _close(text, current, opened, m.start(), unchecked, by_name, machines)
+            name = m["id"] or m["id_on_next_line"]
+            opened = m.start(kind)
+            if name in by_name:
+                raise ModelSyntaxError(
+                    f"duplicate machine id {name!r}", _line(text, opened))
+            current = Machine(name, [], None, [], {}, {}, [])
+            vertices, labels, expand, edges = (
+                current.vertices, current.labels, current.expand, current.edges)
+        elif kind == "end":
+            if current is None:
+                raise ModelSyntaxError(
+                    "'end' outside a machine block", _line(text, m.start(kind)))
+            _close(text, current, opened, m.start(), unchecked, by_name, machines)
+            current = None
+        elif kind == "eof":
+            break
+        elif current is None or kind == "bad" or (
+                kind == "init" and current.initial is not None):
+            _reject(text, m.start(kind), current, by_name)
+        elif kind == "init":
+            current.initial = m["initial"]
+        else:
+            current.outputs += _items(m["outputs"])
     if current is not None:
-        raise ModelSyntaxError(f"machine {current[0]} is missing 'end'", current[1])
+        _check_lines(text, current, opened, len(text), by_name)
+        raise ModelSyntaxError(
+            f"machine {current.name} is missing 'end'", _line(text, opened))
     if not machines:
         raise ModelSyntaxError("no machines in model", 1)
     return Shsm(machines)
 
 
-def _parse_statement(stmt, line, current, by_name):
-    name, _line, init, outs, vertices, labels, expand, raw_edges = current
-    words = stmt.split(None, 1)
-    keyword = words[0]
-    rest = words[1].strip() if len(words) > 1 else ""
+def _check_lines(text, machine, opened, closed, by_name):
+    """Reject the statement of the block between `opened` and `closed` that
+    runs into a line starting with 'end' or 'machine <id>', if there is one.
+    No such line can start a statement inside a block, as it would close it."""
+    cut = _BLOCK_LINE_RE.search(text, opened, closed)
+    if cut:
+        for m in _STATEMENT_RE.finditer(text, opened):
+            if m.end() > cut.start():
+                _reject(text, m.start(m.lastgroup), machine, by_name)
+
+
+def _close(text, machine, opened, closed, unchecked, by_name, machines):
+    """Check the block of `machine`, which spans `opened` to `closed`, and
+    append it to `machines`."""
+    _check_lines(text, machine, opened, closed, by_name)
+    if machine.initial is None:
+        raise ModelSyntaxError(
+            f"machine {machine.name} has no 'init'", _line(text, opened))
+    for (u, _, v), at in unchecked:
+        for end in (u, v):
+            if end not in machine.labels:
+                raise ModelSyntaxError(
+                    f"edge references undeclared vertex {end!r}", _line(text, at))
+    unchecked.clear()
+    machines.append(machine)
+    by_name[machine.name] = len(machines)
+
+
+def _reject(text, start, current, by_name):
+    """Raise the error of the statement at `start`, which the scan did not
+    match or whose names clash with the model read so far."""
+    line = _line(text, start)
+    word = _MACHINE_WORD_RE.match(text, start)
+    if word:
+        raise ModelSyntaxError(f"invalid machine id {word[1]!r}", line)
+    stop = text.find(";", start)
+    cut = _BLOCK_LINE_RE.search(text, start, len(text) if stop < 0 else stop)
+    if cut or stop < 0:
+        stmt = " ".join(text[start:cut.start() if cut else None].split())
+        raise ModelSyntaxError(f"statement {stmt!r} is missing ';'", line)
+    stmt = " ".join(text[start:stop].split())
+    keyword, _, rest = stmt.partition(" ")
+    if keyword == "machine" and rest:
+        raise ModelSyntaxError(f"invalid machine id {rest!r}", line)
+    if current is None:
+        raise ModelSyntaxError(f"statement {stmt!r} outside a machine block", line)
     if keyword == "init":
-        if current[2] is not None:
-            raise ModelSyntaxError(f"machine {name} has two 'init' lines", line)
-        current[2] = _check_ident(rest, line, "vertex")
-    elif keyword == "out":
-        for v in _split_list(rest, line):
-            outs.append(_check_ident(v, line, "vertex"))
-    elif keyword == "node":
-        v, props = _name_and_props(rest, line)
-        _declare(current, v, frozenset(props), 0, line)
-    elif keyword == "box":
-        m = _BOX_RE.fullmatch(rest)
-        if not m:
+        if current.initial is not None:
             raise ModelSyntaxError(
-                "expected 'box <vertex> expands <machine-id> [props]'", line)
-        v, target, bracket = m.group(1), m.group(2), m.group(3)
-        if target not in by_name:
+                f"machine {current.name} has two 'init' lines", line)
+        raise ModelSyntaxError(f"invalid vertex {rest!r}", line)
+    if keyword == "edge":
+        raise ModelSyntaxError("expected 'edge <src>[.exit] -> <dst>'", line)
+    if keyword in _VERTEX_SHAPES:
+        shape, expected = _VERTEX_SHAPES[keyword]
+        fit = shape.fullmatch(rest)
+        if not fit:
+            raise ModelSyntaxError(expected, line)
+        if keyword == "box" and fit["target"] not in by_name:
             raise ModelSyntaxError(
-                f"box {v!r} expands unknown machine {target!r} "
+                f"box {fit['v']!r} expands unknown machine {fit['target']!r} "
                 f"(machines must be declared bottom-up)", line)
-        props = _split_list(bracket[1:-1], line) if bracket else []
-        _declare(current, v, frozenset(props), by_name[target], line)
-    elif keyword == "edge":
-        m = _EDGE_RE.fullmatch(rest)
-        if not m:
-            raise ModelSyntaxError("expected 'edge <src>[.exit] -> <dst>'", line)
-        raw_edges.append((m.group(1), m.group(3), m.group(4), line))
-    else:
-        raise ModelSyntaxError(f"unknown statement {keyword!r}", line)
-
-
-def _declare(current, v, props, expand_to, line):
-    _, _, _, _, vertices, labels, expand, _ = current
-    if v in labels:
-        raise ModelSyntaxError(f"vertex {v!r} declared twice", line)
-    _check_ident(v, line, "vertex")
-    vertices.append(v)
-    labels[v] = props
-    expand[v] = expand_to
-
-
-def _name_and_props(rest, line):
-    m = _NODE_RE.fullmatch(rest)
-    if not m:
-        raise ModelSyntaxError("expected '<vertex> [props]'", line)
-    props = _split_list(m.group(2)[1:-1], line) if m.group(2) else []
-    return m.group(1), props
-
-
-def _split_list(text, line):
-    text = text.strip()
-    if not text:
-        return []
-    items = [item.strip() for item in text.split(",")]
-    for item in items:
-        _check_ident(item, line, "proposition" if item else "list item")
-    return items
+        rest = (fit["props"] or "[]")[1:-1]
+    if keyword in ("out", "node", "box"):
+        for item in _items(rest.strip()):
+            if not _IDENT_RE.fullmatch(item):
+                what = "proposition" if item else "list item"
+                raise ModelSyntaxError(f"invalid {what} {item!r}", line)
+    raise ModelSyntaxError(f"unknown statement {keyword!r}", line)
 
 
 # ---------------------------------------------------------------------------

@@ -462,3 +462,100 @@ class TestModelFormat:
         from gctl.errors import ModelSyntaxError
         with pytest.raises(ModelSyntaxError):
             parse_model("machine M\n  init a\n  node a;\nend\n")
+
+    # One case per error the parser raises: (model text, message, line).
+    ERRORS = {
+        "missing_semicolon_before_end": (
+            "machine M\n  init a;\n  node a\nend\n",
+            "statement 'node a' is missing ';'", 3),
+        "missing_semicolon_at_eof": (
+            "machine M\n  init a;\n  node a;\n  edge a\n   -> a",
+            "statement 'edge a -> a' is missing ';'", 4),
+        "invalid_name": (
+            "machine M\n  init a;\n  node a [p, 2q];\n  edge a -> a;\nend\n",
+            "invalid proposition '2q'", 3),
+        "no_init": (
+            "// header\nmachine M\n  node a;\n  edge a -> a;\nend\n",
+            "machine M has no 'init'", 2),
+        "undeclared_edge_end": (
+            "machine M\n  init a;\n  node a;\n  edge a -> b;\nend\n",
+            "edge references undeclared vertex 'b'", 4),
+        "duplicate_machine": (
+            "machine M\n  init a;\n  node a;\n  edge a -> a;\nend\n"
+            "machine M\n  init b;\n  node b;\n  edge b -> b;\nend\n",
+            "duplicate machine id 'M'", 6),
+        "end_outside_block": (
+            "machine M\n  init a;\n  node a;\n  edge a -> a;\nend\nend\n",
+            "'end' outside a machine block", 6),
+        "statement_outside_block": (
+            "\n  node a;\nmachine M\n  init a;\nend\n",
+            "statement 'node a' outside a machine block", 2),
+        "missing_end": (
+            "\nmachine M\n  init a;\n  node a;\n  edge a -> a;\n",
+            "machine M is missing 'end'", 2),
+        "no_machines": (
+            "// only a comment\n;\n", "no machines in model", 1),
+        "two_inits": (
+            "machine M\n  init a;\n  node a;\n  init a;\nend\n",
+            "machine M has two 'init' lines", 4),
+        "malformed_box": (
+            "machine M\n  init a;\n  node a;\n  box b M;\nend\n",
+            "expected 'box <vertex> expands <machine-id> [props]'", 4),
+        "unknown_box_target": (
+            "machine A\n  init a;\n  node a;\n  box b expands B;\nend\n",
+            "box 'b' expands unknown machine 'B' "
+            "(machines must be declared bottom-up)", 4),
+        "malformed_edge": (
+            "machine M\n  init a;\n  node a;\n  edge a a;\nend\n",
+            "expected 'edge <src>[.exit] -> <dst>'", 4),
+        "unknown_statement": (
+            "machine M\n  init a;\n  state a;\nend\n",
+            "unknown statement 'state'", 3),
+        "vertex_declared_twice": (
+            "machine M\n  init a;\n  node a;\n  node a [p];\nend\n",
+            "vertex 'a' declared twice", 4),
+        "malformed_node": (
+            "machine M\n  init a;\n  node a b;\nend\n",
+            "expected '<vertex> [props]'", 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_error_message_and_line(self, case):
+        from gctl.errors import ModelSyntaxError
+        text, message, line = self.ERRORS[case]
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(text)
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("machine M\n  init a;\n  node\nend;\n  edge a -> a;\nend\n",
+         "statement 'node' is missing ';'", 3),
+        ("machine M\n  init a;\n  node a [p,\n  end ];\n",
+         "statement 'node a [p,' is missing ';'", 3),
+        ("machine\nend;\n  init a;\n  node a;\nend\n",
+         "statement 'machine' is missing ';'", 1),
+    ])
+    def test_line_starting_block_word_ends_statement(self, text, message,
+                                                     line):
+        from gctl.errors import ModelSyntaxError
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(text)
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_keywords_are_not_reserved(self):
+        model = parse_model("machine end\n  init end; node end [node];\n"
+                            "  edge end -> end;\nend\n")
+        assert model.machines[0].name == "end"
+        assert model.machines[0].label("end") == {"node"}
+
+    @pytest.mark.parametrize("spec", [
+        (4, 2, 3, 2, 3, 11, True),
+        (4, 2, 3, 2, 3, 11, False),
+        (6, 3, 2, 3, 4, 12, True),
+        (1500, 1, 1, 1, 1, 13, False),
+    ])
+    def test_render_parse_roundtrip_random(self, spec):
+        *shape, seed, scoped = spec
+        model = random_shsm(*shape, seed, scope_labels=scoped)
+        assert parse_model(render_model(model)) == model

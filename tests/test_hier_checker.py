@@ -339,7 +339,7 @@ class TestCopyStatistics:
         ("fig2", "A<=1 G !p1", False, 4,
          [(1, 1, 3), (1, 1, 3), (1, 1, 3), (1, 1, 3), (1, 2, 4), (1, 1, 4)]),
         ("retry", "A<=1 [!abort U success]", True, 2,
-         [(1, 1, 2)] * 10),
+         [(1, 1, 2)] * 9),
         ("retry", "E>2 X (E G !abort)", False, 3,
          [(1, 1, 2), (1, 1, 2), (2, 1, 3), (1, 1, 3)]),
         ((4, 2, 3, 2, 3, 1253, False), "A<=3 F p2", True, 8,
@@ -358,7 +358,7 @@ class TestCopyStatistics:
         ((3, 2, 1, 2, 3, 1261, False),
          "A<=2 [A<=2 G A<=2 [p1 U p0] U p0]", False, 5,
          [(1, 1, 3)] * 8 + [(2, 1, 4)] + [(1, 1, 4)] * 5
-         + [(1, 2, 5)] + [(1, 1, 5)] * 4),
+         + [(1, 2, 5)] + [(1, 1, 5)] * 3),
         ((8, 1, 1, 2, 2, 1, False), "E>2 F (p1 & E>1 X p0)", False, 10,
          [(1, 1, 8), (1, 1, 8), (1, 1, 8), (1, 2, 10), (1, 1, 10),
           (1, 1, 10)]),
