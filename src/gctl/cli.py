@@ -15,8 +15,9 @@ from functools import cache, reduce
 
 from .errors import (CapacityError, FormulaSyntaxError, ModelSyntaxError,
                      ValidationError)
-# counterexamples_for and extract_evidences stay attributes of this module
-# so that instrumentation wrapping them here keeps working.
+# The CLI calls neither counterexamples_for nor extract_evidences; they stay
+# attributes of this module only so that the benchmark tracer's hooks on
+# them (perfbench/tracing.py) resolve.
 from .evidence import (counterexamples_for, extract_evidences,
                        serialize_trace, trace_forms, traces_for)
 from .flat_checker import check_flat
@@ -127,14 +128,6 @@ def _formula_from(args):
     return text.strip(), parse_formula(text)
 
 
-def _run_flat(model, f, budget):
-    ks = flatten(model, budget=budget)
-    table = check_flat(ks, f)
-    per_sub = [(render(g), table.millis[i])
-               for i, g in enumerate(table.subformulas)]
-    return table.root_row()[ks.initial], ks, table, per_sub
-
-
 def _extract_traces(model, f, verdict, witnesses, report, ks, table, w):
     """Traces for the verdict, named by the input model's flattening.  They
     are read off the flat engine's flattening and table when it ran, else
@@ -170,10 +163,10 @@ def cmd_check(args):
     report = CheckReport(formula=text, engine=engine, result=False)
     ks = table = w = None
     if engine in ("flat", "both"):
-        verdict, ks, table, per_sub = _run_flat(model, f, budget)
-        report.result = verdict
+        ks = flatten(model, budget=budget)
+        table = check_flat(ks, f)
+        report.result = table.root_row()[ks.initial]
         report.flat_states = ks.n_states
-        report.per_subformula = per_sub
     if engine in ("hier", "both"):
         verdict_h, w = check_hier(model, f)
         if engine == "both" and verdict_h != report.result:
@@ -182,8 +175,9 @@ def cmd_check(args):
             return EXIT_INTERNAL
         report.result = verdict_h
         report.copies = len(w.machines)
-        if not report.per_subformula:
-            report.per_subformula = [(st.op, st.millis) for st in w.stats]
+    labelled = table or w     # the flat run's times when both engines ran
+    report.per_subformula = [(render(g), labelled.millis[i])
+                             for g, i in labelled.index.items()]
     report.traces = _extract_traces(model, f, report.result, args.witnesses,
                                     report, ks, table, w)
     report.millis = (time.perf_counter() - started) * 1000.0

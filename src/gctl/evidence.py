@@ -56,42 +56,10 @@ def serialize_trace(trace: EvidenceTrace) -> str:
 # Extraction reads a structure through a view: `initial`, `succ(s)` in a
 # fixed order, `name(s)` and its inverse `locate(name)`, `holds(g, s)` for
 # every subformula g of the forms to extract, and `count(g, s)`, the capped
-# evidence count of their E X / E G / E U subformulas.  FlatView backs it
-# with a flattening and its SatTable; gctl.hier_checker.HierView with the
-# machine copies of one check_hier run, without flattening.
+# evidence count of their E X / E G / E U subformulas.  A flat engine's
+# SatTable is one over its Kripke structure; gctl.hier_checker.HierView is
+# one over the machine copies of one check_hier run, without flattening.
 # ---------------------------------------------------------------------------
-
-
-class FlatView:
-    """A Kripke structure labelled by a SatTable."""
-
-    def __init__(self, ks: KripkeStructure, table: SatTable):
-        self.ks = ks
-        self.table = table
-        self.initial = ks.initial
-        self._rows = {}     # formula -> its sat row, looked up once
-        self._counts = {}
-
-    def succ(self, s):
-        return self.ks.succ[s]
-
-    def name(self, s):
-        return self.ks.names[s]
-
-    def locate(self, name):
-        return self.ks.index_of(name)
-
-    def holds(self, g, s):
-        row = self._rows.get(g)
-        if row is None:
-            row = self._rows[g] = self.table.row(g)
-        return row[s]
-
-    def count(self, g, s):
-        row = self._counts.get(g)
-        if row is None:
-            row = self._counts[g] = self.table.count_row(g)
-        return row[s]
 
 
 def _labelled(ks, forms, table):
@@ -103,11 +71,11 @@ def _labelled(ks, forms, table):
 
 
 def _view(ks, forms, table):
-    """`ks` itself when it is a view, else its FlatView over `table` or,
-    when that does not label every form, over one check of the forms."""
+    """`ks` itself when it is a view, else `table` or, when that does not
+    label every form, one check of the forms."""
     if not isinstance(ks, KripkeStructure):
         return ks
-    return FlatView(ks, _labelled(ks, forms, table))
+    return _labelled(ks, forms, table)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import OracleLimitError
 from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
-                      TrueF, evaluate, is_normalized, normalize)
+                      TrueF, evaluate, normalize)
 from .kripke import KripkeStructure
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,6 @@ def count_next(ks: KripkeStructure, s: int, sat1, cap: int) -> int:
     return c
 
 
-# The two counts under their public names.
-count_globally = globally_analysis
-count_until = until_analysis
-
-
 # ---------------------------------------------------------------------------
 # The full checker
 # ---------------------------------------------------------------------------
@@ -200,27 +195,50 @@ count_until = until_analysis
 
 @dataclass
 class SatTable:
-    """Satisfaction table of all subformulas of one normalized formula."""
+    """Satisfaction table of all subformulas of one normalized formula.
+
+    It is also the state view trace extraction walks (see gctl.evidence):
+    `initial`, `succ`, `name`, `locate`, `holds` and `count` over `ks`."""
 
     ks: KripkeStructure
     root: object
-    subformulas: list = field(default_factory=list)
     index: dict = field(default_factory=dict)
     sat: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
     millis: list = field(default_factory=list)
 
-    def row(self, f):
-        return self.sat[self.index[normalize(f)]]
+    def _key(self, f):
+        """Position of f, looked up as given before normalizing it."""
+        i = self.index.get(f)
+        return self.index[normalize(f)] if i is None else i
 
-    def holds(self, f, s):
-        return self.row(f)[s]
+    def row(self, f):
+        return self.sat[self._key(f)]
 
     def root_row(self):
         return self.sat[self.index[self.root]]
 
     def count_row(self, f):
-        return self.counts[self.index[normalize(f)]]
+        return self.counts[self._key(f)]
+
+    @property
+    def initial(self):
+        return self.ks.initial
+
+    def succ(self, s):
+        return self.ks.succ[s]
+
+    def name(self, s):
+        return self.ks.names[s]
+
+    def locate(self, name):
+        return self.ks.index_of(name)
+
+    def holds(self, f, s):
+        return self.sat[self._key(f)][s]
+
+    def count(self, f, s):
+        return self.counts[self._key(f)][s]
 
 
 def _row_ops(ks: KripkeStructure, rows, counts, path_counts):
@@ -255,7 +273,7 @@ def _row_ops(ks: KripkeStructure, rows, counts, path_counts):
 
 def check_flat(ks: KripkeStructure, f) -> SatTable:
     """Label every state with every subformula of f (normalized first)."""
-    root = f if is_normalized(f) else normalize(f)
+    root = normalize(f)
     table = SatTable(ks=ks, root=root)
     n = ks.n_states
     ops = _row_ops(ks, table.sat, table.counts, {
@@ -266,7 +284,6 @@ def check_flat(ks: KripkeStructure, f) -> SatTable:
                                                        g.grade),
     })
     table.index, table.millis = evaluate(root, ops, table.sat)
-    table.subformulas = list(table.index)
     return table
 
 

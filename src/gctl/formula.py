@@ -417,9 +417,10 @@ def _quant_text(f):
 
 # ---------------------------------------------------------------------------
 # Normalization into the minimal existential fragment: Atom, TrueF, Not, And,
-# ExistsX, ExistsG, ExistsU.  ForallU with grade > 0 has no compact rewrite
-# and is kept as a primitive node; the engines decide it by counting the two
-# families of violating paths (see flat_checker).
+# ExistsX, ExistsG, ExistsU, plus ForallU of every grade, which has no
+# rewrite in graded CTL and is kept as a primitive node; the engines decide
+# it by counting its two `violation_families` of violating paths.
+# normalize is the identity on its own output.
 # ---------------------------------------------------------------------------
 
 
@@ -451,32 +452,8 @@ def normalize(f: Formula) -> Formula:
     if isinstance(f, ForallF):
         return Not(ExistsG(f.grade, Not(normalize(f.child))))
     if isinstance(f, ForallU):
-        left, right = normalize(f.left), normalize(f.right)
-        if f.grade == 0:
-            # A[a U b] == !(EG !b | E[!b U (!a & !b)]), pushed into the
-            # Or-free fragment.
-            return And(
-                Not(ExistsG(0, Not(right))),
-                Not(ExistsU(0, Not(right), And(Not(left), Not(right)))),
-            )
-        return ForallU(f.grade, left, right)
+        return ForallU(f.grade, normalize(f.left), normalize(f.right))
     raise TypeError(f"not a formula: {f!r}")
-
-
-def is_normalized(f: Formula) -> bool:
-    if isinstance(f, (Atom, TrueF)):
-        return True
-    if isinstance(f, Not):
-        return is_normalized(f.child)
-    if isinstance(f, And):
-        return is_normalized(f.left) and is_normalized(f.right)
-    if isinstance(f, (ExistsX, ExistsG)):
-        return is_normalized(f.child)
-    if isinstance(f, ExistsU):
-        return is_normalized(f.left) and is_normalized(f.right)
-    if isinstance(f, ForallU):
-        return f.grade > 0 and is_normalized(f.left) and is_normalized(f.right)
-    return False
 
 
 def subformulas_bottom_up(f: Formula) -> list:
@@ -520,39 +497,34 @@ def _negate(f):
 def evaluate(root: Formula, ops: dict, labels: list = None):
     """Label the subformulas of a normalized formula bottom-up.
 
+    Positions number the subformulas in labelling order, children first.
     For each subformula g at position i this calls
     ``ops[type(g)](g, i, *operand positions)``; the operands of an
-    ``A<=k U`` node are its two `violation_families` forms, labelled before
-    it.  The root's subformulas keep their `subformulas_bottom_up`
-    positions; family forms not among them take the positions after.  When
-    `labels` is given it gets one slot per position, holding what the hook
-    returned.  Returns (subformula -> position, milliseconds per position).
+    ``A<=k U`` node are its two `violation_families` forms, labelled after
+    its children and before it.  When `labels` is given it gets one slot per
+    position, holding what the hook returned.  Returns (subformula ->
+    position, in position order; milliseconds each hook took, by position).
     """
-    subs = subformulas_bottom_up(root)
-    index = {g: i for i, g in enumerate(subs)}
-    order = []          # positions in labelling order; repeats are skipped
-    families = {}       # position of an A<=k U node -> its families' positions
-    for i, g in enumerate(subs):
-        if isinstance(g, ForallU):
-            forms = violation_families(g)
-            for form in forms:
-                order += (index.setdefault(h, len(index))
-                          for h in subformulas_bottom_up(form))
-            families[i] = [index[form] for form in forms]
-        order.append(i)
-    forms = list(index)
-    millis = [0.0] * len(forms)
+    index = {}
+    operands = []       # per position
+
+    def visit(g):
+        i = index.get(g)
+        if i is None:
+            args = [visit(h) for h in children(g)]
+            if isinstance(g, ForallU):
+                args = [visit(h) for h in violation_families(g)]
+            i = index[g] = len(operands)
+            operands.append(args)
+        return i
+
+    visit(root)
+    millis = [0.0] * len(index)
     if labels is not None:
-        labels[:] = [None] * len(forms)
-    done = [False] * len(forms)
-    for i in order:
-        if done[i]:
-            continue
-        done[i] = True
-        g = forms[i]
-        operands = families.get(i) or [index[h] for h in children(g)]
+        labels[:] = [None] * len(index)
+    for g, i in index.items():
         started = time.perf_counter()
-        label = ops[type(g)](g, i, *operands)
+        label = ops[type(g)](g, i, *operands[i])
         millis[i] = (time.perf_counter() - started) * 1000.0
         if labels is not None:
             labels[i] = label

@@ -14,14 +14,13 @@ Box rewiring picks the copy matching the counts of each box's actual exit
 successors, so flags can be read off vertices afterwards.
 """
 
-import time
 from dataclasses import dataclass, field
 from functools import cache
 
 from . import flat_checker
 from .errors import CapacityError
 from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
-                      TrueF, evaluate, is_normalized, normalize, render)
+                      TrueF, evaluate, normalize, render)
 from .formula import atoms as formula_atoms
 from .hsm import Machine, Shsm, is_hsm, reduce_to_hsm, restrict_ap
 
@@ -111,6 +110,13 @@ class WorkMachine:
                            self.expand, self.entry, self.outs, self.adj,
                            {**self.flags, **flags}, {**self.counts, **counts})
 
+    def count(self, key, pos):
+        """Capped evidence count at vertex pos of the E X / E G / E U form
+        flagged by key; grade-0 G and U passes keep only flags, whose cap
+        is 1."""
+        counts = self.counts.get(key)
+        return int(self.flags[key][pos]) if counts is None else counts[pos]
+
 
 @dataclass
 class PassStats:
@@ -120,7 +126,6 @@ class PassStats:
     grade0_factor: int
     context_factor: int
     machines_after: int
-    millis: float
 
 
 @dataclass
@@ -133,6 +138,7 @@ class SpecializedHsm:
     stats: list = field(default_factory=list)
     copy_budget: int = DEFAULT_COPY_BUDGET
     index: dict = field(default_factory=dict)   # subformula -> flag key
+    millis: list = field(default_factory=list)  # per flag key, from evaluate
     reduction: dict = None   # ReducedHsm.index of a scope-labelled input
 
     @property
@@ -183,8 +189,7 @@ def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
     return SpecializedHsm(machines, copy_budget=copy_budget)
 
 
-def _specialize(w, top_context, label, op, kind, grade, grade0_factor,
-                started):
+def _specialize(w, top_context, label, op, kind, grade, grade0_factor):
     """Copy each machine once per context demanded of it, rewire every box
     to the copy of its own context and record the pass statistics.
 
@@ -220,8 +225,7 @@ def _specialize(w, top_context, label, op, kind, grade, grade0_factor,
         new_machines[first[mi] + i] = copy
     out = SpecializedHsm(new_machines, w.stats, w.copy_budget)
     out.stats.append(PassStats(op, kind, grade, grade0_factor,
-                               max(map(len, demanded)), len(new_machines),
-                               (time.perf_counter() - started) * 1000.0))
+                               max(map(len, demanded)), len(new_machines)))
     return out
 
 
@@ -238,7 +242,6 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
     machines are copied per capped exit-count map and boxes rewired to the
     copy matching their own successors.
     """
-    started = time.perf_counter()
     cap = grade + 1
     machines = w.machines
 
@@ -267,7 +270,7 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
                 box_g)
 
     top_context = (0,) * len(machines[-1].outs)
-    return _specialize(w, top_context, label, op, "X", grade, 1, started)
+    return _specialize(w, top_context, label, op, "X", grade, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +359,13 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
                 op="E0") -> SpecializedHsm:
     """Classical (grade-0) hierarchical pass: specialize machines per set of
     continuing exits so the flag becomes context-free."""
-    started = time.perf_counter()
     solve = _grade0_solutions(w.machines, kind, th1_key, th2_key)
 
     def label(mi, y):
         flags, mask = solve(mi, y)
         return {psi_key: flags}, {}, mask
 
-    out = _specialize(w, 0, label, op, f"{kind}0", 0, 1, started)
+    out = _specialize(w, 0, label, op, f"{kind}0", 0, 1)
     stats = out.stats[-1]
     stats.grade0_factor, stats.context_factor = stats.context_factor, 1
     return out
@@ -562,7 +564,6 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     w = grade0_pass(w, mode, th1_key, th2_key, psi1_key, op=op)
     grade0_factor = w.stats.pop().grade0_factor
 
-    started = time.perf_counter()
     cap = grade + 1
     machines = w.machines
     until = mode == "U"
@@ -635,8 +636,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
                 box_g)
 
     top_context = (0,) * len(machines[-1].outs)
-    return _specialize(w, top_context, label, op, mode, grade, grade0_factor,
-                       started)
+    return _specialize(w, top_context, label, op, mode, grade, grade0_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +656,7 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
     Scope-labeled models are first reduced to plain hierarchy over the
     formula's atoms.
     """
-    root = f if is_normalized(f) else normalize(f)
+    root = normalize(f)
     reduction = None
     if not is_hsm(model):
         ap = formula_atoms(root)
@@ -667,11 +667,9 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
     def boolean(flag):
         """A hook labelling every vertex with `flag(g, *operands)(m, pos)`."""
         def op(g, i, *operands):
-            started = time.perf_counter()
             _bool_pass(w, flag(g, *operands), i)
             w.stats.append(PassStats(render(g), "bool", 0, 1, 1,
-                                     len(w.machines),
-                                     (time.perf_counter() - started) * 1000.0))
+                                     len(w.machines)))
         return op
 
     def next_op(g, i, child):
@@ -688,7 +686,7 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
                                    op=render(g))
         return op
 
-    index, _millis = evaluate(root, {
+    index, millis = evaluate(root, {
         Atom: boolean(lambda g: lambda m, p: g.name in m.labels[p]),
         TrueF: boolean(lambda g: lambda m, p: True),
         Not: boolean(lambda g, c: lambda m, p: not m.flags[c][p]),
@@ -700,9 +698,9 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
         # A<=k U holds where its two violation families' capped counts
         # sum to at most k.
         ForallU: boolean(lambda g, fg, fu: lambda m, p:
-                         m.counts[fg][p] + m.counts[fu][p] <= g.grade),
+                         m.count(fg, p) + m.count(fu, p) <= g.grade),
     })
-    w.index, w.reduction = index, reduction
+    w.index, w.millis, w.reduction = index, millis, reduction
     return w.flag_of_entry(index[root]), w
 
 
@@ -783,10 +781,6 @@ class HierView:
         return self.machines[mi].flags[self._key(g)][pos]
 
     def count(self, g, s):
-        """Capped evidence count of an E X / E G / E U subformula; grade-0
-        G and U passes keep only flags, whose cap is 1."""
+        """Capped evidence count of an E X / E G / E U subformula."""
         mi, pos = s[-1]
-        m = self.machines[mi]
-        key = self._key(g)
-        counts = m.counts.get(key)
-        return int(m.flags[key][pos]) if counts is None else counts[pos]
+        return self.machines[mi].count(self._key(g), pos)

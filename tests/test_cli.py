@@ -8,6 +8,7 @@ import pytest
 import gctl.cli
 import gctl.evidence
 import gctl.flat_checker
+import gctl.hier_checker
 from gctl.cli import main
 from gctl.gen import random_shsm
 from gctl.hsm import flatten
@@ -146,6 +147,42 @@ class TestCheck:
         assert code == 0 and len(doc["traces"]) == 2
         assert doc["stats"]["millis"] >= 50.0
 
+    @staticmethod
+    def _subformula_rows(out):
+        """(milliseconds, subformula text) per row of a text report."""
+        rows = out.split("subformulas:\n", 1)[1].splitlines()
+        return [(float(ms), text) for ms, text in
+                (row.split(" ms  ", 1) for row in rows
+                 if row.startswith("  ") and " ms  " in row)]
+
+    def test_engines_list_subformulas_in_labelling_order(self, capsys):
+        texts = {}
+        for engine in ("flat", "hier"):
+            assert main(["check", "--model", RETRY, "--formula",
+                         "A<=1 [!abort U success]", "--engine", engine]) == 0
+            texts[engine] = [text for _ms, text in
+                             self._subformula_rows(capsys.readouterr().out)]
+        assert texts["flat"] == texts["hier"]
+        # The violation families are labelled before the A<=1 U row.
+        rows = texts["flat"]
+        assert rows[-1] == "A<=1 [!abort U success]"
+        assert "E>1 G (!abort & !success)" in rows[:-1]
+
+    def test_subformula_time_covers_its_grade0_pass(self, capsys,
+                                                     monkeypatch):
+        grade0_pass = gctl.hier_checker.grade0_pass
+
+        def slow(*args, **kwargs):
+            time.sleep(0.02)
+            return grade0_pass(*args, **kwargs)
+
+        monkeypatch.setattr(gctl.hier_checker, "grade0_pass", slow)
+        assert main(["check", "--model", FIG2, "--formula", "E>1 G true",
+                     "--engine", "hier"]) == 0
+        rows = dict((text, ms) for ms, text in
+                    self._subformula_rows(capsys.readouterr().out))
+        assert rows["E>1 G true"] >= 20.0
+
 
 class TestTraceWork:
     """Flattening, flat and hierarchical checking done per `check` request.
@@ -220,6 +257,18 @@ class TestTraceWork:
         # of these A formulas need a run of their own.
         assert calls["check_hier"] == (1 if code == 0 else 2)
         assert calls["reanalysis"] == 0
+
+    @pytest.mark.parametrize("formula", ["A [true U ack]",
+                                         "A [!abort U success]"])
+    def test_failed_grade0_forall_until_trace_from_the_verdict_run(
+            self, calls, capsys, formula):
+        # The verdict run labels the grade-0 violation families of A U,
+        # which are the trace forms for one counterexample.
+        assert self._check("retry", formula, "--engine", "hier",
+                           witnesses="1") == 1
+        assert len(json.loads(capsys.readouterr().out)["traces"]) == 1
+        assert calls["check_hier"] == 1
+        assert calls["flatten"] == 0 and calls["check_flat"] == 0
 
     def test_traces_beyond_any_flattening(self, calls, capsys, tmp_path):
         # About 3 * 10^12 flat states.

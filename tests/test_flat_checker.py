@@ -3,9 +3,9 @@ import random
 import pytest
 
 from gctl.errors import OracleLimitError
-from gctl.flat_checker import (check_flat, count_globally, count_next,
-                               count_until, oracle_check, oracle_count,
-                               tarjan_scc)
+from gctl.flat_checker import (check_flat, count_next, globally_analysis,
+                               oracle_check, oracle_count, tarjan_scc,
+                               until_analysis)
 from gctl.formula import (Atom, ExistsG, ExistsU, ForallU, TrueF,
                           parse_formula)
 from gctl.gen import random_kripke
@@ -59,31 +59,31 @@ class TestCountNext:
 
 class TestCountGlobally:
     def test_lasso_counts_two(self, lasso):
-        assert count_globally(lasso, [True] * 3, 1)[0] == 2
-        assert count_globally(lasso, [True] * 3, 2)[0] == 2
+        assert globally_analysis(lasso, [True] * 3, 1)[0] == 2
+        assert globally_analysis(lasso, [True] * 3, 2)[0] == 2
 
     def test_branching_cycle_saturates(self, branch_cycle):
         for k in range(4):
-            assert count_globally(branch_cycle, [True] * 2, k)[0] == k + 1
+            assert globally_analysis(branch_cycle, [True] * 2, k)[0] == k + 1
 
     def test_no_sat_anywhere(self, lasso):
-        assert count_globally(lasso, [False] * 3, 2) == [0, 0, 0]
+        assert globally_analysis(lasso, [False] * 3, 2) == [0, 0, 0]
 
 
 class TestCountUntil:
     def test_diamond(self, diamond):
         p = [True] * 4
         q = [False, False, False, True]
-        assert count_until(diamond, p, q, 2)[0] == 2
+        assert until_analysis(diamond, p, q, 2)[0] == 2
 
     def test_prefix_rule(self, diamond):
         # A target holding at the start adds nothing beside its extensions.
         p = [True] * 4
         q = [True, False, False, True]
-        assert count_until(diamond, p, q, 2)[0] == 2
+        assert until_analysis(diamond, p, q, 2)[0] == 2
 
     def test_empty_target(self, diamond):
-        assert count_until(diamond, [True] * 4, [False] * 4, 2) == [0] * 4
+        assert until_analysis(diamond, [True] * 4, [False] * 4, 2) == [0] * 4
 
 
 class TestCheckFlat:
@@ -151,8 +151,8 @@ class TestFlatProperties:
             p = [("p" in l) for l in k.labels]
             q = [("q" in l) for l in k.labels]
             for counts_lo, counts_hi in [
-                (count_globally(k, p, 1), count_globally(k, p, 2)),
-                (count_until(k, p, q, 1), count_until(k, p, q, 2)),
+                (globally_analysis(k, p, 1), globally_analysis(k, p, 2)),
+                (until_analysis(k, p, q, 1), until_analysis(k, p, q, 2)),
             ]:
                 for lo, hi in zip(counts_lo, counts_hi):
                     assert (lo >= 2) <= (hi >= 2)
@@ -163,8 +163,8 @@ class TestFlatProperties:
             k = random_kripke(6, seed)
             p = [("p" in l) for l in k.labels]
             q = [("q" in l) for l in k.labels]
-            eg = [c >= 1 for c in count_globally(k, p, 0)]
-            eu = [c >= 1 for c in count_until(k, p, q, 0)]
+            eg = [c >= 1 for c in globally_analysis(k, p, 0)]
+            eu = [c >= 1 for c in until_analysis(k, p, q, 0)]
             assert eg == _classical_eg(k, p)
             assert eu == _classical_eu(k, p, q)
 
@@ -175,7 +175,7 @@ class TestFlatProperties:
             p = [("p" in l) for l in k.labels]
             q = [("q" in l) for l in k.labels]
             for grade in (0, 1, 3):
-                c = count_until(k, p, q, grade)
+                c = until_analysis(k, p, q, grade)
                 for s in range(k.n_states):
                     assert c[s] == oracle_count(k, s, "U", grade, p, q)
 

@@ -5,11 +5,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gctl.flat_checker import (ORACLE_MAX_STATES, check_flat, count_globally,
-                               count_next, count_until, oracle_check,
-                               oracle_count)
-from gctl.formula import (Atom, ExistsG, ExistsU, ExistsX, ForallF, ForallG,
-                          ForallU, ForallX, Not, TrueF, render)
+from gctl.flat_checker import (ORACLE_MAX_STATES, check_flat, count_next,
+                               globally_analysis, oracle_check, oracle_count,
+                               until_analysis)
+from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallF,
+                          ForallG, ForallU, ForallX, Not, TrueF, render)
 from gctl.gen import random_formula, random_kripke, random_shsm
 from gctl.hier_checker import check_hier
 from gctl.hsm import flat_size, flatten
@@ -27,7 +27,7 @@ class TestCountsAgainstOracle:
     @given(small_structures(), st.integers(min_value=0, max_value=3))
     def test_globally_counts(self, ks, grade):
         p = [("p" in l) for l in ks.labels]
-        counts = count_globally(ks, p, grade)
+        counts = globally_analysis(ks, p, grade)
         for s in range(ks.n_states):
             assert counts[s] == oracle_count(ks, s, "G", grade, p)
 
@@ -36,7 +36,7 @@ class TestCountsAgainstOracle:
     def test_until_counts(self, ks, grade):
         p = [("p" in l) for l in ks.labels]
         q = [("q" in l) for l in ks.labels]
-        counts = count_until(ks, p, q, grade)
+        counts = until_analysis(ks, p, q, grade)
         for s in range(ks.n_states):
             assert counts[s] == oracle_count(ks, s, "U", grade, p, q)
 
@@ -100,8 +100,9 @@ class TestDualities:
 
 class TestGradedForallUntil:
     """`A<=k U` for k >= 1 has no rewrite into the existential fragment:
-    every decider counts its two violation families.  The oracle counts
-    them by enumeration, the flat and hierarchical engines by analysis."""
+    every decider counts its two violation families, at grade 0 too.  The
+    oracle counts them by enumeration, the flat and hierarchical engines by
+    analysis."""
 
     def test_three_deciders_agree(self):
         verdicts = []
@@ -123,3 +124,33 @@ class TestGradedForallUntil:
                     (seed, render(f))
                 verdicts.append(rows[ks.initial])
         assert len(verdicts) >= 250 and verdicts.count(False) >= 25
+
+    def test_grade0_equals_classical_rewrite(self):
+        # A [l U r] == !E G !r & !E [!r U (!l & !r)], judged by each decider
+        # on the same model; the oracle only where the flattening is small.
+        verdicts = []
+        oracle_cases = 0
+        for seed in range(160):
+            rng = random.Random(seed)
+            model = random_shsm(rng.randint(1, 3), rng.randint(0, 2),
+                                rng.randint(1, 2), rng.randint(1, 2), 2,
+                                seed + 8000, scope_labels=seed % 2 == 0)
+            left, right = (random_formula(rng, ["p0", "p1"], depth=1)
+                           for _ in range(2))
+            f = ForallU(0, left, right)
+            rewrite = And(Not(ExistsG(0, Not(right))),
+                          Not(ExistsU(0, Not(right),
+                                      And(Not(left), Not(right)))))
+            ks = flatten(model)
+            rows = check_flat(ks, f).root_row()
+            assert rows == check_flat(ks, rewrite).root_row(), \
+                (seed, render(f))
+            assert check_hier(model, f)[0] == rows[ks.initial] == \
+                check_hier(model, rewrite)[0], (seed, render(f))
+            if ks.n_states <= ORACLE_MAX_STATES:
+                assert oracle_check(ks, f) == rows == \
+                    oracle_check(ks, rewrite), (seed, render(f))
+                oracle_cases += 1
+            verdicts.append(rows[ks.initial])
+        assert oracle_cases >= 100
+        assert 30 <= verdicts.count(False) <= len(verdicts) - 30
