@@ -1,4 +1,4 @@
-"""Command line front-end: check, flatten, validate, gen, bench.
+"""Command line front-end: check, flatten, validate, gen.
 
 Exit codes: 0 formula holds, 1 formula fails, 2 parse/usage error,
 3 validation error, 4 capacity exceeded, 5 internal error (engine
@@ -21,7 +21,7 @@ from .errors import (CapacityError, FormulaSyntaxError, ModelSyntaxError,
 from .evidence import (counterexamples_for, extract_evidences,
                        serialize_trace, trace_forms, traces_for)
 from .flat_checker import check_flat
-from .formula import And, parse_formula, render
+from .formula import And, normalize, parse_formula, render
 from .gen import random_shsm
 from .hier_checker import HierView, check_hier
 from .hsm import (DEFAULT_FLAT_BUDGET, flat_size, flatten, is_hsm,
@@ -128,27 +128,6 @@ def _formula_from(args):
     return text.strip(), parse_formula(text)
 
 
-def _extract_traces(model, f, verdict, witnesses, report, ks, table, w):
-    """Traces for the verdict, named by the input model's flattening.  They
-    are read off the flat engine's flattening and table when it ran, else
-    off the hierarchy: the machine copies of a check_hier run that labels
-    the path forms to extract (the verdict's own run `w` when it does)
-    carry the counts the walk needs, and nothing is flattened."""
-    if witnesses == 0:
-        return []
-    forms = trace_forms(f, verdict, witnesses)
-    if not forms:
-        report.notes.append(
-            "traces are emitted for satisfied E-path formulas and failed "
-            "A-path formulas only")
-        return []
-    if ks is None:
-        if not all(g in w.index for g in forms):
-            _verdict, w = check_hier(model, reduce(And, forms))
-        ks = HierView(model, w)
-    return traces_for(ks, ks.initial, f, verdict, witnesses, table)
-
-
 def cmd_check(args):
     started = time.perf_counter()
     if not 0 <= args.witnesses <= MAX_WITNESSES:
@@ -160,15 +139,20 @@ def cmd_check(args):
     if engine == "auto":
         engine = "hier" if len(model.machines) > 1 else "flat"
 
+    # One run per engine labels f and the forms its traces are read off;
+    # the verdict is f's own entry.
+    checked = reduce(And, [f, *trace_forms(f, args.witnesses)]) \
+        if args.witnesses else f
     report = CheckReport(formula=text, engine=engine, result=False)
-    ks = table = w = None
+    table = w = None
     if engine in ("flat", "both"):
         ks = flatten(model, budget=budget)
-        table = check_flat(ks, f)
-        report.result = table.root_row()[ks.initial]
+        table = check_flat(ks, checked)
+        report.result = table.row(f)[ks.initial]
         report.flat_states = ks.n_states
     if engine in ("hier", "both"):
-        verdict_h, w = check_hier(model, f)
+        _verdict, w = check_hier(model, checked)
+        verdict_h = w.flag_of_entry(w.index[normalize(f)])
         if engine == "both" and verdict_h != report.result:
             print(f"engine divergence: flat={report.result} "
                   f"hier={verdict_h}", file=sys.stderr)
@@ -178,8 +162,16 @@ def cmd_check(args):
     labelled = table or w     # the flat run's times when both engines ran
     report.per_subformula = [(render(g), labelled.millis[i])
                              for g, i in labelled.index.items()]
-    report.traces = _extract_traces(model, f, report.result, args.witnesses,
-                                    report, ks, table, w)
+    if args.witnesses:
+        # Traces are named by the input model's flattening: read off the
+        # flat table when it ran, else off the machine copies of the
+        # hierarchical run, and nothing is flattened.
+        view = table or HierView(model, w)
+        report.traces = traces_for(view, view.initial, f, args.witnesses)
+        if not report.traces:
+            report.notes.append(
+                "traces are emitted for satisfied E-path formulas and "
+                "failed A-path formulas only")
     report.millis = (time.perf_counter() - started) * 1000.0
     _emit(args, report)
     return EXIT_HOLDS if report.result else EXIT_FAILS
@@ -246,47 +238,6 @@ def cmd_gen(args):
     return EXIT_HOLDS
 
 
-def cmd_bench(args):
-    if args.repeat <= 0:
-        raise UsageError("--repeat must be positive")
-    model = _load_model(args.model, args.repair_self_loops)
-    text, f = _formula_from(args)
-    budget = _budget(args)
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    rows = []
-    verdicts = set()
-    for engine in engines:
-        timings = []
-        verdict = None
-        for _ in range(args.repeat):
-            started = time.perf_counter()
-            if engine == "flat":
-                ks = flatten(model, budget=budget)
-                verdict = check_flat(ks, f).root_row()[ks.initial]
-            elif engine == "hier":
-                verdict, _w = check_hier(model, f)
-            else:
-                print(f"unknown engine {engine!r}", file=sys.stderr)
-                return EXIT_USAGE
-            timings.append((time.perf_counter() - started) * 1000.0)
-        verdicts.add(verdict)
-        rows.append((engine, verdict, min(timings),
-                     sum(timings) / len(timings), max(timings)))
-    if len(verdicts) > 1:
-        print("engine divergence during bench", file=sys.stderr)
-        return EXIT_INTERNAL
-    if args.format == "csv":
-        print("engine,verdict,best_ms,mean_ms,worst_ms")
-        for engine, verdict, best, mean, worst in rows:
-            print(f"{engine},{int(verdict)},{best:.3f},{mean:.3f},{worst:.3f}")
-    else:
-        print(f"{'engine':8} {'verdict':8} {'best':>10} {'mean':>10} {'worst':>10}")
-        for engine, verdict, best, mean, worst in rows:
-            print(f"{engine:8} {str(verdict):8} {best:9.2f}ms {mean:9.2f}ms "
-                  f"{worst:9.2f}ms")
-    return EXIT_HOLDS
-
-
 @cache
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -341,13 +292,6 @@ def build_parser():
     p.add_argument("--output")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="time engines on one query")
-    common(p, formula=True)
-    p.add_argument("--engines", default="hier,flat",
-                   help="comma-separated: hier,flat")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

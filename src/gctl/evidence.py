@@ -13,7 +13,6 @@ dot-joined inside a state, the loop of a lasso wrapped in ``( ... )*``.
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 from .flat_checker import SatTable, check_flat
 from .formula import (And, ExistsG, ExistsU, ExistsX, ForallF, ForallG,
@@ -23,6 +22,7 @@ from .kripke import KripkeStructure
 
 FINITE = "finite"
 LASSO = "lasso"
+FORALL_PATH = (ForallX, ForallG, ForallF, ForallU)
 
 
 @dataclass
@@ -51,7 +51,7 @@ def serialize_trace(trace: EvidenceTrace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# State views
+# Extraction
 #
 # Extraction reads a structure through a view: `initial`, `succ(s)` in a
 # fixed order, `name(s)` and its inverse `locate(name)`, `holds(g, s)` for
@@ -59,36 +59,15 @@ def serialize_trace(trace: EvidenceTrace) -> str:
 # evidence count of their E X / E G / E U subformulas.  A flat engine's
 # SatTable is one over its Kripke structure; gctl.hier_checker.HierView is
 # one over the machine copies of one check_hier run, without flattening.
+# A view answers only for the forms its run labelled, and raises ValueError
+# for any other.
 # ---------------------------------------------------------------------------
 
 
-def _labelled(ks, forms, table):
-    """`table` when it labels every (normalized) form, else one check of
-    their conjunction."""
-    if table is not None and all(g in table.index for g in forms):
-        return table
-    return check_flat(ks, reduce(And, forms))
-
-
-def _view(ks, forms, table):
-    """`ks` itself when it is a view, else `table` or, when that does not
-    label every form, one check of the forms."""
-    if not isinstance(ks, KripkeStructure):
-        return ks
-    return _labelled(ks, forms, table)
-
-
-# ---------------------------------------------------------------------------
-# Extraction
-# ---------------------------------------------------------------------------
-
-
-def extract_evidences(ks, s, form, n: int, table: SatTable = None) -> list:
-    """Up to n pairwise distinct evidences of a normalized path formula.
-
-    `ks` is a view, or a KripkeStructure labelled by `table` (checked here
-    when it does not label the form).  Requires n <= grade+1 and at least n
-    distinct evidences at s.
+def extract_evidences(view, s, form, n: int) -> list:
+    """Up to n pairwise distinct evidences of a normalized path formula, on
+    a view that labels it.  Requires n <= grade+1 and at least n distinct
+    evidences at s.
     """
     form = normalize(form)
     if not isinstance(form, (ExistsX, ExistsG, ExistsU)):
@@ -97,7 +76,6 @@ def extract_evidences(ks, s, form, n: int, table: SatTable = None) -> list:
         raise ValueError(f"requested {n} traces, limit is grade+1 = {form.grade + 1}")
     if n == 0:
         return []
-    view = _view(ks, [form], table)
     have = view.count(form, s)
     if have < n:
         raise ValueError(f"only {have} evidences at {view.name(s)}, asked {n}")
@@ -260,52 +238,49 @@ def _normalize_lasso(states, loop):
 # ---------------------------------------------------------------------------
 
 
-def trace_forms(f, verdict: bool, n: int) -> list:
-    """Path forms whose evidences are the traces for f with this verdict,
-    graded so that n distinct ones can exist: the root of a satisfied E
-    formula, or the dual of a failed A formula (A U has two violation
-    families, drawn in turn).  Empty when no trace applies."""
-    if verdict:
-        root = normalize(f)
-        if isinstance(root, (ExistsX, ExistsG, ExistsU)):
-            return [replace(root, grade=max(root.grade, n - 1))]
-        return []
-    if not isinstance(f, (ForallX, ForallG, ForallF, ForallU)):
+def trace_forms(f, n: int) -> list:
+    """Path forms whose evidences are the traces for f, graded so that n
+    distinct ones can exist: the root of an E formula, or the dual of an A
+    formula (A U has two violation families, drawn in turn).  Empty when f
+    has neither root.  They do not depend on the verdict, so one checking
+    run can label them together with f."""
+    root = normalize(f)
+    if isinstance(root, (ExistsX, ExistsG, ExistsU)):
+        return [replace(root, grade=max(root.grade, n - 1))]
+    if not isinstance(f, FORALL_PATH):
         return []
     boosted = max(f.grade, n - 1)
     if isinstance(f, ForallU):
         return violation_families(f, boosted)
     # normalize() writes A<=k as the negation of its dual E>k form.
-    return [replace(normalize(f).child, grade=boosted)]
+    return [replace(root.child, grade=boosted)]
 
 
-def traces_for(ks, s, f, verdict: bool, n: int, table: SatTable = None) -> list:
-    """Up to n pairwise distinct traces for f at s with this verdict: the
-    evidences of a satisfied E formula or the counterexamples of a failed A
-    formula, none when `trace_forms` is empty.  `ks` is a view, or a
-    KripkeStructure whose `table` is reused when it labels every form."""
-    forms = trace_forms(f, verdict, n)
-    if not forms:
+def traces_for(view, s, f, n: int) -> list:
+    """Up to n pairwise distinct traces for f at s: the evidences of an E
+    formula that holds or the counterexamples of an A formula that fails,
+    none otherwise.  `view` labels `trace_forms(f, n)`."""
+    forms = trace_forms(f, n)
+    # The counts are capped above f's grade, so their sum decides f: an E
+    # root holds, and an A root fails, where it exceeds the grade.
+    if not forms or sum(view.count(g, s) for g in forms) <= f.grade:
         return []
-    view = _view(ks, forms, table)
-    if not verdict:
+    if isinstance(f, FORALL_PATH):
         return counterexamples_for(view, s, f, n)
     return extract_evidences(view, s, forms[0], min(n, view.count(forms[0], s)))
 
 
-def counterexamples_for(ks, s, f, n: int, table: SatTable = None) -> list:
-    """Up to n pairwise distinct traces violating a universal formula.
+def counterexamples_for(view, s, f, n: int) -> list:
+    """Up to n pairwise distinct traces violating a universal formula, on a
+    view that labels `trace_forms(f, n)`.
 
     The traces are evidences of the dual existential forms; finite ones are
     extended past the violating state when an inner path witness explains
     the violation.  Returns at most the number of distinct violations.
-    `ks` is a view, or a KripkeStructure whose `table` is reused when it
-    labels every dual form.
     """
-    if not isinstance(f, (ForallX, ForallG, ForallF, ForallU)):
+    if not isinstance(f, FORALL_PATH):
         raise ValueError(f"not a universal temporal formula: {render(f)}")
-    forms = trace_forms(f, False, n)
-    view = _view(ks, forms, table)
+    forms = trace_forms(f, n)
     avail = [view.count(g, s) for g in forms]
     # Dual counts are capped above the grade, so their sum decides f.
     if sum(avail) <= f.grade:
@@ -407,7 +382,8 @@ def validate_trace(ks: KripkeStructure, trace: EvidenceTrace,
         return problems
 
     form = normalize(trace.form)
-    table = _labelled(ks, [form], table)
+    if table is None or form not in table.index:
+        table = check_flat(ks, form)
     prefix = idx[:trace.evidence_len]
     if isinstance(form, ExistsX):
         if len(prefix) != 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import OracleLimitError
 from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
-                      TrueF, evaluate, normalize)
+                      TrueF, evaluate, normalize, position_of)
 from .kripke import KripkeStructure
 
 # ---------------------------------------------------------------------------
@@ -207,19 +207,14 @@ class SatTable:
     counts: dict = field(default_factory=dict)
     millis: list = field(default_factory=list)
 
-    def _key(self, f):
-        """Position of f, looked up as given before normalizing it."""
-        i = self.index.get(f)
-        return self.index[normalize(f)] if i is None else i
-
     def row(self, f):
-        return self.sat[self._key(f)]
+        return self.sat[position_of(self.index, f)]
 
     def root_row(self):
         return self.sat[self.index[self.root]]
 
     def count_row(self, f):
-        return self.counts[self._key(f)]
+        return self.counts[position_of(self.index, f)]
 
     @property
     def initial(self):
@@ -235,10 +230,10 @@ class SatTable:
         return self.ks.index_of(name)
 
     def holds(self, f, s):
-        return self.sat[self._key(f)][s]
+        return self.sat[position_of(self.index, f)][s]
 
     def count(self, f, s):
-        return self.counts[self._key(f)][s]
+        return self.counts[position_of(self.index, f)][s]
 
 
 def _row_ops(ks: KripkeStructure, rows, counts, path_counts):

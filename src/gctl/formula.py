@@ -494,6 +494,17 @@ def _negate(f):
     return f.child if isinstance(f, Not) else Not(f)
 
 
+def position_of(index: dict, g: Formula) -> int:
+    """g's position in an `evaluate` index, looked up as given before
+    normalizing it; ValueError when the index does not label g."""
+    i = index.get(g)
+    if i is None:
+        i = index.get(normalize(g))
+        if i is None:
+            raise ValueError(f"not labelled by this run: {render(g)}")
+    return i
+
+
 def evaluate(root: Formula, ops: dict, labels: list = None):
     """Label the subformulas of a normalized formula bottom-up.
 

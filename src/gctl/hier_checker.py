@@ -20,7 +20,7 @@ from functools import cache
 from . import flat_checker
 from .errors import CapacityError
 from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
-                      TrueF, evaluate, normalize, render)
+                      TrueF, evaluate, normalize, position_of, render)
 from .formula import atoms as formula_atoms
 from .hsm import Machine, Shsm, is_hsm, reduce_to_hsm, restrict_ap
 
@@ -229,6 +229,37 @@ def _specialize(w, top_context, label, op, kind, grade, grade0_factor):
     return out
 
 
+def _stacked(solver):
+    """Memoize solver(mi, context), a generator that yields each (machine,
+    context) pair whose result it needs and is sent that result back.
+    Solvers only ask for lower machines, so the pairs form no cycle; they
+    are solved on an explicit stack, and hierarchies deeper than the
+    interpreter's recursion limit solve too."""
+    memo = {}
+
+    def solve(mi, context):
+        top = (mi, context)
+        result = memo.get(top)
+        if result is not None:
+            return result
+        stack = [(top, solver(mi, context))]
+        sent = None
+        while stack:
+            key, run = stack[-1]
+            try:
+                need = run.send(sent)
+            except StopIteration as done:
+                memo[key] = sent = done.value
+                stack.pop()
+                continue
+            sent = memo.get(need)
+            if sent is None:
+                stack.append((need, solver(*need)))
+        return sent
+
+    return solve
+
+
 # ---------------------------------------------------------------------------
 # Graded next pass
 # ---------------------------------------------------------------------------
@@ -289,7 +320,6 @@ def _grade0_solutions(machines, kind, th1_key, th2_key):
     box solves its target again only when its own exit mask changes."""
     until = kind == "U"
 
-    @cache
     def solve(mi, y):
         m = machines[mi]
         a = m.adj
@@ -324,7 +354,7 @@ def _grade0_solutions(machines, kind, th1_key, th2_key):
                     stack.append(pos)
         for pos, t in enumerate(expand):
             if t is not None and \
-                    solve(t, mask[pos])[0][machines[t].entry] != val[pos]:
+                    (yield t, mask[pos])[0][machines[t].entry] != val[pos]:
                 val[pos] = until
                 stack.append(pos)
         while stack:
@@ -347,12 +377,12 @@ def _grade0_solutions(machines, kind, th1_key, th2_key):
                     mask[b] ^= 1 << o
                     t = expand[b]
                     if val[b] != until and \
-                            solve(t, mask[b])[0][machines[t].entry] == until:
+                            (yield t, mask[b])[0][machines[t].entry] == until:
                         val[b] = until
                         stack.append(b)
         return val, mask
 
-    return solve
+    return _stacked(solve)
 
 
 def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
@@ -569,7 +599,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     until = mode == "U"
     infos = compute_nsc(w, psi1_key, until_mode=until, th1_key=th1_key)
 
-    @cache
+    @_stacked
     def dag(mi, g):
         """Capped evidence counts of machine mi's states under the exit
         context g, its entry's count and each box's exit context."""
@@ -613,7 +643,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
                 # acyclic (an unreachable exit pair may feed back into this
                 # machine without forming any flat cycle).
                 reach = infos[expand[i]].path_exists
-                labels[i] = dag(expand[i], tuple(
+                labels[i] = (yield expand[i], tuple(
                     bz_value(i, o) if r else 0
                     for o, r in enumerate(reach)))[1]
         # Box rewiring contexts carry every exit's count, including exits
@@ -772,15 +802,11 @@ class HierView:
         """The state behind a name this view has produced."""
         return self._states[name]
 
-    def _key(self, g):
-        key = self.keys.get(g)
-        return self.keys[normalize(g)] if key is None else key
-
     def holds(self, g, s):
         mi, pos = s[-1]
-        return self.machines[mi].flags[self._key(g)][pos]
+        return self.machines[mi].flags[position_of(self.keys, g)][pos]
 
     def count(self, g, s):
         """Capped evidence count of an E X / E G / E U subformula."""
         mi, pos = s[-1]
-        return self.machines[mi].count(self._key(g), pos)
+        return self.machines[mi].count(position_of(self.keys, g), pos)

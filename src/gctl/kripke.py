@@ -38,12 +38,6 @@ class KripkeStructure:
     def n_transitions(self):
         return sum(len(ts) for ts in self.succ)
 
-    def successors(self, s):
-        """Successor indices of s in ascending index order."""
-        if not 0 <= s < self.n_states:
-            raise IndexError(f"state index {s} out of range")
-        return list(self.succ[s])
-
     def predecessors(self, s):
         if self._pred is None:
             pred = [[] for _ in range(self.n_states)]

@@ -9,9 +9,9 @@ import time
 import pytest
 
 from gctl.evidence import (all_pairwise_distinct, counterexamples_for,
-                           extract_evidences, validate_trace)
+                           extract_evidences, trace_forms, validate_trace)
 from gctl.flat_checker import check_flat, oracle_check
-from gctl.formula import (Atom, ExistsG, ExistsU, ExistsX, Not, TrueF,
+from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, Not, TrueF,
                           max_grade, parse_formula, render)
 from gctl.gen import random_formula, random_kripke, random_shsm
 from gctl.hier_checker import check_hier
@@ -45,8 +45,9 @@ class TestAcceptance:
         verdict, _ = check_hier(retry_model, f)
         assert verdict is False
         ks = flatten(retry_model)
-        assert not check_flat(ks, f).root_row()[ks.initial]
-        cexs = counterexamples_for(ks, ks.initial, f, 1)
+        table = check_flat(ks, And(f, *trace_forms(f, 1)))
+        assert not table.row(f)[ks.initial]
+        cexs = counterexamples_for(table, ks.initial, f, 1)
         assert len(cexs) == 1
         states = cexs[0].states
         assert states[:5] == ["Start", "Try1.Send", "Try1.Wait",
@@ -168,7 +169,7 @@ class TestAcceptance:
             avail = table.count_row(form)[0]
             if not avail:
                 continue
-            traces = extract_evidences(ks, 0, form, avail, table)
+            traces = extract_evidences(table, 0, form, avail)
             checked += len(traces)
             if not all_pairwise_distinct(traces):
                 failures += 1
@@ -176,7 +177,8 @@ class TestAcceptance:
                 if validate_trace(ks, t, table):
                     failures += 1
         f = parse_formula("A G ((t1 & fail) -> A F abort)")
-        for t in counterexamples_for(retry_flat, retry_flat.initial, f, 1):
+        table = check_flat(retry_flat, And(f, *trace_forms(f, 1)))
+        for t in counterexamples_for(table, retry_flat.initial, f, 1):
             checked += 1
             if validate_trace(retry_flat, t):
                 failures += 1

@@ -133,6 +133,22 @@ class TestCheck:
         assert code == 5
         assert err.count("\n") == 1 and "injected fault" in err
 
+    def test_hier_beats_flat_on_deep_family(self, tmp_path, capsys):
+        model = tmp_path / "deep.gctl"
+        main(["gen", "--machines", "12", "--nodes", "1", "--boxes", "2",
+              "--exits", "1", "--props", "1", "--plain-boxes", "--seed", "4",
+              "--output", str(model)])
+        capsys.readouterr()
+        best = {}
+        for engine in ("hier", "flat"):
+            for _ in range(2):
+                code = main(["check", "--model", str(model), "--formula",
+                             "E F p0", "--engine", engine, "--format", "json"])
+                assert code == 0
+                millis = json.loads(capsys.readouterr().out)["stats"]["millis"]
+                best[engine] = min(best.get(engine, millis), millis)
+        assert best["hier"] < best["flat"]
+
     def test_millis_covers_trace_extraction(self, capsys, monkeypatch):
         extract = gctl.evidence.extract_evidences
 
@@ -186,8 +202,9 @@ class TestCheck:
 
 class TestTraceWork:
     """Flattening, flat and hierarchical checking done per `check` request.
-    Hierarchical requests read their traces off a check_hier run (the
-    verdict's own when it labels the trace forms) and never flatten."""
+    Each engine runs once, on f and its trace forms together, whatever the
+    verdict; hierarchical requests read their traces off that check_hier
+    run and never flatten."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -252,11 +269,20 @@ class TestTraceWork:
         assert self._check(model, formula) == code
         assert json.loads(capsys.readouterr().out)["traces"]
         assert calls["flatten"] == 0 and calls["check_flat"] == 0
-        # A satisfied E root of grade >= 1 is its own trace form for two
-        # traces, so the verdict's check_hier run is reused; the dual forms
-        # of these A formulas need a run of their own.
-        assert calls["check_hier"] == (1 if code == 0 else 2)
+        assert calls["check_hier"] == 1
         assert calls["reanalysis"] == 0
+
+    @pytest.mark.parametrize("formula, code", [("E X p1", 1),
+                                               ("A G true", 0)])
+    def test_untraced_verdict_takes_one_run(self, calls, capsys, formula,
+                                            code):
+        # A failing E formula and a holding A formula have no traces; their
+        # trace forms are labelled by the verdict's run all the same.
+        assert self._check("fig2", formula, "--engine", "hier",
+                           witnesses="3") == code
+        assert json.loads(capsys.readouterr().out)["traces"] == []
+        assert calls["check_hier"] == 1
+        assert calls["flatten"] == 0 and calls["check_flat"] == 0
 
     @pytest.mark.parametrize("formula", ["A [true U ack]",
                                          "A [!abort U success]"])
@@ -297,10 +323,14 @@ class TestTraceWork:
         assert calls["reanalysis"] == 0
 
     def test_flat_engine_reuses_its_flattening(self, calls, capsys):
-        assert self._check("fig2", "E>1 [true U p1]", "--engine", "flat") == 0
-        assert len(json.loads(capsys.readouterr().out)["traces"]) == 2
-        assert calls["flatten"] == 1 and calls["check_flat"] == 1
-        assert calls["reanalysis"] == 0
+        # Two traces of E F p1 need the boosted E>1 form, which the one
+        # check_flat run labels next to the formula itself.
+        for formula in ("E>1 [true U p1]", "E F p1"):
+            calls.clear()
+            assert self._check("fig2", formula, "--engine", "flat") == 0
+            assert len(json.loads(capsys.readouterr().out)["traces"]) == 2
+            assert calls["flatten"] == 1 and calls["check_flat"] == 1
+            assert calls["reanalysis"] == 0
 
 
 class TestFlatten:
@@ -405,42 +435,6 @@ class TestGen:
                      "--exits", "1", "--seed", "1", "--output", str(out)]) == 0
         from gctl.hsm import flat_size
         assert flat_size(parse_model(out.read_text())) >= 2 ** 14
-
-
-class TestBench:
-    def test_equal_verdicts_and_table(self, capsys):
-        code = main(["bench", "--model", FIG2, "--formula", "E F p1",
-                     "--repeat", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "hier" in out and "flat" in out
-
-    def test_zero_repeat_usage_error(self, capsys):
-        assert main(["bench", "--model", FIG2, "--formula", "E F p1",
-                     "--repeat", "0"]) == 2
-
-    def test_csv(self, capsys):
-        code = main(["bench", "--model", FIG2, "--formula", "E F p1",
-                     "--repeat", "1", "--format", "csv"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.splitlines()[0] == "engine,verdict,best_ms,mean_ms,worst_ms"
-
-    def test_hier_beats_flat_on_deep_family(self, tmp_path, capsys):
-        model = tmp_path / "deep.gctl"
-        main(["gen", "--machines", "12", "--nodes", "1", "--boxes", "2",
-              "--exits", "1", "--props", "1", "--plain-boxes", "--seed", "4",
-              "--output", str(model)])
-        capsys.readouterr()
-        code = main(["bench", "--model", str(model), "--formula", "E F p0",
-                     "--repeat", "2", "--format", "csv"])
-        out = capsys.readouterr().out
-        assert code == 0
-        times = {}
-        for line in out.splitlines()[1:]:
-            engine, _verdict, best, _mean, _worst = line.split(",")
-            times[engine] = float(best)
-        assert times["hier"] < times["flat"]
 
 
 class TestModelFormat:

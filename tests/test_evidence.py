@@ -1,15 +1,19 @@
 import random
+import re
+from functools import reduce
 
 import pytest
 
 from gctl.evidence import (EvidenceTrace, all_pairwise_distinct,
                            counterexamples_for, extract_evidences,
                            serialize_trace, trace_forms, traces_distinct,
-                           validate_trace)
+                           traces_for, validate_trace)
 from gctl.flat_checker import check_flat
 from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallG,
-                          ForallU, ForallX, Not, TrueF, parse_formula)
+                          ForallU, ForallX, Not, TrueF, normalize,
+                          parse_formula, render)
 from gctl.gen import random_kripke
+from gctl.hier_checker import HierView, check_hier
 from gctl.kripke import KripkeStructure
 
 
@@ -21,15 +25,25 @@ def diamond():
         [{"p"}, {"p"}, {"p"}, {"p", "q"}])
 
 
+def _traced(ks, f, n):
+    """The flat table of f and its trace forms, as a `check` run labels
+    them."""
+    return check_flat(ks, reduce(And, [f, *trace_forms(f, n)]))
+
+
+def _evidences(ks, s, form, n):
+    return extract_evidences(check_flat(ks, form), s, form, n)
+
+
 class TestExtract:
     def test_diamond_two_until_evidences(self, diamond):
-        evs = extract_evidences(diamond, 0, ExistsU(2, Atom("p"), Atom("q")), 2)
+        evs = _evidences(diamond, 0, ExistsU(2, Atom("p"), Atom("q")), 2)
         assert [e.states for e in evs] == [["s0", "a", "t"], ["s0", "b", "t"]]
         assert all(e.kind == "finite" for e in evs)
 
     def test_self_loop_lasso(self):
         ks = KripkeStructure(["s0"], 0, [(0, 0)], [{"p"}])
-        evs = extract_evidences(ks, 0, ExistsG(0, Atom("p")), 1)
+        evs = _evidences(ks, 0, ExistsG(0, Atom("p")), 1)
         assert evs[0].kind == "lasso"
         assert evs[0].states == ["s0"] and evs[0].loop_start == 0
 
@@ -37,25 +51,25 @@ class TestExtract:
         ks = KripkeStructure(["s0", "u", "v"], 0,
                              [(0, 1), (0, 2), (1, 1), (2, 2)],
                              [set(), {"p"}, {"p"}])
-        evs = extract_evidences(ks, 0, ExistsX(1, Atom("p")), 2)
+        evs = _evidences(ks, 0, ExistsX(1, Atom("p")), 2)
         assert [e.states for e in evs] == [["s0", "u"], ["s0", "v"]]
 
     def test_too_many_requested(self, diamond):
         with pytest.raises(ValueError):
-            extract_evidences(diamond, 0, ExistsU(2, Atom("p"), Atom("q")), 3)
+            _evidences(diamond, 0, ExistsU(2, Atom("p"), Atom("q")), 3)
 
     def test_limit_is_grade_plus_one(self, diamond):
         with pytest.raises(ValueError):
-            extract_evidences(diamond, 0, ExistsU(0, Atom("p"), Atom("q")), 2)
+            _evidences(diamond, 0, ExistsU(0, Atom("p"), Atom("q")), 2)
 
     def test_zero_returns_empty(self, diamond):
-        assert extract_evidences(diamond, 0, ExistsU(1, Atom("p"), Atom("q")), 0) == []
+        assert _evidences(diamond, 0, ExistsU(1, Atom("p"), Atom("q")), 0) == []
 
     def test_pumped_lassos_distinct(self):
         # Branching self-loop: witnesses loop 0, 1, 2 times before diverging.
         ks = KripkeStructure(["s0", "s1"], 0, [(0, 0), (0, 1), (1, 1)],
                              [{"p"}] * 2)
-        evs = extract_evidences(ks, 0, ExistsG(2, Atom("p")), 3)
+        evs = _evidences(ks, 0, ExistsG(2, Atom("p")), 3)
         assert all_pairwise_distinct(evs)
         for e in evs:
             assert validate_trace(ks, e) == []
@@ -70,7 +84,7 @@ class TestDeepStructures:
         chain = KripkeStructure(names, 0, edges, labels)
         form = ExistsU(0, Atom("p"), Atom("q"))
         table = check_flat(chain, form)
-        evs = extract_evidences(chain, 0, form, 1, table)
+        evs = extract_evidences(table, 0, form, 1)
         assert len(evs[0].states) == n
         assert validate_trace(chain, evs[0], table) == []
 
@@ -80,14 +94,16 @@ class TestCounterexamples:
         ks = KripkeStructure(["s0", "u", "v"], 0,
                              [(0, 1), (0, 2), (1, 1), (2, 2)],
                              [{"p"}, set(), set()])
-        cexs = counterexamples_for(ks, 0, ForallX(0, Atom("p")), 2)
+        f = ForallX(0, Atom("p"))
+        cexs = counterexamples_for(_traced(ks, f, 2), 0, f, 2)
         assert [c.states for c in cexs] == [["s0", "u"], ["s0", "v"]]
 
     def test_failed_forall_globally(self):
         ks = KripkeStructure(["s0", "a", "b"], 0,
                              [(0, 1), (0, 2), (1, 1), (2, 2)],
                              [{"p"}, set(), set()])
-        cexs = counterexamples_for(ks, 0, ForallG(1, Atom("p")), 2)
+        f = ForallG(1, Atom("p"))
+        cexs = counterexamples_for(_traced(ks, f, 2), 0, f, 2)
         assert len(cexs) == 2
         assert all_pairwise_distinct(cexs)
         for c in cexs:
@@ -95,16 +111,19 @@ class TestCounterexamples:
 
     def test_zero_limit(self):
         ks = KripkeStructure(["s0"], 0, [(0, 0)], [set()])
-        assert counterexamples_for(ks, 0, ForallG(0, Atom("p")), 0) == []
+        f = ForallG(0, Atom("p"))
+        assert counterexamples_for(_traced(ks, f, 0), 0, f, 0) == []
 
     def test_holding_formula_rejected(self):
         ks = KripkeStructure(["s0"], 0, [(0, 0)], [{"p"}])
-        with pytest.raises(ValueError):
-            counterexamples_for(ks, 0, ForallG(0, Atom("p")), 1)
+        f = ForallG(0, Atom("p"))
+        with pytest.raises(ValueError, match="formula holds"):
+            counterexamples_for(_traced(ks, f, 1), 0, f, 1)
 
     def test_retry_counterexample_narrative(self, retry_flat):
         f = parse_formula("A G ((t1 & fail) -> A F abort)")
-        cexs = counterexamples_for(retry_flat, retry_flat.initial, f, 1)
+        cexs = counterexamples_for(_traced(retry_flat, f, 1),
+                                   retry_flat.initial, f, 1)
         assert len(cexs) == 1
         states = cexs[0].states
         assert states[:5] == ["Start", "Try1.Send", "Try1.Wait",
@@ -118,7 +137,8 @@ class TestCounterexamples:
         ks = KripkeStructure(["s0", "u", "v", "w"], 0,
                              [(0, 1), (0, 2), (1, 1), (2, 3), (3, 3)],
                              [{"p"}, {"p"}, set(), {"q"}])
-        cexs = counterexamples_for(ks, 0, ForallU(1, Atom("p"), Atom("q")), 2)
+        f = ForallU(1, Atom("p"), Atom("q"))
+        cexs = counterexamples_for(_traced(ks, f, 2), 0, f, 2)
         assert len(cexs) == 2
         kinds = {c.kind for c in cexs}
         assert kinds == {"lasso", "finite"}
@@ -129,40 +149,66 @@ class TestTraceForms:
     p, q = Atom("p"), Atom("q")
 
     def test_no_trace_applies(self):
-        assert trace_forms(parse_formula("E X p"), False, 3) == []
-        assert trace_forms(parse_formula("A G p"), True, 3) == []
-        assert trace_forms(parse_formula("p & q"), True, 3) == []
+        for text in ("p & q", "!E X p", "E X p | A G p"):
+            assert trace_forms(parse_formula(text), 3) == []
 
     def test_satisfied_exists_boosted(self):
-        assert trace_forms(parse_formula("E F p"), True, 3) == [
+        assert trace_forms(parse_formula("E F p"), 3) == [
             ExistsU(2, TrueF(), self.p)]
-        assert trace_forms(parse_formula("E>4 G p"), True, 3) == [
+        assert trace_forms(parse_formula("E>4 G p"), 3) == [
             ExistsG(4, self.p)]
 
     def test_failed_forall_duals(self):
-        assert trace_forms(parse_formula("A X p"), False, 2) == [
+        assert trace_forms(parse_formula("A X p"), 2) == [
             ExistsX(1, Not(self.p))]
-        assert trace_forms(parse_formula("A<=3 G p"), False, 2) == [
+        assert trace_forms(parse_formula("A<=3 G p"), 2) == [
             ExistsU(3, TrueF(), Not(self.p))]
-        assert trace_forms(parse_formula("A F p"), False, 1) == [
+        assert trace_forms(parse_formula("A F p"), 1) == [
             ExistsG(0, Not(self.p))]
         stay = And(self.p, Not(self.q))
-        assert trace_forms(parse_formula("A<=1 [p U q]"), False, 3) == [
+        assert trace_forms(parse_formula("A<=1 [p U q]"), 3) == [
             ExistsG(2, stay), ExistsU(2, stay, And(Not(self.p), Not(self.q)))]
+
+    @pytest.mark.parametrize("text, traces", [
+        ("E X p", 0), ("E X !p", 1), ("A X !p", 0), ("A G p", 1)])
+    def test_traces_only_for_a_satisfied_exists_or_failed_forall(
+            self, text, traces):
+        # p holds on the initial state only.
+        ks = KripkeStructure(["s0", "s1"], 0, [(0, 1), (1, 1)],
+                             [{"p"}, set()])
+        f = parse_formula(text)
+        assert len(traces_for(_traced(ks, f, 3), 0, f, 3)) == traces
+
+    def test_unlabelled_form_is_named(self, fig2_model, fig2_flat):
+        # Views of a run that labels p1 alone, not the forms asked for.
+        p1 = Atom("p1")
+        exists, forall = parse_formula("E>1 F p1"), parse_formula("A G !p1")
+        for view in (check_flat(fig2_flat, p1),
+                     HierView(fig2_model, check_hier(fig2_model, p1)[1])):
+            s = view.initial
+            for call, form in (
+                    (lambda: traces_for(view, s, exists, 3),
+                     trace_forms(exists, 3)[0]),
+                    (lambda: extract_evidences(view, s, exists, 1),
+                     normalize(exists)),
+                    (lambda: counterexamples_for(view, s, forall, 2),
+                     trace_forms(forall, 2)[0])):
+                with pytest.raises(ValueError, match=re.escape(render(form))):
+                    call()
 
     def test_counterexamples_reuse_given_table(self, monkeypatch):
         ks = KripkeStructure(["s0", "u", "v", "w"], 0,
                              [(0, 1), (0, 2), (1, 1), (2, 3), (3, 3)],
                              [{"p"}, {"p"}, set(), {"q"}])
         f = ForallU(1, Atom("p"), Atom("q"))
-        forms = trace_forms(f, False, 2)
+        forms = trace_forms(f, 2)
         table = check_flat(ks, And(*forms))
 
         def refuse(*args):
             raise AssertionError("check_flat called again")
 
         monkeypatch.setattr("gctl.evidence.check_flat", refuse)
-        cexs = counterexamples_for(ks, 0, f, 2, table)
+        cexs = counterexamples_for(table, 0, f, 2)
         assert len(cexs) == 2 and all_pairwise_distinct(cexs)
         for c in cexs:
             assert validate_trace(ks, c, table) == []
@@ -221,11 +267,11 @@ class TestRandomizedReplay:
             avail = table.count_row(form)[0]
             if not avail:
                 continue
-            evs = extract_evidences(ks, 0, form, avail, table)
+            evs = extract_evidences(table, 0, form, avail)
             assert all_pairwise_distinct(evs)
             for e in evs:
                 assert validate_trace(ks, e, table) == []
-            again = extract_evidences(ks, 0, form, avail, table)
+            again = extract_evidences(table, 0, form, avail)
             assert [e.states for e in again] == [e.states for e in evs]
             done += 1
         assert done > 60

@@ -453,6 +453,48 @@ class TestDeepHierarchy:
         assert max(per_source.values()) <= bound
         assert len(w.machines) <= bound * len(model.machines)
 
+    @pytest.fixture(scope="class")
+    def generated(self):
+        """A 3000-level model, and a 12-level one from the same generator
+        with its flattening."""
+        deep = random_shsm(3000, 1, 1, 2, 2, seed=1, scope_labels=False)
+        shallow = random_shsm(12, 1, 1, 2, 2, seed=1, scope_labels=False)
+        return deep, shallow, flatten(shallow)
+
+    @pytest.mark.parametrize("operator", [
+        "E X p1", "E G p1", "E F p1", "E [p0 U p1]",
+        "A X p1", "A G p1", "A F p1", "A [p0 U p1]"])
+    def test_every_operator_on_3000_levels(self, generated, operator):
+        deep, shallow, ks = generated
+        assert len(deep.machines) > sys.getrecursionlimit()
+        for grade in (0, 1):
+            f = parse_formula(operator.replace("E ", f"E>{grade} ")
+                              .replace("A ", f"A<={grade} "))
+            check_hier(deep, f)
+            assert check_hier(shallow, f)[0] == \
+                check_flat(ks, f).root_row()[ks.initial]
+
+    @pytest.mark.parametrize("text, verdict", [
+        ("E F p", True), ("E>1 F p", False), ("E G true", True),
+        ("E>1 G true", False), ("A<=1 G !p", True)])
+    def test_graded_counts_through_a_3000_level_chain(self, text, verdict):
+        # One path runs from the top down through every level to the
+        # bottom exit p and back up, so a graded count at the top is
+        # computed through all levels.
+        levels = 3000
+        lines = ["machine M1\n init a1;\n out z1;\n node a1;\n node z1 [p];\n"
+                 " edge a1 -> z1;\nend\n"]
+        for i in range(2, levels + 1):
+            lines.append(f"machine M{i}\n init a{i};\n out z{i};\n"
+                         f" node a{i};\n box b{i} expands M{i - 1};\n"
+                         f" node z{i};\n edge a{i} -> b{i};\n"
+                         f" edge b{i}.z{i - 1} -> z{i};\nend\n")
+        lines.append(f"machine Top\n init a;\n node a;\n"
+                     f" box b expands M{levels};\n node z;\n edge a -> b;\n"
+                     f" edge b.z{levels} -> z;\n edge z -> z;\nend\n")
+        model = parse_model("".join(lines))
+        assert check_hier(model, parse_formula(text))[0] is verdict
+
 
 class TestForallUntilGraded:
     def test_matches_flat_on_fixtures(self, fig2_model, retry_model):

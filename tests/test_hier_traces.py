@@ -36,10 +36,12 @@ def _reachable(view):
     return seen
 
 
-def _hier_traces(model, f, verdict, n):
-    forms = trace_forms(f, verdict, n)
-    view = HierView(model, check_hier(model, reduce(And, forms))[1])
-    return view, traces_for(view, view.initial, f, verdict, n)
+def _hier_traces(model, f, n):
+    """The view of one check_hier run on f and its trace forms, as `check`
+    makes it, and the traces read off it."""
+    checked = reduce(And, [f, *trace_forms(f, n)])
+    view = HierView(model, check_hier(model, checked)[1])
+    return view, traces_for(view, view.initial, f, n)
 
 
 class TestAgainstFlattening:
@@ -60,15 +62,15 @@ class TestAgainstFlattening:
                                    grades=(0, 1, 2, 3))
             ks = flatten(model)
             verdict = check_flat(ks, f).root_row()[ks.initial]
-            own = HierView(model, check_hier(model, f)[1])
+            # Traces exist where an E root holds or an A root fails.
+            traced_verdict = verdict == isinstance(normalize(f), COUNTED)
             for n in (1, 2, 3, 5):
-                forms = trace_forms(f, verdict, n)
-                if not forms:
-                    break
-                table = check_flat(ks, reduce(And, forms))
-                view, traces = _hier_traces(model, f, verdict, n)
+                forms = trace_forms(f, n)
+                checked = reduce(And, [f, *forms])
+                table = check_flat(ks, checked)
+                view, traces = _hier_traces(model, f, n)
                 where = (case, str(f), n)
-                subs = subformulas_bottom_up(normalize(reduce(And, forms)))
+                subs = subformulas_bottom_up(normalize(checked))
                 for s in _reachable(view):
                     i = ks.index_of(view.name(s))
                     for g in subs:
@@ -77,20 +79,19 @@ class TestAgainstFlattening:
                             assert view.count(g, s) == \
                                 table.count_row(g)[i], where
                 want = 0
-                for g in forms:    # the A U families are drawn in turn
+                for g in forms if traced_verdict else ():
+                    # The A U families are drawn in turn.
                     want += min(n - want, table.count_row(g)[ks.initial])
                 assert len(traces) == want, where
                 assert all_pairwise_distinct(traces), where
                 for t in traces:
                     assert validate_trace(ks, t, table) == [], where
-                # The same traces from the flat walk, and from the verdict's
-                # own run when it labels the forms (the CLI reuses it then).
-                same = [traces_for(ks, ks.initial, f, verdict, n, table)]
-                if all(g in own.keys for g in forms):
-                    same.append(traces_for(own, own.initial, f, verdict, n))
-                for other in same:
-                    assert [(t.states, t.loop_start) for t in traces] == \
-                        [(t.states, t.loop_start) for t in other], where
+                # The same traces from the flat walk.
+                flat = traces_for(table, ks.initial, f, n)
+                assert [(t.states, t.loop_start) for t in traces] == \
+                    [(t.states, t.loop_start) for t in flat], where
+                if not traces:
+                    break
                 traced += len(traces)
         assert traced > 800
 
@@ -125,10 +126,9 @@ class TestScopedNames:
         # of a Top vertex; names come from positions, not from suffixes.
         model = parse_model(SCOPED)
         ks = flatten(model)
-        for text, verdict in (("E>1 F (p & q)", True),
-                              ("A<=1 G !(p & q)", False)):
+        for text in ("E>1 F (p & q)", "A<=1 G !(p & q)"):
             f = parse_formula(text)
-            _view, traces = _hier_traces(model, f, verdict, 3)
+            _view, traces = _hier_traces(model, f, 3)
             assert len(traces) == 3 and all_pairwise_distinct(traces)
             for t in traces:
                 assert t.states[:2] == ["a@p", "b.a"]

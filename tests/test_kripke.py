@@ -35,29 +35,29 @@ class TestValidate:
 class TestSuccessors:
     def test_diamond_order(self):
         k = ks(["s0", "s1", "s2"], 0, [(0, 2), (0, 1), (1, 1), (2, 2)])
-        assert k.successors(0) == [1, 2]
+        assert k.succ[0] == [1, 2]
 
     def test_self_loop(self):
         k = ks(["s0"], 0, [(0, 0)])
-        assert k.successors(0) == [0]
+        assert k.succ[0] == [0]
 
     def test_duplicate_edges_collapse(self):
         k = ks(["a", "b"], 0, [(0, 1), (0, 1), (1, 1)])
-        assert k.successors(0) == [1]
+        assert k.succ[0] == [1]
         assert k.n_transitions == 2
 
     def test_invalid_index(self):
         with pytest.raises(IndexError):
-            ks(["a"], 0, [(0, 0)]).successors(2)
+            ks(["a"], 0, [(0, 0)]).succ[2]
 
     def test_union_is_edge_set(self):
         k = ks(["a", "b", "c"], 0, [(0, 1), (1, 2), (2, 0), (2, 2)])
-        union = {(s, t) for s in range(3) for t in k.successors(s)}
+        union = {(s, t) for s in range(3) for t in k.succ[s]}
         assert union == k.edge_set()
 
     def test_fig3_initial_successors(self, fig2_flat):
         s = fig2_flat.index_of("in3")
-        names = [fig2_flat.names[t] for t in fig2_flat.successors(s)]
+        names = [fig2_flat.names[t] for t in fig2_flat.succ[s]]
         assert names == ["in3", "b3^0.in2"]
 
     def test_predecessors(self):
