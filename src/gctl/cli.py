@@ -140,9 +140,10 @@ def cmd_check(args):
         engine = "hier" if len(model.machines) > 1 else "flat"
 
     # One run per engine labels f and the forms its traces are read off;
-    # the verdict is f's own entry.
-    checked = reduce(And, [f, *trace_forms(f, args.witnesses)]) \
-        if args.witnesses else f
+    # the verdict is f's own entry.  A form equal to f is labelled as f.
+    root = normalize(f)
+    forms = trace_forms(f, args.witnesses) if args.witnesses else []
+    checked = reduce(And, [f, *(g for g in forms if g != root)])
     report = CheckReport(formula=text, engine=engine, result=False)
     table = w = None
     if engine in ("flat", "both"):
@@ -152,7 +153,7 @@ def cmd_check(args):
         report.flat_states = ks.n_states
     if engine in ("hier", "both"):
         _verdict, w = check_hier(model, checked)
-        verdict_h = w.flag_of_entry(w.index[normalize(f)])
+        verdict_h = w.flag_of_entry(w.index[root])
         if engine == "both" and verdict_h != report.result:
             print(f"engine divergence: flat={report.result} "
                   f"hier={verdict_h}", file=sys.stderr)

@@ -8,7 +8,9 @@ on context create machine copies keyed by per-exit information:
   * grade-0 G/U passes copy per set of exits whose continuation satisfies
     the subformula (at most 2^d copies per machine);
   * graded passes copy per map from exits to capped evidence counts
-    (at most (k+2)^d copies per machine).
+    (at most (k+2)^d copies per machine);
+  * an atom that some box label carries copies per inherited bit, whether
+    an enclosing box carries it (at most 2 copies per machine).
 
 Box rewiring picks the copy matching the counts of each box's actual exit
 successors, so flags can be read off vertices afterwards.
@@ -21,8 +23,8 @@ from . import flat_checker
 from .errors import CapacityError
 from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
                       TrueF, evaluate, normalize, position_of, render)
-from .formula import atoms as formula_atoms
-from .hsm import Machine, Shsm, is_hsm, reduce_to_hsm, restrict_ap
+# check_hier never calls reduce_to_hsm; perfbench/tracing.py hooks the name.
+from .hsm import Machine, Shsm, reduce_to_hsm
 
 DEFAULT_COPY_BUDGET = 250_000
 
@@ -139,7 +141,6 @@ class SpecializedHsm:
     copy_budget: int = DEFAULT_COPY_BUDGET
     index: dict = field(default_factory=dict)   # subformula -> flag key
     millis: list = field(default_factory=list)  # per flag key, from evaluate
-    reduction: dict = None   # ReducedHsm.index of a scope-labelled input
 
     @property
     def top(self):
@@ -149,7 +150,7 @@ class SpecializedHsm:
         return self.top.flags[key][self.top.entry]
 
     def to_shsm(self):
-        """Materialize as a plain model (vertices renamed unique), plus a
+        """Materialize as a model (vertices renamed unique), plus a
         lookup from new vertex name to (machine index, vertex position) for
         reading flags."""
         machines = []
@@ -258,6 +259,26 @@ def _stacked(solver):
         return sent
 
     return solve
+
+
+# ---------------------------------------------------------------------------
+# Scope pass
+# ---------------------------------------------------------------------------
+
+
+def scope_pass(w: SpecializedHsm, atom, key, op="p") -> SpecializedHsm:
+    """Label an atom that box labels carry: it holds at a node labelled
+    with it and at every node nested in a box labelled with it.
+
+    The context is one bit, whether an enclosing box carries the atom; a
+    box hands its target the same value as a node's flag would take."""
+    machines = w.machines
+
+    def label(mi, inherited):
+        here = [inherited or atom in lab for lab in machines[mi].labels]
+        return {key: here}, {}, here
+
+    return _specialize(w, False, label, op, "scope", 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +704,14 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
     """Check f on the hierarchical model without flattening it.
 
     Returns (verdict at the initial state, the specialized working model).
-    Scope-labeled models are first reduced to plain hierarchy over the
-    formula's atoms.
+    An atom that some box label carries is labelled by a scope pass, every
+    other atom by its nodes' labels.
     """
     root = normalize(f)
-    reduction = None
-    if not is_hsm(model):
-        ap = formula_atoms(root)
-        reduced = reduce_to_hsm(restrict_ap(model, ap), ap)
-        model, reduction = reduced.model, reduced.index
     w = _from_shsm(model, copy_budget)
+    scoped = {p for m in w.machines
+              for t, lab in zip(m.expand, m.labels) if t is not None
+              for p in lab}
 
     def boolean(flag):
         """A hook labelling every vertex with `flag(g, *operands)(m, pos)`."""
@@ -701,6 +720,15 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
             w.stats.append(PassStats(render(g), "bool", 0, 1, 1,
                                      len(w.machines)))
         return op
+
+    plain_atom = boolean(lambda g: lambda m, p: g.name in m.labels[p])
+
+    def atom(g, i):
+        nonlocal w
+        if g.name in scoped:
+            w = scope_pass(w, g.name, i, op=render(g))
+        else:
+            plain_atom(g, i)
 
     def next_op(g, i, child):
         nonlocal w
@@ -717,7 +745,7 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
         return op
 
     index, millis = evaluate(root, {
-        Atom: boolean(lambda g: lambda m, p: g.name in m.labels[p]),
+        Atom: atom,
         TrueF: boolean(lambda g: lambda m, p: True),
         Not: boolean(lambda g, c: lambda m, p: not m.flags[c][p]),
         And: boolean(lambda g, l, r: lambda m, p:
@@ -730,7 +758,7 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
         ForallU: boolean(lambda g, fg, fu: lambda m, p:
                          m.count(fg, p) + m.count(fu, p) <= g.grade),
     })
-    w.index, w.millis, w.reduction = index, millis, reduction
+    w.index, w.millis = index, millis
     return w.flag_of_entry(index[root]), w
 
 
@@ -753,12 +781,8 @@ class HierView:
     def __init__(self, model: Shsm, w: SpecializedHsm):
         self.machines = w.machines
         self.keys = w.index
-        # Scope reduction keeps each machine's vertex order, so a position
-        # names the same vertex in the input machine it was copied from.
-        origin = {j - 1: i - 1 for (i, _scope), j in (w.reduction or {}).items()}
-        self.vertex_names = [
-            model.machines[origin.get(m.source, m.source)].vertices
-            for m in w.machines]
+        self.vertex_names = [model.machines[m.source].vertices
+                             for m in w.machines]
         self._succ = {}
         self._names = {}
         self._states = {}

@@ -3,8 +3,9 @@
 A model is an ordered list of machines; box vertices expand to strictly
 lower machines.  Propositions on a box hold on every state nested inside it
 (its scope).  A model whose boxes all carry empty labels is a plain
-hierarchical machine (HSM); the general form is reduced to an HSM by
-specializing each machine per inherited scope set.
+hierarchical machine (HSM); `reduce_to_hsm` rewrites the general form into
+an HSM by specializing each machine per inherited scope set (the checker
+does not: it labels scoped atoms by a pass instead).
 """
 
 from dataclasses import dataclass, field
@@ -204,36 +205,32 @@ def _flat_sink_problems(model):
                 enterable.add(e)
                 order.append(e)
 
-    # Per enterable machine: the sources of its plain edges.
-    plain_sources = {i: {u for u, z, _ in model.machine(i).edges if z is None}
-                     for i in enterable}
+    # Per enterable machine, once: its reachable nodes without a plain edge,
+    # in name order.  Inside a box such a node continues only as an exit
+    # the box has an edge from.
+    stuck = {}
+    for i in enterable:
+        m = model.machine(i)
+        plain_sources = {u for u, z, _ in m.edges if z is None}
+        stuck[i] = [v for v in sorted(reach_vertex[i])
+                    if not m.is_box(v) and v not in plain_sources]
     problems = []
     for i in sorted(enterable):
         m = model.machine(i)
+        if i == h:
+            problems.extend(f"flat sink: machine {m.name} vertex {v!r} has "
+                            f"no outgoing edge" for v in stuck[i])
         exit_covered = {}
         for u, z, v in m.edges:
             if z is not None:
                 exit_covered.setdefault(u, set()).add(z)
-        for v in sorted(reach_vertex[i]):
-            if m.is_box(v):
-                continue
-            if v in plain_sources[i]:
-                continue
-            if i == h:
-                problems.append(
-                    f"flat sink: machine {m.name} vertex {v!r} has no outgoing edge")
         for v in sorted(v for v in reach_vertex[i] if m.is_box(v)):
-            e = m.expand[v]
-            target = model.machine(e)
-            covered = exit_covered.get(v, set())
-            for u in sorted(reach_vertex[e]):
-                if target.is_box(u) or u in plain_sources[e]:
-                    continue
-                if u in target.outputs and u in covered:
-                    continue
-                problems.append(
-                    f"flat sink: machine {target.name} vertex {u!r} has no "
-                    f"continuation inside box {v!r} of machine {m.name}")
+            target = model.machine(m.expand[v])
+            covered = exit_covered.get(v, ())
+            problems.extend(
+                f"flat sink: machine {target.name} vertex {u!r} has no "
+                f"continuation inside box {v!r} of machine {m.name}"
+                for u in stuck[m.expand[v]] if u not in covered)
     return problems
 
 

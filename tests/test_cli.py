@@ -332,6 +332,35 @@ class TestTraceWork:
             assert calls["flatten"] == 1 and calls["check_flat"] == 1
             assert calls["reanalysis"] == 0
 
+    def test_trace_form_equal_to_the_formula_labelled_once(
+            self, monkeypatch, capsys):
+        # Two traces of E>1 [true U p1] are read off the formula itself.
+        runs = []
+        check_hier = gctl.cli.check_hier
+
+        def recorded(model, f):
+            verdict, w = check_hier(model, f)
+            runs.append(w)
+            return verdict, w
+
+        monkeypatch.setattr(gctl.cli, "check_hier", recorded)
+        assert self._check("fig2", "E>1 [true U p1]", "--engine",
+                           "hier") == 0
+        out = json.loads(capsys.readouterr().out)
+        [w] = runs
+        assert [st.op for st in w.stats] == ["true", "p1", "E>1 [true U p1]"]
+        del out["stats"]["millis"]
+        assert out == {
+            "engine": "hier", "formula": "E>1 [true U p1]", "result": True,
+            "stats": {"copies": 4, "flat_states": None},
+            "traces": [
+                {"loop_start": None,
+                 "states": ["in3", "b3^0.in2", "b3^0.b2^0.in1",
+                            "b3^0.b2^0.z1"]},
+                {"loop_start": None,
+                 "states": ["in3", "in3", "b3^0.in2", "b3^0.b2^0.in1",
+                            "b3^0.b2^0.z1"]}]}
+
 
 class TestFlatten:
     def test_fig2_roundtrip(self, tmp_path, capsys, fig2_flat):

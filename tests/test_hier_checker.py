@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gctl.hier_checker
+import gctl.hsm
 from gctl.errors import CapacityError
 from gctl.flat_checker import check_flat
 from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallF,
@@ -16,7 +17,7 @@ from gctl.gen import random_formula, random_shsm
 from gctl.hier_checker import (HierView, _bool_pass, _from_shsm,
                                check_hier, compute_nsc,
                                grade0_pass, graded_next_pass)
-from gctl.hsm import flatten
+from gctl.hsm import flatten, is_hsm
 from gctl.modelfile import parse_model
 
 
@@ -26,6 +27,19 @@ def _flat_verdict(model, f):
 
 
 class TestCheckHier:
+    def test_scoped_model_is_not_reduced(self, monkeypatch, fig2_model):
+        def refuse(*args):
+            raise AssertionError("reduce_to_hsm called")
+
+        monkeypatch.setattr(gctl.hier_checker, "reduce_to_hsm", refuse)
+        monkeypatch.setattr(gctl.hsm, "reduce_to_hsm", refuse)
+        scoped = random_shsm(5, 3, 3, 3, 3, 2, scope_labels=True)
+        for model, text in ((fig2_model, "E>1 F (p3 & p1)"),
+                            (fig2_model, "A<=1 G !p2"),
+                            (scoped, "E>1 [p0 U E>2 G !p2]")):
+            f = parse_formula(text)
+            assert check_hier(model, f)[0] == _flat_verdict(model, f), text
+
     def test_fig2_reach_p1(self, fig2_model):
         verdict, _ = check_hier(fig2_model, ExistsU(0, TrueF(), Atom("p1")))
         assert verdict
@@ -331,7 +345,8 @@ class TestCopyStatistics:
     # (model: fixture name or random_shsm arguments, formula, verdict,
     #  machines after the check, per pass (grade0_factor, context_factor,
     #  machines_after)).  An A<=k U row lists the passes of its violation
-    #  families' subformulas, boolean ones included.
+    #  families' subformulas, boolean ones included.  In scoped rows an atom
+    #  that a box label carries makes its copies in its own scope pass.
     PINNED = [
         ("fig2", "E>1 [true U p1]", True, 4,
          [(1, 1, 3), (1, 1, 3), (1, 2, 4)]),
@@ -347,10 +362,10 @@ class TestCopyStatistics:
          "E>3 [p1 U E>2 [A X true U E>3 F p2]]", False, 6,
          [(1, 1, 3)] * 6 + [(2, 3, 6), (1, 1, 6), (1, 1, 6)]),
         ((4, 2, 3, 2, 3, 1107, True), "E>1 X E>3 G (true & p0)", False, 10,
-         [(1, 1, 7), (1, 1, 7), (1, 1, 7), (2, 2, 10), (1, 1, 10)]),
+         [(1, 1, 4), (1, 2, 7), (1, 1, 7), (2, 2, 10), (1, 1, 10)]),
         ((4, 2, 2, 2, 3, 1088, True),
          "A<=2 X E>1 [E>2 [p2 U p0] U A [true U true]]", True, 9,
-         [(1, 1, 7), (1, 1, 7), (2, 2, 9)] + [(1, 1, 9)] * 11),
+         [(1, 1, 4), (1, 2, 7), (2, 2, 9)] + [(1, 1, 9)] * 11),
         ((4, 1, 3, 2, 3, 1111, False), "A F (p1 | A<=3 G p2)", False, 7,
          [(1, 1, 4)] * 5 + [(1, 2, 5)] + [(1, 1, 5)] * 5
          + [(2, 1, 7), (1, 1, 7)]),
@@ -362,7 +377,7 @@ class TestCopyStatistics:
          [(1, 1, 8), (1, 1, 8), (1, 1, 8), (1, 2, 10), (1, 1, 10),
           (1, 1, 10)]),
         ((5, 3, 3, 3, 3, 2, True), "E>1 [p0 U E>2 G !p2]", False, 24,
-         [(1, 1, 13), (1, 1, 13), (1, 1, 13), (3, 2, 22), (3, 1, 24)]),
+         [(1, 2, 9), (1, 2, 13), (1, 1, 13), (3, 2, 22), (3, 1, 24)]),
     ]
 
     def test_pinned_cases(self, request):
@@ -408,8 +423,8 @@ class TestAdjacencyBuiltOnce:
             built.clear()
             inputs.clear()
             _, w = check_hier(model, parse_formula(text))
-            assert len(inputs) == 1
-            assert built == [m.name for m in inputs[0].machines]
+            assert len(inputs) == 1 and inputs[0] is model
+            assert built == [m.name for m in model.machines]
             assert len(w.machines) > len(built)
             assert any(st.kind != "bool" for st in w.stats)
             # Every copy reads its input machine's one index.
@@ -438,6 +453,19 @@ class TestCopyBudget:
         with pytest.raises(CapacityError):
             check_hier(model, f, copy_budget=need - 1)
 
+    def test_scope_pass_within_budget(self):
+        # An atom that box labels carry copies machines in its scope pass.
+        model = random_shsm(5, 3, 3, 3, 3, 2, scope_labels=True)
+        f = parse_formula("p0")
+        verdict, w = check_hier(model, f)
+        assert [(st.kind, st.context_factor) for st in w.stats] == \
+            [("scope", 2)]
+        need = len(w.machines)
+        assert need > len(model.machines)
+        assert check_hier(model, f, copy_budget=need)[0] == verdict
+        with pytest.raises(CapacityError):
+            check_hier(model, f, copy_budget=need - 1)
+
 
 class TestDeepHierarchy:
     """Copy construction walks the machine list, so a hierarchy deeper than
@@ -455,24 +483,29 @@ class TestDeepHierarchy:
 
     @pytest.fixture(scope="class")
     def generated(self):
-        """A 3000-level model, and a 12-level one from the same generator
-        with its flattening."""
-        deep = random_shsm(3000, 1, 1, 2, 2, seed=1, scope_labels=False)
-        shallow = random_shsm(12, 1, 1, 2, 2, seed=1, scope_labels=False)
-        return deep, shallow, flatten(shallow)
+        """With scope labels off and on: a 3000-level model, and a 12-level
+        one from the same generator with its flattening."""
+        cases = []
+        for scoped in (False, True):
+            shallow = random_shsm(12, 1, 1, 2, 2, seed=1, scope_labels=scoped)
+            cases.append((scoped, random_shsm(3000, 1, 1, 2, 2, seed=1,
+                                              scope_labels=scoped),
+                          shallow, flatten(shallow)))
+        return cases
 
     @pytest.mark.parametrize("operator", [
         "E X p1", "E G p1", "E F p1", "E [p0 U p1]",
         "A X p1", "A G p1", "A F p1", "A [p0 U p1]"])
     def test_every_operator_on_3000_levels(self, generated, operator):
-        deep, shallow, ks = generated
-        assert len(deep.machines) > sys.getrecursionlimit()
-        for grade in (0, 1):
-            f = parse_formula(operator.replace("E ", f"E>{grade} ")
-                              .replace("A ", f"A<={grade} "))
-            check_hier(deep, f)
-            assert check_hier(shallow, f)[0] == \
-                check_flat(ks, f).root_row()[ks.initial]
+        for scoped, deep, shallow, ks in generated:
+            assert len(deep.machines) > sys.getrecursionlimit()
+            assert is_hsm(deep) is not scoped
+            for grade in (0, 1):
+                f = parse_formula(operator.replace("E ", f"E>{grade} ")
+                                  .replace("A ", f"A<={grade} "))
+                check_hier(deep, f)
+                assert check_hier(shallow, f)[0] == \
+                    check_flat(ks, f).root_row()[ks.initial], (scoped, grade)
 
     @pytest.mark.parametrize("text, verdict", [
         ("E F p", True), ("E>1 F p", False), ("E G true", True),

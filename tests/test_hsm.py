@@ -5,6 +5,7 @@ from gctl.gen import random_shsm
 from gctl.hsm import (Machine, Shsm, flat_size, flatten, is_hsm,
                       reduce_to_hsm, repair_top_exit_loops, restrict_ap,
                       validate_shsm)
+from gctl.modelfile import parse_model
 FIG3_EDGES = {
     ("in3", "in3"), ("in3", "b3^0.in2"),
     ("b3^0.in2", "b3^0.in2"), ("b3^0.in2", "b3^0.b2^0.in1"),
@@ -74,6 +75,40 @@ class TestValidate:
                     {"i": 0, "z": 0}, [("i", None, "z")])
         problems = validate_shsm(Shsm([m]))
         assert any("flat sink" in p for p in problems)
+
+    def test_flat_sinks_listed_per_box_in_order(self):
+        # Boxes b1 and b2 expand A, whose s is stuck and whose exits each
+        # box covers one of; box c of the top machine never leaves B.
+        model = parse_model("""
+        machine A
+          init i; out y, z;
+          node i; node s; node y; node z;
+          edge i -> s; edge i -> y; edge i -> z;
+        end
+        machine B
+          init j;
+          node j; node t; node k;
+          box b2 expands A; box b1 expands A;
+          edge j -> b2; edge j -> t; edge b2.z -> b1; edge b1.y -> k;
+          edge k -> k;
+        end
+        machine C
+          init a;
+          node a; node u;
+          box c expands B;
+          edge a -> c; edge a -> u;
+        end
+        """)
+        inside = "flat sink: machine {} vertex {!r} has no continuation " \
+            "inside box {!r} of machine {}"
+        assert validate_shsm(model) == [
+            inside.format("A", "s", "b1", "B"),
+            inside.format("A", "z", "b1", "B"),
+            inside.format("A", "s", "b2", "B"),
+            inside.format("A", "y", "b2", "B"),
+            "flat sink: machine C vertex 'u' has no outgoing edge",
+            inside.format("B", "t", "c", "C"),
+        ]
 
     def test_repair_fixes_top_exit_sink(self):
         m = Machine("M", ["i", "z"], "i", ["z"],
