@@ -259,39 +259,35 @@ def trace_forms(f, n: int) -> list:
 def traces_for(view, s, f, n: int) -> list:
     """Up to n pairwise distinct traces for f at s: the evidences of an E
     formula that holds or the counterexamples of an A formula that fails,
-    none otherwise.  `view` labels `trace_forms(f, n)`."""
-    forms = trace_forms(f, n)
-    # The counts are capped above f's grade, so their sum decides f: an E
-    # root holds, and an A root fails, where it exceeds the grade.
-    if not forms or sum(view.count(g, s) for g in forms) <= f.grade:
-        return []
-    if isinstance(f, FORALL_PATH):
-        return counterexamples_for(view, s, f, n)
-    return extract_evidences(view, s, forms[0], min(n, view.count(forms[0], s)))
+    none otherwise.  `view` labels `trace_forms(f, n)`.
 
-
-def counterexamples_for(view, s, f, n: int) -> list:
-    """Up to n pairwise distinct traces violating a universal formula, on a
-    view that labels `trace_forms(f, n)`.
-
-    The traces are evidences of the dual existential forms; finite ones are
-    extended past the violating state when an inner path witness explains
-    the violation.  Returns at most the number of distinct violations.
-    """
-    if not isinstance(f, FORALL_PATH):
-        raise ValueError(f"not a universal temporal formula: {render(f)}")
+    Each form in turn gives as many of the traces still wanted as it has
+    evidences; counterexamples are extended past the violating state when
+    an inner path witness explains the violation."""
     forms = trace_forms(f, n)
     avail = [view.count(g, s) for g in forms]
-    # Dual counts are capped above the grade, so their sum decides f.
-    if sum(avail) <= f.grade:
-        raise ValueError(f"formula holds at {view.name(s)}: {render(f)}")
+    # The counts are capped above f's grade, so their sum decides f: an E
+    # root holds, and an A root fails, where it exceeds the grade.
+    if not forms or sum(avail) <= f.grade:
+        return []
+    forall = isinstance(f, FORALL_PATH)
     traces = []
     for g, have in zip(forms, avail):
         take = min(n - len(traces), have)
         if take > 0:
-            traces += [_deepen(view, tr)
-                       for tr in extract_evidences(view, s, g, take)]
+            found = extract_evidences(view, s, g, take)
+            traces += [_deepen(view, t) for t in found] if forall else found
     return traces
+
+
+def counterexamples_for(view, s, f, n: int) -> list:
+    """Up to n pairwise distinct traces violating a universal formula, on a
+    view that labels `trace_forms(f, n)`; ValueError when f holds at s."""
+    if not isinstance(f, FORALL_PATH):
+        raise ValueError(f"not a universal temporal formula: {render(f)}")
+    if sum(view.count(g, s) for g in trace_forms(f, n)) <= f.grade:
+        raise ValueError(f"formula holds at {view.name(s)}: {render(f)}")
+    return traces_for(view, s, f, n)
 
 
 def _deepen(view, trace):

@@ -13,8 +13,8 @@ to cross-check it in tests.
 from dataclasses import dataclass, field
 
 from .errors import OracleLimitError
-from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
-                      TrueF, evaluate, normalize, position_of)
+from .formula import (BOOLEAN, ExistsG, ExistsU, ExistsX, boolean_row,
+                      count_row, evaluate, normalize, position_of)
 from .kripke import KripkeStructure
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ class SatTable:
         return self.sat[self.index[self.root]]
 
     def count_row(self, f):
-        return self.counts[position_of(self.index, f)]
+        return count_row(self.counts, self.index, f)
 
     @property
     def initial(self):
@@ -233,7 +233,7 @@ class SatTable:
         return self.sat[position_of(self.index, f)][s]
 
     def count(self, f, s):
-        return self.counts[position_of(self.index, f)][s]
+        return self.count_row(f)[s]
 
 
 def _row_ops(ks: KripkeStructure, rows, counts, path_counts):
@@ -241,9 +241,11 @@ def _row_ops(ks: KripkeStructure, rows, counts, path_counts):
 
     `path_counts` maps ExistsX, ExistsG and ExistsU to a function giving
     the per-state capped evidence counts of such a form from its operand
-    rows; counts are kept in `counts` by position.  A<=k U holds where the
-    counts of its two violation families sum to at most k."""
-    n = ks.n_states
+    rows; counts are kept in `counts` by position, where `boolean_row`
+    reads those of an A<=k U's violation families."""
+
+    def boolean(g, i, *operands):
+        return boolean_row(g, operands, ks.labels, rows, counts)
 
     def path(count):
         def op(g, i, *operands):
@@ -251,19 +253,8 @@ def _row_ops(ks: KripkeStructure, rows, counts, path_counts):
             return [c > g.grade for c in cnt]
         return op
 
-    def forall_until(g, i, fam_g, fam_u):
-        total = [a + b for a, b in zip(counts[fam_g], counts[fam_u])]
-        counts[i] = [min(g.grade + 1, c) for c in total]
-        return [c <= g.grade for c in total]
-
-    return {
-        Atom: lambda g, i: [g.name in ks.labels[s] for s in range(n)],
-        TrueF: lambda g, i: [True] * n,
-        Not: lambda g, i, c: [not v for v in rows[c]],
-        And: lambda g, i, l, r: [a and b for a, b in zip(rows[l], rows[r])],
-        ForallU: forall_until,
-        **{kind: path(count) for kind, count in path_counts.items()},
-    }
+    return {**dict.fromkeys(BOOLEAN, boolean),
+            **{kind: path(count) for kind, count in path_counts.items()}}
 
 
 def check_flat(ks: KripkeStructure, f) -> SatTable:

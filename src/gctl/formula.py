@@ -505,6 +505,39 @@ def position_of(index: dict, g: Formula) -> int:
     return i
 
 
+def count_row(counts: dict, index: dict, g: Formula) -> list:
+    """The capped evidence counts of an E X / E G / E U form g, from count
+    rows by `evaluate` position; ValueError naming g when the run did not
+    label it or g has no capped count."""
+    row = counts.get(position_of(index, g))
+    if row is None:
+        raise ValueError(f"no capped count: {render(g)}")
+    return row
+
+
+# Forms whose row follows, state by state, from the state's labels and its
+# operands' rows and capped counts there.
+BOOLEAN = (Atom, TrueF, Not, And, ForallU)
+
+
+def boolean_row(g, operands, labels: list, flags, counts) -> list:
+    """The row of a `BOOLEAN` form g over states with the given label sets,
+    from the rows (`flags`) and capped counts (`counts`) of its operand
+    positions.  A<=k U holds where the counts of its two violation families
+    sum to at most k."""
+    if isinstance(g, Atom):
+        return [g.name in lab for lab in labels]
+    if isinstance(g, TrueF):
+        return [True] * len(labels)
+    if isinstance(g, Not):
+        return [not v for v in flags[operands[0]]]
+    if isinstance(g, And):
+        left, right = operands
+        return [a and b for a, b in zip(flags[left], flags[right])]
+    fam_g, fam_u = operands
+    return [a + b <= g.grade for a, b in zip(counts[fam_g], counts[fam_u])]
+
+
 def evaluate(root: Formula, ops: dict, labels: list = None):
     """Label the subformulas of a normalized formula bottom-up.
 

@@ -1,16 +1,19 @@
 """Graded-CTL checking directly on the hierarchy.
 
-Subformulas are processed bottom-up; after each pass every vertex of the
-(possibly specialized) machine set uniformly satisfies or falsifies the
-subformula, no matter which box sequence leads to it.  Passes that depend
-on context create machine copies keyed by per-exit information:
+One working model serves a whole run.  Subformulas are processed
+bottom-up, each pass labelling the working model in place; after it every
+vertex of every machine copy uniformly satisfies or falsifies the
+subformula, no matter which box sequence leads to it.  A pass whose value
+depends on context labels a machine in place under the first context
+demanded of it and copies it for each further one, keyed by per-exit
+information:
 
   * grade-0 G/U passes copy per set of exits whose continuation satisfies
     the subformula (at most 2^d copies per machine);
   * graded passes copy per map from exits to capped evidence counts
     (at most (k+2)^d copies per machine);
-  * an atom that some box label carries copies per inherited bit, whether
-    an enclosing box carries it (at most 2 copies per machine).
+  * an atom copies per inherited bit, whether an enclosing box carries it
+    (at most 2 copies per machine, none when no box carries it).
 
 Box rewiring picks the copy matching the counts of each box's actual exit
 successors, so flags can be read off vertices afterwards.
@@ -21,8 +24,8 @@ from functools import cache
 
 from . import flat_checker
 from .errors import CapacityError
-from .formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallU, Not,
-                      TrueF, evaluate, normalize, position_of, render)
+from .formula import (BOOLEAN, Atom, ExistsG, ExistsU, ExistsX, boolean_row,
+                      count_row, evaluate, normalize, position_of, render)
 # check_hier never calls reduce_to_hsm; perfbench/tracing.py hooks the name.
 from .hsm import Machine, Shsm, reduce_to_hsm
 
@@ -98,26 +101,19 @@ class WorkMachine:
     outs: list                # positions of output vertices, declaration order
     adj: Adjacency
     flags: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)   # E X / E G / E U forms only
 
     @property
     def n(self):
         return len(self.vertices)
 
-    def shell_copy(self, name, flags, counts):
-        """A copy sharing this machine's lists, with flags and counts by key
-        added: passes assign new flag, count and expansion lists and never
+    def shell_copy(self, name):
+        """A copy sharing this machine's lists, with its own flag and count
+        dicts: passes assign new flag, count and expansion lists and never
         change one in place."""
         return WorkMachine(self.source, name, self.vertices, self.labels,
                            self.expand, self.entry, self.outs, self.adj,
-                           {**self.flags, **flags}, {**self.counts, **counts})
-
-    def count(self, key, pos):
-        """Capped evidence count at vertex pos of the E X / E G / E U form
-        flagged by key; grade-0 G and U passes keep only flags, whose cap
-        is 1."""
-        counts = self.counts.get(key)
-        return int(self.flags[key][pos]) if counts is None else counts[pos]
+                           dict(self.flags), dict(self.counts))
 
 
 @dataclass
@@ -132,9 +128,9 @@ class PassStats:
 
 @dataclass
 class SpecializedHsm:
-    """Working model owned by one checking run: current machine list
-    (expansion targets always precede their machines) plus per-pass
-    statistics."""
+    """The one working model of a checking run, which every pass labels and
+    specializes in place: the current machine list (expansion targets always
+    precede their machines) plus per-pass statistics."""
 
     machines: list
     stats: list = field(default_factory=list)
@@ -190,14 +186,17 @@ def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
     return SpecializedHsm(machines, copy_budget=copy_budget)
 
 
-def _specialize(w, top_context, label, op, kind, grade, grade0_factor):
-    """Copy each machine once per context demanded of it, rewire every box
-    to the copy of its own context and record the pass statistics.
+def _specialize(w, key, top_context, label, op, kind, grade, grade0_factor):
+    """Label `key` on each machine under every context demanded of it,
+    rewire every box to the copy of its own context and record the pass
+    statistics.
 
-    `label(mi, g)` gives machine mi's flags and counts by key under context
-    g, and the context of each box (anything for nodes).  Expansion targets
-    precede their machines, so walking from the top machine down reaches a
-    machine only once all its contexts are known."""
+    `label(mi, g)` gives machine mi's flag row and capped count row (None
+    for a form without counts) under context g, and the context of each box
+    (anything for nodes).  A machine is labelled in place under its first
+    context and copied for each further one.  Expansion targets precede
+    their machines, so walking from the top machine down reaches a machine
+    only once all its contexts are known."""
     machines = w.machines
     demanded = [{} for _ in machines]    # per machine: context -> ordinal
     demanded[-1][top_context] = 0
@@ -208,9 +207,12 @@ def _specialize(w, top_context, label, op, kind, grade, grade0_factor):
             if len(made) >= w.copy_budget:
                 raise CapacityError(
                     f"machine copies exceed budget {w.copy_budget}")
-            flags, counts, contexts = label(mi, g)
-            made.append((mi, i, m.shell_copy(
-                f"{m.name}~{i}" if i else m.name, flags, counts), contexts))
+            flag, count, contexts = label(mi, g)
+            copy = m.shell_copy(f"{m.name}~{i}") if i else m
+            copy.flags[key] = flag
+            if count is not None:
+                copy.counts[key] = count
+            made.append((mi, i, copy, contexts))
             for t, c in zip(m.expand, contexts):
                 if t is not None:
                     demanded[t].setdefault(c, len(demanded[t]))
@@ -219,15 +221,13 @@ def _specialize(w, top_context, label, op, kind, grade, grade0_factor):
     first = [0]
     for d in demanded:
         first.append(first[-1] + len(d))
-    new_machines = [None] * len(made)
+    w.machines = [None] * len(made)
     for mi, i, copy, contexts in made:
         copy.expand = [None if t is None else first[t] + demanded[t][c]
                        for t, c in zip(copy.expand, contexts)]
-        new_machines[first[mi] + i] = copy
-    out = SpecializedHsm(new_machines, w.stats, w.copy_budget)
-    out.stats.append(PassStats(op, kind, grade, grade0_factor,
-                               max(map(len, demanded)), len(new_machines)))
-    return out
+        w.machines[first[mi] + i] = copy
+    w.stats.append(PassStats(op, kind, grade, grade0_factor,
+                             max(map(len, demanded)), len(made)))
 
 
 def _stacked(solver):
@@ -266,19 +266,21 @@ def _stacked(solver):
 # ---------------------------------------------------------------------------
 
 
-def scope_pass(w: SpecializedHsm, atom, key, op="p") -> SpecializedHsm:
-    """Label an atom that box labels carry: it holds at a node labelled
-    with it and at every node nested in a box labelled with it.
+def scope_pass(w: SpecializedHsm, atom, key, op="p"):
+    """Label an atom: it holds at a node labelled with it and at every node
+    nested in a box labelled with it.
 
     The context is one bit, whether an enclosing box carries the atom; a
-    box hands its target the same value as a node's flag would take."""
+    box hands its target the same value as a node's flag would take.  When
+    no box carries the atom, every machine has the one context False and
+    is labelled without a copy."""
     machines = w.machines
 
     def label(mi, inherited):
         here = [inherited or atom in lab for lab in machines[mi].labels]
-        return {key: here}, {}, here
+        return here, None, here
 
-    return _specialize(w, False, label, op, "scope", 0, 1)
+    _specialize(w, key, False, label, op, "scope", 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,7 @@ def scope_pass(w: SpecializedHsm, atom, key, op="p") -> SpecializedHsm:
 
 
 def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
-                     op="E X") -> SpecializedHsm:
+                     op="E X"):
     """Label vertices with 'at least grade+1 successors satisfy th1'.
 
     Output vertices also see the exit successors of the enclosing box, so
@@ -318,11 +320,10 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
         counts = [0 if t is not None else
                   min(cap, internal[pos] + (0 if o is None else g[o]))
                   for pos, (t, o) in enumerate(zip(m.expand, m.adj.ordinal))]
-        return ({psi_key: [c >= cap for c in counts]}, {psi_key: counts},
-                box_g)
+        return [c >= cap for c in counts], counts, box_g
 
     top_context = (0,) * len(machines[-1].outs)
-    return _specialize(w, top_context, label, op, "X", grade, 1)
+    _specialize(w, psi_key, top_context, label, op, "X", grade, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +408,19 @@ def _grade0_solutions(machines, kind, th1_key, th2_key):
 
 
 def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
-                op="E0") -> SpecializedHsm:
+                op="E0"):
     """Classical (grade-0) hierarchical pass: specialize machines per set of
-    continuing exits so the flag becomes context-free."""
+    continuing exits so the flag becomes context-free.  The flag row is
+    also the count row, capped at 1."""
     solve = _grade0_solutions(w.machines, kind, th1_key, th2_key)
 
     def label(mi, y):
         flags, mask = solve(mi, y)
-        return {psi_key: flags}, {}, mask
+        return flags, flags, mask
 
-    out = _specialize(w, 0, label, op, f"{kind}0", 0, 1)
-    stats = out.stats[-1]
+    _specialize(w, psi_key, 0, label, op, f"{kind}0", 0, 1)
+    stats = w.stats[-1]
     stats.grade0_factor, stats.context_factor = stats.context_factor, 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +602,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
 
 
 def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
-                   th2_key, psi_key, op="E GU") -> SpecializedHsm:
+                   th2_key, psi_key, op="E GU"):
     """Label vertices with 'at least grade+1 distinct evidences' for
     G th1 (mode 'G') or th1 U th2 (mode 'U').
 
@@ -612,7 +613,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     the box rewiring.
     """
     psi1_key = ("g0", psi_key)
-    w = grade0_pass(w, mode, th1_key, th2_key, psi1_key, op=op)
+    grade0_pass(w, mode, th1_key, th2_key, psi1_key, op=op)
     grade0_factor = w.stats.pop().grade0_factor
 
     cap = grade + 1
@@ -683,11 +684,11 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
         counts = [0 if t is not None else cap if pos in nsc_nodes
                   else labels[pos]
                   for pos, t in enumerate(machines[mi].expand)]
-        return ({psi_key: [c >= cap for c in counts]}, {psi_key: counts},
-                box_g)
+        return [c >= cap for c in counts], counts, box_g
 
     top_context = (0,) * len(machines[-1].outs)
-    return _specialize(w, top_context, label, op, mode, grade, grade0_factor)
+    _specialize(w, psi_key, top_context, label, op, mode, grade,
+                grade0_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -695,68 +696,36 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
 # ---------------------------------------------------------------------------
 
 
-def _bool_pass(w, compute, key):
-    for m in w.machines:
-        m.flags[key] = [compute(m, pos) for pos in range(m.n)]
-
-
 def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
     """Check f on the hierarchical model without flattening it.
 
-    Returns (verdict at the initial state, the specialized working model).
-    An atom that some box label carries is labelled by a scope pass, every
-    other atom by its nodes' labels.
+    Returns (verdict at the initial state, the working model, which every
+    pass has labelled in place).  Every atom is labelled by a scope pass,
+    the other boolean forms and A<=k U by `boolean_row` on each machine.
     """
     root = normalize(f)
     w = _from_shsm(model, copy_budget)
-    scoped = {p for m in w.machines
-              for t, lab in zip(m.expand, m.labels) if t is not None
-              for p in lab}
 
-    def boolean(flag):
-        """A hook labelling every vertex with `flag(g, *operands)(m, pos)`."""
-        def op(g, i, *operands):
-            _bool_pass(w, flag(g, *operands), i)
-            w.stats.append(PassStats(render(g), "bool", 0, 1, 1,
-                                     len(w.machines)))
-        return op
-
-    plain_atom = boolean(lambda g: lambda m, p: g.name in m.labels[p])
-
-    def atom(g, i):
-        nonlocal w
-        if g.name in scoped:
-            w = scope_pass(w, g.name, i, op=render(g))
-        else:
-            plain_atom(g, i)
-
-    def next_op(g, i, child):
-        nonlocal w
-        w = graded_next_pass(w, g.grade, child, i, op=render(g))
+    def boolean(g, i, *operands):
+        for m in w.machines:
+            m.flags[i] = boolean_row(g, operands, m.labels, m.flags, m.counts)
+        w.stats.append(PassStats(render(g), "bool", 0, 1, 1, len(w.machines)))
 
     def globally_until(kind):
         def op(g, i, th1, th2=None):
-            nonlocal w
             if g.grade == 0:
-                w = grade0_pass(w, kind, th1, th2, i, op=render(g))
+                grade0_pass(w, kind, th1, th2, i, op=render(g))
             else:
-                w = graded_gu_pass(w, g.grade, kind, th1, th2, i,
-                                   op=render(g))
+                graded_gu_pass(w, g.grade, kind, th1, th2, i, op=render(g))
         return op
 
     index, millis = evaluate(root, {
-        Atom: atom,
-        TrueF: boolean(lambda g: lambda m, p: True),
-        Not: boolean(lambda g, c: lambda m, p: not m.flags[c][p]),
-        And: boolean(lambda g, l, r: lambda m, p:
-                     m.flags[l][p] and m.flags[r][p]),
-        ExistsX: next_op,
+        **dict.fromkeys(BOOLEAN, boolean),
+        Atom: lambda g, i: scope_pass(w, g.name, i, op=render(g)),
+        ExistsX: lambda g, i, child: graded_next_pass(w, g.grade, child, i,
+                                                      op=render(g)),
         ExistsG: globally_until("G"),
         ExistsU: globally_until("U"),
-        # A<=k U holds where its two violation families' capped counts
-        # sum to at most k.
-        ForallU: boolean(lambda g, fg, fu: lambda m, p:
-                         m.count(fg, p) + m.count(fu, p) <= g.grade),
     })
     w.index, w.millis = index, millis
     return w.flag_of_entry(index[root]), w
@@ -833,4 +802,4 @@ class HierView:
     def count(self, g, s):
         """Capped evidence count of an E X / E G / E U subformula."""
         mi, pos = s[-1]
-        return self.machines[mi].count(position_of(self.keys, g), pos)
+        return int(count_row(self.machines[mi].counts, self.keys, g)[pos])

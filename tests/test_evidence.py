@@ -195,6 +195,15 @@ class TestTraceForms:
                      trace_forms(forall, 2)[0])):
                 with pytest.raises(ValueError, match=re.escape(render(form))):
                     call()
+        # Views of a run that labels an A U and an atom, whose rows are
+        # flags with no capped count.
+        both = parse_formula("A<=0 [true U p3] & E>1 F p1")
+        for view in (check_flat(fig2_flat, both),
+                     HierView(fig2_model, check_hier(fig2_model, both)[1])):
+            for form in (parse_formula("A [true U p3]"), p1):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"no capped count: {render(form)}")):
+                    view.count(form, view.initial)
 
     def test_counterexamples_reuse_given_table(self, monkeypatch):
         ks = KripkeStructure(["s0", "u", "v", "w"], 0,

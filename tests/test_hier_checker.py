@@ -14,9 +14,9 @@ from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallF,
                           ForallG, Implies, TrueF, normalize, parse_formula,
                           render)
 from gctl.gen import random_formula, random_shsm
-from gctl.hier_checker import (HierView, _bool_pass, _from_shsm,
-                               check_hier, compute_nsc,
-                               grade0_pass, graded_next_pass)
+from gctl.hier_checker import (HierView, WorkMachine, _from_shsm,
+                               check_hier, compute_nsc, grade0_pass,
+                               graded_next_pass, scope_pass)
 from gctl.hsm import flatten, is_hsm
 from gctl.modelfile import parse_model
 
@@ -96,11 +96,11 @@ class TestGradedNextPass:
     def test_box_rewired_to_exit_counts(self):
         model = self._two_exit_model()
         w = _from_shsm(model, 1000)
-        _bool_pass(w, lambda m, p: "p" in m.labels[p], "th1")
-        w2 = graded_next_pass(w, 1, "th1", "psi")
-        top = w2.top
+        scope_pass(w, "p", "th1")
+        graded_next_pass(w, 1, "th1", "psi")
+        top = w.top
         box_pos = next(p for p in range(top.n) if top.expand[p] is not None)
-        target = w2.machines[top.expand[box_pos]]
+        target = w.machines[top.expand[box_pos]]
         # z1 sees two satisfying successors (capped at 2), z2 none.
         assert target.counts["psi"][target.outs[0]] == 2
         assert target.counts["psi"][target.outs[1]] == 0
@@ -110,9 +110,9 @@ class TestGradedNextPass:
     def test_no_boxes_no_copies(self):
         model = random_shsm(1, 3, 1, 0, 2, 1)
         w = _from_shsm(model, 1000)
-        _bool_pass(w, lambda m, p: "p0" in m.labels[p], "th1")
-        w2 = graded_next_pass(w, 2, "th1", "psi")
-        assert len(w2.machines) == 1
+        scope_pass(w, "p0", "th1")
+        graded_next_pass(w, 2, "th1", "psi")
+        assert len(w.machines) == 1
 
     def test_grade0_equals_classical_next(self, fig2_model):
         f = ExistsX(0, Atom("p1"))
@@ -132,9 +132,9 @@ class TestComputeNsc:
         end
         """)
         w = _from_shsm(model, 100)
-        _bool_pass(w, lambda m, pos: "p" in m.labels[pos], 0)
-        w2 = grade0_pass(w, "G", 0, None, "S")
-        infos = compute_nsc(w2, "S")
+        scope_pass(w, "p", 0)
+        grade0_pass(w, "G", 0, None, "S")
+        infos = compute_nsc(w, "S")
         assert not infos[-1].nsc
 
     def test_branch_inside_box_detected(self):
@@ -161,15 +161,15 @@ class TestComputeNsc:
         end
         """)
         w = _from_shsm(model, 100)
-        _bool_pass(w, lambda m, pos: "p" in m.labels[pos], 0)
-        w2 = grade0_pass(w, "G", 0, None, "S")
-        infos = compute_nsc(w2, "S")
-        assert w2.top.entry in infos[-1].nsc_nodes
+        scope_pass(w, "p", 0)
+        grade0_pass(w, "G", 0, None, "S")
+        infos = compute_nsc(w, "S")
+        assert w.top.entry in infos[-1].nsc_nodes
 
     def test_empty_sat_set_empty_nsc(self, fig2_model):
         w = _from_shsm(fig2_model, 100)
-        _bool_pass(w, lambda m, pos: False, "S")
-        _bool_pass(w, lambda m, pos: False, "th1")
+        for m in w.machines:
+            m.flags["S"] = m.flags["th1"] = [False] * m.n
         infos = compute_nsc(w, "S", until_mode=True, th1_key="th1")
         assert all(not info.nsc for info in infos)
 
@@ -380,18 +380,47 @@ class TestCopyStatistics:
          [(1, 2, 9), (1, 2, 13), (1, 1, 13), (3, 2, 22), (3, 1, 24)]),
     ]
 
+    def _model(self, request, spec):
+        if isinstance(spec, str):
+            return request.getfixturevalue(self.MODELS[spec])
+        m, nodes, exits, boxes, props, seed, scoped = spec
+        return random_shsm(m, nodes, exits, boxes, props, seed,
+                           scope_labels=scoped)
+
     def test_pinned_cases(self, request):
         for spec, text, verdict, machines, passes in self.PINNED:
-            if isinstance(spec, str):
-                model = request.getfixturevalue(self.MODELS[spec])
-            else:
-                m, nodes, exits, boxes, props, seed, scoped = spec
-                model = random_shsm(m, nodes, exits, boxes, props, seed,
-                                    scope_labels=scoped)
+            model = self._model(request, spec)
             got, w = check_hier(model, parse_formula(text))
             assert (got, len(w.machines)) == (verdict, machines), (spec, text)
             assert [(st.grade0_factor, st.context_factor, st.machines_after)
                     for st in w.stats] == passes, (spec, text)
+
+    def test_copies_only_for_second_contexts(self, request, monkeypatch):
+        # Each pass labels a machine in place under its first context, so
+        # every copy made is one the final working model keeps.
+        made = []
+        shell_copy = WorkMachine.shell_copy
+
+        def counted(self, *args):
+            made.append(self.name)
+            return shell_copy(self, *args)
+
+        monkeypatch.setattr(WorkMachine, "shell_copy", counted)
+        for spec, text, *_ in self.PINNED:
+            model = self._model(request, spec)
+            made.clear()
+            _, w = check_hier(model, parse_formula(text))
+            assert len(made) == len(w.machines) - len(model.machines), \
+                (spec, text)
+        # Boolean operators over atoms that no box carries copy nothing.
+        for spec, text in (("fig2", "p1 & !(p1 | true)"),
+                           ("retry", "fail -> (abort | !success)"),
+                           ((4, 2, 3, 2, 3, 1253, False), "(p0 | !p1) -> p2")):
+            model = self._model(request, spec)
+            made.clear()
+            _, w = check_hier(model, parse_formula(text))
+            assert made == [] and len(w.machines) == len(model.machines), \
+                (spec, text)
 
 
 class TestAdjacencyBuiltOnce:

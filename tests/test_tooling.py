@@ -2,7 +2,9 @@
 
 The benchmark's tracer (perfbench/tracing.py) times gctl's layers by
 swapping module attributes it names in `HOOKS`.  A renamed or deleted
-attribute breaks `perfbench/run.py --trace 1`, so every name must resolve.
+attribute breaks `perfbench/run.py --trace 1`, so every name must resolve,
+and a pass called other than through its module attribute would read 0, so
+the pass hooks must record spans.
 The model files and the README's model examples must read and validate, so
 the documented grammar cannot drift from the parser, and every name the
 package exports or the README cites as `gctl.<module>.<name>` must exist, so
@@ -15,8 +17,10 @@ import re
 
 import pytest
 
+from gctl.cli import main
+from gctl.gen import random_shsm
 from gctl.hsm import validate_shsm
-from gctl.modelfile import parse_model
+from gctl.modelfile import parse_model, render_model
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -31,13 +35,34 @@ DOCUMENTED_MODELS = {
 }
 
 
-def test_tracer_hooks_resolve():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_hooks_resolve():
+    tracing = _tracing()
     missing = [(module, attr) for module, attr, *_ in tracing.HOOKS
                if not hasattr(importlib.import_module(module), attr)]
     assert tracing.HOOKS and missing == []
+
+
+def test_tracer_pass_hooks_record_spans(tmp_path):
+    # E X, grade-0 E G and graded E U / E G on a scope-labelled model.
+    model = tmp_path / "scoped.gctl"
+    model.write_text(render_model(random_shsm(4, 2, 2, 2, 3, 1)))
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        code = main(["check", "--model", str(model), "--formula",
+                     "E>1 X (E G p0 | E>1 [p1 U E>1 G p2])", "--engine",
+                     "hier", "--output", str(tmp_path / "report.txt")])
+    assert code in (0, 1)
+    names = {span["name"] for span in tracer.to_json()}
+    assert {"hier_checker.check_hier", "hier_checker.grade0_pass",
+            "hier_checker.graded_gu_pass", "hier_checker.graded_next_pass",
+            "hier_checker.compute_nsc"} <= names
 
 
 def test_documented_names_resolve():
