@@ -51,7 +51,7 @@ class CheckReport:
     flat_states: int = None
     copies: int = None
     millis: float = 0.0
-    per_subformula: list = field(default_factory=list)  # (text, millis)
+    per_subformula: list = field(default_factory=list)  # (form, millis)
     traces: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
@@ -84,8 +84,8 @@ class CheckReport:
         lines.append(f"time    : {self.millis:.1f} ms")
         if self.per_subformula:
             lines.append("subformulas:")
-            for text, ms in self.per_subformula:
-                lines.append(f"  {ms:8.2f} ms  {text}")
+            for g, ms in self.per_subformula:
+                lines.append(f"  {ms:8.2f} ms  {render(g)}")
         for note in self.notes:
             lines.append(f"note    : {note}")
         if self.traces:
@@ -161,7 +161,7 @@ def cmd_check(args):
         report.result = verdict_h
         report.copies = len(w.machines)
     labelled = table or w     # the flat run's times when both engines ran
-    report.per_subformula = [(render(g), labelled.millis[i])
+    report.per_subformula = [(g, labelled.millis[i])
                              for g, i in labelled.index.items()]
     if args.witnesses:
         # Traces are named by the input model's flattening: read off the

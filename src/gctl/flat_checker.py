@@ -13,8 +13,9 @@ to cross-check it in tests.
 from dataclasses import dataclass, field
 
 from .errors import OracleLimitError
-from .formula import (BOOLEAN, ExistsG, ExistsU, ExistsX, boolean_row,
-                      count_row, evaluate, normalize, position_of)
+from .formula import (BOOLEAN, LOWER_GRADE, ExistsG, ExistsU, ExistsX,
+                      boolean_row, count_row, evaluate, graded_rows, normalize,
+                      position_of)
 from .kripke import KripkeStructure
 
 # ---------------------------------------------------------------------------
@@ -236,16 +237,24 @@ class SatTable:
         return self.count_row(f)[s]
 
 
-def _row_ops(ks: KripkeStructure, rows, counts, path_counts):
-    """`evaluate` hooks of a flat decider, over per-state rows by position.
+def _label(ks: KripkeStructure, f, path_counts) -> SatTable:
+    """Label every state with every subformula of f (normalized first).
 
     `path_counts` maps ExistsX, ExistsG and ExistsU to a function giving
     the per-state capped evidence counts of such a form from its operand
-    rows; counts are kept in `counts` by position, where `boolean_row`
-    reads those of an A<=k U's violation families."""
+    rows; counts are kept in `table.counts` by position, where
+    `boolean_row` reads those of an A<=k U's violation families and
+    `graded_rows` those of a path form's lower grades."""
+    root = normalize(f)
+    table = SatTable(ks=ks, root=root)
+    rows, counts = table.sat, table.counts
 
     def boolean(g, i, *operands):
         return boolean_row(g, operands, ks.labels, rows, counts)
+
+    def lower_grade(g, i, j):
+        row, counts[i] = graded_rows(g, counts[j])
+        return row
 
     def path(count):
         def op(g, i, *operands):
@@ -253,24 +262,22 @@ def _row_ops(ks: KripkeStructure, rows, counts, path_counts):
             return [c > g.grade for c in cnt]
         return op
 
-    return {**dict.fromkeys(BOOLEAN, boolean),
-            **{kind: path(count) for kind, count in path_counts.items()}}
+    ops = {**dict.fromkeys(BOOLEAN, boolean), LOWER_GRADE: lower_grade,
+           **{kind: path(count) for kind, count in path_counts.items()}}
+    table.index, table.millis = evaluate(root, ops, rows)
+    return table
 
 
 def check_flat(ks: KripkeStructure, f) -> SatTable:
     """Label every state with every subformula of f (normalized first)."""
-    root = normalize(f)
-    table = SatTable(ks=ks, root=root)
     n = ks.n_states
-    ops = _row_ops(ks, table.sat, table.counts, {
+    return _label(ks, f, {
         ExistsX: lambda g, child: [count_next(ks, s, child, g.grade + 1)
                                    for s in range(n)],
         ExistsG: lambda g, child: globally_analysis(ks, child, g.grade),
         ExistsU: lambda g, left, right: until_analysis(ks, left, right,
                                                        g.grade),
     })
-    table.index, table.millis = evaluate(root, ops, table.sat)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +356,19 @@ def _oracle_tree_count(ks, s, kind, cap, sat1, sat2, depth):
     return at_depth if at_depth is not None else level[s], level[s]
 
 
-def oracle_check(ks: KripkeStructure, f) -> list:
-    """Per-state verdicts for f computed with oracle_count only."""
+def oracle_table(ks: KripkeStructure, f) -> SatTable:
+    """Every subformula's rows for f, path forms counted with oracle_count
+    only."""
     n = ks.n_states
-    rows = []
 
     def counted(kind):
         return lambda g, *operands: [
             oracle_count(ks, s, kind, g.grade, *operands) for s in range(n)]
 
-    ops = _row_ops(ks, rows, {}, {ExistsX: counted("X"), ExistsG: counted("G"),
-                                  ExistsU: counted("U")})
-    root = normalize(f)
-    index, _millis = evaluate(root, ops, rows)
-    return rows[index[root]]
+    return _label(ks, f, {ExistsX: counted("X"), ExistsG: counted("G"),
+                          ExistsU: counted("U")})
+
+
+def oracle_check(ks: KripkeStructure, f) -> list:
+    """Per-state verdicts for f computed with oracle_count only."""
+    return oracle_table(ks, f).root_row()

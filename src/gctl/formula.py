@@ -7,7 +7,7 @@ Grade 0 is the classical semantics.
 
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import FormulaSyntaxError
 
@@ -538,6 +538,41 @@ def boolean_row(g, operands, labels: list, flags, counts) -> list:
     return [a + b <= g.grade for a, b in zip(counts[fam_g], counts[fam_u])]
 
 
+# Path forms with a capped evidence count.  Of those a run labels with one
+# operator and operands, only the highest grade is counted by a path pass;
+# `evaluate` reads every lower grade off its counts with `graded_rows`.
+PATH = (ExistsX, ExistsG, ExistsU)
+LOWER_GRADE = "lower grade"
+
+
+def graded_rows(g, count) -> tuple:
+    """The flag and capped count rows of a path form g of grade k, read off
+    `count`, the capped counts of its operator and operands at a grade
+    K >= k: g holds where c > k, and min(c, k+1) is its own count."""
+    k = g.grade
+    return [c > k for c in count], [min(c, k + 1) for c in count]
+
+
+def _top_grades(root) -> dict:
+    """(path operator, operands) -> the highest grade among the forms that
+    `evaluate` labels for root."""
+    top = {}
+    seen = set()
+    stack = [root]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        stack.extend(children(g))
+        if isinstance(g, ForallU):
+            stack.extend(violation_families(g))
+        elif isinstance(g, PATH):
+            key = type(g), children(g)
+            top[key] = max(top.get(key, 0), g.grade)
+    return top
+
+
 def evaluate(root: Formula, ops: dict, labels: list = None):
     """Label the subformulas of a normalized formula bottom-up.
 
@@ -545,21 +580,34 @@ def evaluate(root: Formula, ops: dict, labels: list = None):
     For each subformula g at position i this calls
     ``ops[type(g)](g, i, *operand positions)``; the operands of an
     ``A<=k U`` node are its two `violation_families` forms, labelled after
-    its children and before it.  When `labels` is given it gets one slot per
-    position, holding what the hook returned.  Returns (subformula ->
-    position, in position order; milliseconds each hook took, by position).
+    its children and before it.  A path form that the run also labels at a
+    higher grade K with the same operator and operands is instead given
+    ``ops[LOWER_GRADE](g, i, j)``, where j is the position of the grade-K
+    form, numbered first; the hook reads g's rows off j's counts with
+    `graded_rows`.  When `labels` is given it gets one slot per position,
+    holding what the hook returned.  Returns (subformula -> position, in
+    position order; milliseconds each hook took, by position).
     """
+    top = _top_grades(root)
     index = {}
-    operands = []       # per position
+    # Per position: (ops key, operand positions).  `visit` refers to itself
+    # and so lives until a collection; it holds no hook, and so none of
+    # what a hook refers to.
+    steps = []
 
     def visit(g):
         i = index.get(g)
         if i is None:
-            args = [visit(h) for h in children(g)]
+            kind, args = type(g), [visit(h) for h in children(g)]
             if isinstance(g, ForallU):
                 args = [visit(h) for h in violation_families(g)]
-            i = index[g] = len(operands)
-            operands.append(args)
+            elif isinstance(g, PATH):
+                grade = top[type(g), children(g)]
+                if grade > g.grade:
+                    kind = LOWER_GRADE
+                    args = [visit(replace(g, grade=grade))]
+            i = index[g] = len(steps)
+            steps.append((kind, args))
         return i
 
     visit(root)
@@ -567,8 +615,9 @@ def evaluate(root: Formula, ops: dict, labels: list = None):
     if labels is not None:
         labels[:] = [None] * len(index)
     for g, i in index.items():
+        kind, args = steps[i]
         started = time.perf_counter()
-        label = ops[type(g)](g, i, *operands[i])
+        label = ops[kind](g, i, *args)
         millis[i] = (time.perf_counter() - started) * 1000.0
         if labels is not None:
             labels[i] = label

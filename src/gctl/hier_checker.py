@@ -16,7 +16,10 @@ information:
     (at most 2 copies per machine, none when no box carries it).
 
 Box rewiring picks the copy matching the counts of each box's actual exit
-successors, so flags can be read off vertices afterwards.
+successors, so flags can be read off vertices afterwards.  Copies of one
+input machine that a pass cannot tell apart, by the rows it reads and the
+copies their boxes expand, fall in one class (`_classes`), and the pass
+runs each of its analyses once per class and context.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +27,9 @@ from functools import cache
 
 from . import flat_checker
 from .errors import CapacityError
-from .formula import (BOOLEAN, Atom, ExistsG, ExistsU, ExistsX, boolean_row,
-                      count_row, evaluate, normalize, position_of, render)
+from .formula import (BOOLEAN, LOWER_GRADE, Atom, ExistsG, ExistsU, ExistsX,
+                      boolean_row, count_row, evaluate, graded_rows, normalize,
+                      position_of, render)
 # check_hier never calls reduce_to_hsm; perfbench/tracing.py hooks the name.
 from .hsm import Machine, Shsm, reduce_to_hsm
 
@@ -118,12 +122,17 @@ class WorkMachine:
 
 @dataclass
 class PassStats:
-    op: str
+    form: object              # the labelled subformula, or a name for the pass
     kind: str
     grade: int
     grade0_factor: int
     context_factor: int
     machines_after: int
+
+    @property
+    def op(self):
+        """The labelled subformula as text, rendered when read."""
+        return self.form if isinstance(self.form, str) else render(self.form)
 
 
 @dataclass
@@ -174,10 +183,24 @@ class SpecializedHsm:
 
 
 def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
+    """The working model of the input machines that the top machine's boxes
+    reach, in input order.  Passes demand contexts only of these, so every
+    pass sees the same machine set."""
+    reached = [False] * len(model.machines)
+    reached[-1] = True
+    for source in range(len(model.machines) - 1, -1, -1):
+        if reached[source]:
+            for e in model.machines[source].expand.values():
+                if e:
+                    reached[e - 1] = True
+    # input position -> working position
+    kept = {source: i for i, source in enumerate(
+        source for source, r in enumerate(reached) if r)}
     machines = []
-    for source, m in enumerate(model.machines):
+    for source in kept:
+        m = model.machines[source]
         pos_of = {v: i for i, v in enumerate(m.vertices)}
-        expand = [None if m.expand.get(v, 0) == 0 else m.expand[v] - 1
+        expand = [None if m.expand.get(v, 0) == 0 else kept[m.expand[v] - 1]
                   for v in m.vertices]
         machines.append(WorkMachine(
             source, m.name, list(m.vertices),
@@ -230,16 +253,36 @@ def _specialize(w, key, top_context, label, op, kind, grade, grade0_factor):
                              max(map(len, demanded)), len(made)))
 
 
-def _stacked(solver):
-    """Memoize solver(mi, context), a generator that yields each (machine,
-    context) pair whose result it needs and is sent that result back.
-    Solvers only ask for lower machines, so the pairs form no cycle; they
-    are solved on an explicit stack, and hierarchies deeper than the
-    interpreter's recursion limit solve too."""
+def _classes(machines, keys) -> list:
+    """Per machine, a class number: machines share one when they copy the
+    same input machine and have equal rows under `keys` and box targets of
+    equal classes, so every analysis of a pass that reads only those rows
+    gives them equal results.  Expansion targets precede their machines, so
+    one sweep numbers them all."""
+    # Row contents -> number, kept apart from the class numbers: a row
+    # tuple could equal a class key, as True == 1.
+    rows = {}
+    numbers = {}
+    classes = []
+    for m in machines:
+        key = (m.source,
+               *[rows.setdefault(tuple(m.flags[k]), len(rows)) for k in keys],
+               *[classes[t] for t in m.expand if t is not None])
+        classes.append(numbers.setdefault(key, len(numbers)))
+    return classes
+
+
+def _stacked(solver, classes):
+    """Memoize solver(mi, context) by (class of machine mi, context).  The
+    solver is a generator that yields each (machine, context) pair whose
+    result it needs and is sent that result back.  Solvers only ask for
+    lower machines, so the pairs form no cycle; they are solved on an
+    explicit stack, and hierarchies deeper than the interpreter's recursion
+    limit solve too."""
     memo = {}
 
     def solve(mi, context):
-        top = (mi, context)
+        top = (classes[mi], context)
         result = memo.get(top)
         if result is not None:
             return result
@@ -253,9 +296,11 @@ def _stacked(solver):
                 memo[key] = sent = done.value
                 stack.pop()
                 continue
-            sent = memo.get(need)
+            t, context = need
+            key = (classes[t], context)
+            sent = memo.get(key)
             if sent is None:
-                stack.append((need, solver(*need)))
+                stack.append((key, solver(t, context)))
         return sent
 
     return solve
@@ -334,7 +379,8 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
 def _grade0_solutions(machines, kind, th1_key, th2_key):
     """Per (machine, continuing exits) satisfaction of the classical E G /
     E U form.  Exit sets are bit masks over exit ordinals.  Returns a
-    memoized solver giving (flag per vertex, continuing-exit mask per box).
+    solver giving (flag per vertex, continuing-exit mask per box), memoized
+    by the machine's class under the operand rows.
 
     E U is a least fixpoint, grown from th2 vertices and th1 exits that
     continue; E G a greatest one, shrunk as vertices lose their last
@@ -404,7 +450,8 @@ def _grade0_solutions(machines, kind, th1_key, th2_key):
                         stack.append(b)
         return val, mask
 
-    return _stacked(solve)
+    keys = (th1_key, th2_key) if until else (th1_key,)
+    return _stacked(solve, _classes(machines, keys))
 
 
 def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
@@ -451,16 +498,25 @@ class NscInfo:
     internal_outdeg: list
 
 
-def compute_nsc(w: SpecializedHsm, s_key, until_mode=False, th1_key=None):
-    """Bottom-up branching-cycle analysis for every machine.
+def compute_nsc(w: SpecializedHsm, s_key, until_mode=False, th1_key=None,
+                classes=None):
+    """Bottom-up branching-cycle analysis for every machine, run once per
+    class of `classes`, numbers from `_classes` under keys that include
+    s_key and, in until mode, th1_key (by default each machine its own).
 
     s_key flags the grade-0 satisfying set; in until mode edges leaving
     states that fail th1 are suppressed, matching the evidence graph.
     """
     machines = w.machines
     infos = []
-    for mi, m in enumerate(machines):
-        infos.append(_nsc_one(machines, infos, mi, s_key, until_mode, th1_key))
+    done = {}
+    for mi in range(len(machines)):
+        c = mi if classes is None else classes[mi]
+        info = done.get(c)
+        if info is None:
+            info = done[c] = _nsc_one(machines, infos, mi, s_key, until_mode,
+                                      th1_key)
+        infos.append(info)
     return infos
 
 
@@ -619,9 +675,12 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     cap = grade + 1
     machines = w.machines
     until = mode == "U"
-    infos = compute_nsc(w, psi1_key, until_mode=until, th1_key=th1_key)
+    # The branching-cycle analysis and the dags read these rows only.
+    classes = _classes(machines, (psi1_key, th1_key, th2_key) if until
+                       else (psi1_key,))
+    infos = compute_nsc(w, psi1_key, until_mode=until, th1_key=th1_key,
+                        classes=classes)
 
-    @_stacked
     def dag(mi, g):
         """Capped evidence counts of machine mi's states under the exit
         context g, its entry's count and each box's exit context."""
@@ -677,6 +736,8 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
         entry_label = cap if m.entry in info.nsc else labels[m.entry]
         return labels, entry_label, box_g
 
+    dag = _stacked(dag, classes)
+
     def label(mi, g):
         labels, _entry, box_g = dag(mi, g)
         nsc_nodes = infos[mi].nsc_nodes
@@ -701,7 +762,9 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
 
     Returns (verdict at the initial state, the working model, which every
     pass has labelled in place).  Every atom is labelled by a scope pass,
-    the other boolean forms and A<=k U by `boolean_row` on each machine.
+    the other boolean forms and A<=k U by `boolean_row` on each machine,
+    and a path form of a grade below another of its operator and operands
+    by `graded_rows`.
     """
     root = normalize(f)
     w = _from_shsm(model, copy_budget)
@@ -709,21 +772,27 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
     def boolean(g, i, *operands):
         for m in w.machines:
             m.flags[i] = boolean_row(g, operands, m.labels, m.flags, m.counts)
-        w.stats.append(PassStats(render(g), "bool", 0, 1, 1, len(w.machines)))
+        w.stats.append(PassStats(g, "bool", 0, 1, 1, len(w.machines)))
+
+    def lower_grade(g, i, j):
+        for m in w.machines:
+            m.flags[i], m.counts[i] = graded_rows(g, m.counts[j])
+        w.stats.append(PassStats(g, "lower", g.grade, 1, 1, len(w.machines)))
 
     def globally_until(kind):
         def op(g, i, th1, th2=None):
             if g.grade == 0:
-                grade0_pass(w, kind, th1, th2, i, op=render(g))
+                grade0_pass(w, kind, th1, th2, i, op=g)
             else:
-                graded_gu_pass(w, g.grade, kind, th1, th2, i, op=render(g))
+                graded_gu_pass(w, g.grade, kind, th1, th2, i, op=g)
         return op
 
     index, millis = evaluate(root, {
         **dict.fromkeys(BOOLEAN, boolean),
-        Atom: lambda g, i: scope_pass(w, g.name, i, op=render(g)),
+        LOWER_GRADE: lower_grade,
+        Atom: lambda g, i: scope_pass(w, g.name, i, op=g),
         ExistsX: lambda g, i, child: graded_next_pass(w, g.grade, child, i,
-                                                      op=render(g)),
+                                                      op=g),
         ExistsG: globally_until("G"),
         ExistsU: globally_until("U"),
     })

@@ -8,6 +8,7 @@ import pytest
 import gctl.cli
 import gctl.evidence
 import gctl.flat_checker
+import gctl.formula
 import gctl.hier_checker
 from gctl.cli import main
 from gctl.gen import random_shsm
@@ -183,6 +184,25 @@ class TestCheck:
         rows = texts["flat"]
         assert rows[-1] == "A<=1 [!abort U success]"
         assert "E>1 G (!abort & !success)" in rows[:-1]
+
+    def test_json_report_renders_no_subformula(self, capsys, monkeypatch):
+        # The JSON report prints no subformula, so none is rendered.
+        rendered = []
+        render = gctl.formula.render
+
+        def counted(g):
+            rendered.append(g)
+            return render(g)
+
+        for module in (gctl.formula, gctl.cli, gctl.hier_checker):
+            monkeypatch.setattr(module, "render", counted)
+        args = ["check", "--model", RETRY, "--formula",
+                "A<=1 [!abort U success]", "--witnesses", "2"]
+        for engine in ("flat", "hier"):
+            assert main([*args, "--engine", engine, "--format", "json"]) == 0
+            assert rendered == []
+        assert main([*args, "--engine", "hier"]) == 0
+        assert self._subformula_rows(capsys.readouterr().out) and rendered
 
     def test_subformula_time_covers_its_grade0_pass(self, capsys,
                                                      monkeypatch):
@@ -360,6 +380,62 @@ class TestTraceWork:
                 {"loop_start": None,
                  "states": ["in3", "in3", "b3^0.in2", "b3^0.b2^0.in1",
                             "b3^0.b2^0.z1"]}]}
+
+    PQ_MODEL = """
+    machine Leaf
+      init a;
+      out z;
+      node a [p];
+      node b [p];
+      node d;
+      node z [q];
+      edge a -> b;
+      edge a -> z;
+      edge b -> b;
+      edge b -> d;
+      edge d -> z;
+    end
+    machine Top
+      init s;
+      node s [p];
+      node t [q];
+      box l1 expands Leaf;
+      box l2 expands Leaf [q];
+      edge s -> l1;
+      edge s -> l2;
+      edge l1.z -> t;
+      edge l2.z -> s;
+      edge t -> t;
+    end
+    """
+
+    @pytest.mark.parametrize("formula, code, passes", [
+        ("A [p U q]", 1, ["G", "U"]), ("E F p", 0, ["U"])])
+    def test_one_path_pass_per_form_at_its_highest_grade(
+            self, monkeypatch, capsys, tmp_path, formula, code, passes):
+        # Three traces need the trace forms at grade 2; the formula's own
+        # grade-0 forms are read off their counts.
+        runs = []
+        check_hier = gctl.cli.check_hier
+
+        def recorded(model, f):
+            verdict, w = check_hier(model, f)
+            runs.append(w)
+            return verdict, w
+
+        monkeypatch.setattr(gctl.cli, "check_hier", recorded)
+        model = tmp_path / "pq.gctl"
+        model.write_text(self.PQ_MODEL)
+        assert self._check(str(model), formula, "--engine", "hier",
+                           witnesses="3") == code
+        assert len(json.loads(capsys.readouterr().out)["traces"]) == 3
+        [w] = runs
+        assert [st.kind for st in w.stats
+                if st.kind in ("G", "U", "G0", "U0")] == passes
+        assert [(st.op, st.grade) for st in w.stats if st.kind == "lower"] \
+            == [(text, 0) for text in {
+                "A [p U q]": ["E G (p & !q)", "E [(p & !q) U (!p & !q)]"],
+                "E F p": ["E [true U p]"]}[formula]]
 
 
 class TestFlatten:

@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -39,6 +41,19 @@ class TestCheckHier:
                             (scoped, "E>1 [p0 U E>2 G !p2]")):
             f = parse_formula(text)
             assert check_hier(model, f)[0] == _flat_verdict(model, f), text
+
+    def test_working_model_freed_without_collection(self, fig2_model):
+        # Nothing left in a reference cycle keeps the working model alive
+        # after its last use, so a run's memory is freed when it returns.
+        gc.disable()
+        try:
+            _verdict, w = check_hier(fig2_model,
+                                     parse_formula("E F p1 & E>1 F p1"))
+            ref = weakref.ref(w)
+            del w
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_fig2_reach_p1(self, fig2_model):
         verdict, _ = check_hier(fig2_model, ExistsU(0, TrueF(), Atom("p1")))
@@ -421,6 +436,107 @@ class TestCopyStatistics:
             _, w = check_hier(model, parse_formula(text))
             assert made == [] and len(w.machines) == len(model.machines), \
                 (spec, text)
+
+    def test_unexpanded_machine_left_out_by_every_pass(self):
+        # No box expands Bottom, so no pass labels it, whatever its kind.
+        model = parse_model("""
+        machine Bottom
+          init b;
+          out b;
+          node b [p];
+        end
+        machine Top
+          init t;
+          node t [p];
+          edge t -> t;
+        end
+        """)
+        for text in ("true", "p", "E X p"):
+            verdict, w = check_hier(model, parse_formula(text))
+            assert (verdict, [m.name for m in w.machines]) == \
+                (True, ["Top"]), text
+
+
+class TestSharedKernels:
+    """Copies of one input machine with equal operand rows and equal box
+    targets share the grade-0 solution, the branching-cycle analysis and
+    the graded dag of every context."""
+
+    # Box b1 carries r and b2 does not, so the scope pass of r copies M1;
+    # the operand p and the exit contexts of both boxes are equal.
+    MODEL = """
+    machine M1
+      init i;
+      out z;
+      node i [p];
+      node z [p];
+      edge i -> z;
+      edge z -> i;
+    end
+    machine M2
+      init a;
+      node a;
+      node c [p, q];
+      box b1 expands M1 [r];
+      box b2 expands M1;
+      edge a -> b1;
+      edge a -> b2;
+      edge b1.z -> c;
+      edge b2.z -> c;
+      edge c -> c;
+    end
+    """
+
+    def _run(self, monkeypatch, text, shared):
+        """check_hier's verdict, its working model, and how often each
+        kernel ran per (kernel, input machine, context)."""
+        runs = Counter()
+        machines_of = {}
+        classes_of = gctl.hier_checker._classes
+        stacked = gctl.hier_checker._stacked
+        nsc_one = gctl.hier_checker._nsc_one
+
+        def classes(machines, keys):
+            found = classes_of(machines, keys) if shared else \
+                list(range(len(machines)))
+            machines_of[id(found)] = found, machines
+            return found
+
+        def counted_stacked(solver, classes):
+            machines = machines_of[id(classes)][1]
+
+            def run(mi, context):
+                runs[solver.__name__, machines[mi].source, context] += 1
+                return solver(mi, context)
+            return stacked(run, classes)
+
+        def counted_nsc(machines, infos, mi, *args):
+            runs["nsc", machines[mi].source, None] += 1
+            return nsc_one(machines, infos, mi, *args)
+
+        monkeypatch.setattr(gctl.hier_checker, "_classes", classes)
+        monkeypatch.setattr(gctl.hier_checker, "_stacked", counted_stacked)
+        monkeypatch.setattr(gctl.hier_checker, "_nsc_one", counted_nsc)
+        verdict, w = check_hier(parse_model(self.MODEL), parse_formula(text))
+        monkeypatch.undo()
+        return verdict, w, runs
+
+    @pytest.mark.parametrize("text", ["r & E>1 G p", "r & E>1 [p U q]",
+                                      "r & E [p U q]"])
+    def test_kernel_once_per_class(self, monkeypatch, text):
+        verdict, w, runs = self._run(monkeypatch, text, shared=True)
+        assert [m.source for m in w.machines].count(0) == 2
+        kernels = {"solve", "dag", "nsc"} if "E>1" in text else {"solve"}
+        m1 = {key: n for key, n in runs.items() if key[1] == 0}
+        assert {key[0] for key in m1} == kernels
+        assert set(m1.values()) == {1}
+        # Each copy of M1 its own class: every kernel runs for both.
+        unshared, w2, runs2 = self._run(monkeypatch, text, shared=False)
+        assert {key: n for key, n in runs2.items() if key[1] == 0} == \
+            {key: 2 for key in m1}
+        assert verdict == unshared
+        assert [(m.source, m.flags, m.counts) for m in w.machines] == \
+            [(m.source, m.flags, m.counts) for m in w2.machines]
 
 
 class TestAdjacencyBuiltOnce:

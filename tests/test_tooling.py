@@ -4,7 +4,9 @@ The benchmark's tracer (perfbench/tracing.py) times gctl's layers by
 swapping module attributes it names in `HOOKS`.  A renamed or deleted
 attribute breaks `perfbench/run.py --trace 1`, so every name must resolve,
 and a pass called other than through its module attribute would read 0, so
-the pass hooks must record spans.
+the pass hooks must record spans.  The stored seed-1 `witness_traces`
+references must pass the benchmark's own output check, so a change that
+breaks a benchmark request fails here before a benchmark run.
 The model files and the README's model examples must read and validate, so
 the documented grammar cannot drift from the parser, and every name the
 package exports or the README cites as `gctl.<module>.<name>` must exist, so
@@ -14,6 +16,7 @@ import importlib
 import importlib.util
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -23,7 +26,8 @@ from gctl.hsm import validate_shsm
 from gctl.modelfile import parse_model, render_model
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 README = (ROOT / "README.md").read_text()
 # Model texts by name: the model files, and each fenced README block that
 # starts with a 'machine' line.
@@ -40,6 +44,34 @@ def _tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def _perfbench_run(monkeypatch):
+    """perfbench/run.py as a module; it imports perfbench/workloads.py.
+    Nothing is written under perfbench/, bytecode caches included."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+def test_witness_trace_references_replay(tmp_path, monkeypatch):
+    # Every stored seed-1 witness_traces request, checked as the benchmark
+    # checks it: exit code, result, trace count, and each trace replayed on
+    # the model's flattening.
+    run = _perfbench_run(monkeypatch)
+    refs = run.refs_file("witness_traces", 1)
+    work, requests, argvs = run.setup("witness_traces", 1, refs,
+                                      tmp_path / "work")
+    outcomes = []
+    run.run_pass(main, argvs, outcomes, [])
+    failures, delivered = run.verify(work, requests, outcomes)
+    assert failures == []
+    assert sum(delivered) == sum(r.expect.get("traces", 0)
+                                 for r in requests) > 0
 
 
 def test_tracer_hooks_resolve():
