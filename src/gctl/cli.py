@@ -221,16 +221,12 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
-    if args.machines < 1 or min(args.nodes, args.exits, args.boxes,
-                                args.props) < 0:
-        raise UsageError("gen needs --machines >= 1 and nonnegative "
-                         "--nodes, --exits, --boxes and --props")
-    if args.exits < 1 and args.machines > 1 and args.boxes > 0:
-        raise UsageError("--exits must be at least 1 when boxes expand to "
-                         "lower machines (--machines > 1 and --boxes > 0)")
-    model = random_shsm(args.machines, args.nodes, args.exits, args.boxes,
-                        args.props, args.seed,
-                        scope_labels=not args.plain_boxes)
+    try:
+        model = random_shsm(args.machines, args.nodes, args.exits,
+                            args.boxes, args.props, args.seed,
+                            scope_labels=not args.plain_boxes)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     problems = validate_shsm(model)
     if problems:
         print("generator produced an invalid model", file=sys.stderr)

@@ -19,8 +19,14 @@ def random_shsm(machines: int, nodes: int, exits: int, boxes: int,
     Machine i has `nodes` plain vertices, `exits` outputs (self-looped so
     no flat state is a sink) and, above the bottom level, `boxes` boxes
     expanding to machine i-1 (keeping the flat size exponential in the
-    number of machines).
+    number of machines).  Raises ValueError on counts no such model has.
     """
+    if machines < 1 or min(nodes, exits, boxes, props) < 0:
+        raise ValueError("a model needs machines >= 1 and nonnegative "
+                         "nodes, exits, boxes and props")
+    if exits < 1 and machines > 1 and boxes > 0:
+        raise ValueError("exits must be at least 1 when boxes expand to "
+                         "lower machines (machines > 1 and boxes > 0)")
     rng = random.Random(seed)
     prop_names = [f"p{i}" for i in range(props)]
     result = []

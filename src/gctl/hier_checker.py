@@ -31,64 +31,10 @@ from .formula import (BOOLEAN, LOWER_GRADE, Atom, ExistsG, ExistsU, ExistsX,
                       boolean_row, count_row, evaluate, graded_rows, normalize,
                       position_of, render)
 # check_hier never calls reduce_to_hsm; perfbench/tracing.py hooks the name.
-from .hsm import Machine, Shsm, reduce_to_hsm
+from .hsm import (Adjacency, Machine, Shsm, _descendant_machines,
+                  reduce_to_hsm)
 
 DEFAULT_COPY_BUDGET = 250_000
-
-
-@dataclass
-class Adjacency:
-    """Edges of one input machine and the indexes the passes read, built
-    once and shared by every copy of the machine.
-
-    The branching-cycle graph numbers its states: a node or box keeps its
-    position, and the exit state b.z with z the o-th output of the machine
-    b expands is `bz_base[b] + o`, past the last position."""
-
-    succ: list                # plain successors per vertex
-    pred: list                # plain predecessors per vertex
-    exit_succ: list           # per box: successors per exit ordinal; None for nodes
-    exit_pred: list           # exit-state ids with an edge to each vertex
-    ordinal: list             # exit ordinal per vertex, None for non-exits
-    bz_base: list             # first exit-state id per box, None for nodes
-    bz_of: list               # (box pos, exit ordinal) per exit-state id - n
-
-
-def _adjacency(model: Shsm, m: Machine, pos_of) -> Adjacency:
-    """Index the edges of input machine m, keeping one edge per flat
-    transition as flattening does: drop repeats, and an exit b.z -> b when
-    the boxed machine steps from z to its initial vertex itself."""
-    n = len(m.vertices)
-    succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
-    exit_succ = [None] * n
-    bz_base = [None] * n
-    bz_of = []
-    for pos, v in enumerate(m.vertices):
-        e = m.expand.get(v, 0)
-        if e:
-            k = len(model.machine(e).outputs)
-            exit_succ[pos] = [[] for _ in range(k)]
-            bz_base[pos] = n + len(bz_of)
-            bz_of += [(pos, o) for o in range(k)]
-    exit_pred = [()] * n
-    for u, z, v in dict.fromkeys(m.edges):
-        pu, pv = pos_of[u], pos_of[v]
-        if z is None:
-            succ[pu].append(pv)
-            pred[pv].append(pu)
-        else:
-            target = model.machine(m.expand[u])
-            if v == u and (z, None, target.initial) in target.edges:
-                continue
-            o = target.outputs.index(z)
-            exit_succ[pu][o].append(pv)
-            exit_pred[pv] += (bz_base[pu] + o,)
-    ordinal = [None] * n
-    for o, z in enumerate(m.outputs):
-        ordinal[pos_of[z]] = o
-    return Adjacency(succ, pred, exit_succ, exit_pred, ordinal, bz_base,
-                     bz_of)
 
 
 @dataclass
@@ -184,28 +130,21 @@ class SpecializedHsm:
 
 def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
     """The working model of the input machines that the top machine's boxes
-    reach, in input order.  Passes demand contexts only of these, so every
-    pass sees the same machine set."""
-    reached = [False] * len(model.machines)
-    reached[-1] = True
-    for source in range(len(model.machines) - 1, -1, -1):
-        if reached[source]:
-            for e in model.machines[source].expand.values():
-                if e:
-                    reached[e - 1] = True
+    reach, in input order, each copy reading its input machine's index.
+    Passes demand contexts only of these, so every pass sees the same
+    machine set."""
     # input position -> working position
-    kept = {source: i for i, source in enumerate(
-        source for source, r in enumerate(reached) if r)}
+    kept = {j - 1: i for i, j in
+            enumerate(sorted(_descendant_machines(model, model.h)))}
     machines = []
     for source in kept:
-        m = model.machines[source]
-        pos_of = {v: i for i, v in enumerate(m.vertices)}
+        m, a = model.machines[source], model.adjacency[source]
         expand = [None if m.expand.get(v, 0) == 0 else kept[m.expand[v] - 1]
                   for v in m.vertices]
         machines.append(WorkMachine(
             source, m.name, list(m.vertices),
-            [m.label(v) for v in m.vertices], expand, pos_of[m.initial],
-            [pos_of[z] for z in m.outputs], _adjacency(model, m, pos_of)))
+            [m.label(v) for v in m.vertices], expand, a.pos_of[m.initial],
+            [a.pos_of[z] for z in m.outputs], a))
     return SpecializedHsm(machines, copy_budget=copy_budget)
 
 
@@ -478,8 +417,8 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
 class NscInfo:
     """Branching-cycle analysis of one machine inside the satisfying set.
 
-    States are numbered as in `Adjacency`; `edges` links those in the
-    satisfying set as evidences may step.  `nsc` holds the states from
+    States are numbered as in `gctl.hsm.Adjacency`; `edges` links those in
+    the satisfying set as evidences may step.  `nsc` holds the states from
     which a branching cycle (unboundedly many distinct evidences) is
     reachable; the other satisfying states are listed in `order`, one per
     strongly connected component and successors' components first, with

@@ -9,6 +9,7 @@ does not: it labels scoped atoms by a pass instead).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CapacityError, ValidationError
 from .kripke import KripkeStructure
@@ -45,6 +46,13 @@ class Shsm:
         """1-based accessor matching the expansion mapping."""
         return self.machines[index - 1]
 
+    @cached_property
+    def adjacency(self):
+        """Per machine, in list order, its `Adjacency`, built on first use
+        and then shared by validation and every check: a model is not
+        changed once indexed.  Only a structurally valid model is indexed."""
+        return [_adjacency(self, m) for m in self.machines]
+
     @property
     def top(self):
         return self.machines[-1]
@@ -58,6 +66,63 @@ class Shsm:
             for lab in m.labels.values():
                 props |= lab
         return frozenset(props)
+
+
+@dataclass
+class Adjacency:
+    """Edges of one input machine by vertex position, one edge per flat
+    transition, and the indexes the checker's passes read.
+
+    The branching-cycle graph numbers its states: a node or box keeps its
+    position, and the exit state b.z with z the o-th output of the machine
+    b expands is `bz_base[b] + o`, past the last position."""
+
+    succ: list                # plain successors per vertex
+    pred: list                # plain predecessors per vertex
+    exit_succ: list           # per box: successors per exit ordinal; None for nodes
+    exit_pred: list           # exit-state ids with an edge to each vertex
+    ordinal: list             # exit ordinal per vertex, None for non-exits
+    bz_base: list             # first exit-state id per box, None for nodes
+    bz_of: list               # (box pos, exit ordinal) per exit-state id - n
+    pos_of: dict              # vertex name -> position
+
+
+def _adjacency(model: Shsm, m: Machine) -> Adjacency:
+    """Index the edges of machine m, keeping one edge per flat transition
+    as flattening does: drop repeats, and an exit b.z -> b when the boxed
+    machine steps from z to its initial vertex itself."""
+    n = len(m.vertices)
+    pos_of = {v: i for i, v in enumerate(m.vertices)}
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    exit_succ = [None] * n
+    bz_base = [None] * n
+    bz_of = []
+    for pos, v in enumerate(m.vertices):
+        e = m.expand.get(v, 0)
+        if e:
+            k = len(model.machine(e).outputs)
+            exit_succ[pos] = [[] for _ in range(k)]
+            bz_base[pos] = n + len(bz_of)
+            bz_of += [(pos, o) for o in range(k)]
+    exit_pred = [()] * n
+    for u, z, v in dict.fromkeys(m.edges):
+        pu, pv = pos_of[u], pos_of[v]
+        if z is None:
+            succ[pu].append(pv)
+            pred[pv].append(pu)
+        else:
+            target = model.machine(m.expand[u])
+            if v == u and (z, None, target.initial) in target.edges:
+                continue
+            o = target.outputs.index(z)
+            exit_succ[pu][o].append(pv)
+            exit_pred[pv] += (bz_base[pu] + o,)
+    ordinal = [None] * n
+    for o, z in enumerate(m.outputs):
+        ordinal[pos_of[z]] = o
+    return Adjacency(succ, pred, exit_succ, exit_pred, ordinal, bz_base,
+                     bz_of, pos_of)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +147,9 @@ def validate_shsm(model: Shsm, restricted: bool = False) -> list:
         vset = set(m.vertices)
         if len(vset) != len(m.vertices):
             problems.append(f"{where}: duplicate vertex names")
+        for z in dict.fromkeys(z for k, z in enumerate(m.outputs)
+                               if z in m.outputs[:k]):
+            problems.append(f"{where}: output vertex {z!r} listed twice")
         for v in m.vertices:
             if v in seen:
                 problems.append(
@@ -163,75 +231,66 @@ def _restricted_label_problems(model):
 
 
 def _flat_sink_problems(model):
-    """Reachable flat sink states, computed without building the flattening.
+    """Reachable flat sink states, read off the edge index without building
+    the flattening.
 
     A flat state ends at a node; it is a sink exactly when the node has no
-    plain edge and the enclosing box (if any) has no exit edge through it.
+    plain successor and the enclosing box (if any) has no exit successor
+    through it.  The one exit edge the index drops leaves an exit with a
+    plain edge, which is never a sink.
     """
-    h = model.h
-    # Per machine: which outputs are reachable from the entry, where a box is
-    # traversed through the exits its target can reach.
-    reach_out = [set() for _ in range(h + 1)]
-    reach_vertex = [set() for _ in range(h + 1)]
-    for i in range(1, h + 1):
-        m = model.machine(i)
-        adj = {v: [] for v in m.vertices}
-        for u, z, v in m.edges:
-            if z is None:
-                if not m.is_box(u):
-                    adj[u].append(v)
-            else:
-                if z in reach_out[m.expand[u]]:
-                    adj[u].append(v)
-        seen = {m.initial}
-        stack = [m.initial]
+    machines, adjs = model.machines, model.adjacency
+    # Per machine: the vertex positions reachable from the entry, where a
+    # box is traversed through the exits its target can reach, and the
+    # reachable nodes without a plain successor, in name order.
+    reached, reach_out, stuck = [], [], []
+    for m, a in zip(machines, adjs):
+        seen = [False] * len(m.vertices)
+        stack = [a.pos_of[m.initial]]
         while stack:
             v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach_vertex[i] = seen
-        reach_out[i] = {z for z in m.outputs if z in seen}
+            if seen[v]:
+                continue
+            seen[v] = True
+            stack += a.succ[v]
+            if a.exit_succ[v] is not None:
+                target_out = reach_out[m.expand[m.vertices[v]] - 1]
+                for vs, r in zip(a.exit_succ[v], target_out):
+                    if r:
+                        stack += vs
+        reached.append(seen)
+        reach_out.append([seen[a.pos_of[z]] for z in m.outputs])
+        stuck.append(sorted((v for v, r in enumerate(seen) if r and
+                             a.exit_succ[v] is None and not a.succ[v]),
+                            key=m.vertices.__getitem__))
 
-    enterable = {h}
-    order = [h]
-    while order:
-        i = order.pop()
-        m = model.machine(i)
-        for v in m.vertices:
-            e = m.expand.get(v, 0)
-            if e > 0 and v in reach_vertex[i] and e not in enterable:
-                enterable.add(e)
-                order.append(e)
-
-    # Per enterable machine, once: its reachable nodes without a plain edge,
-    # in name order.  Inside a box such a node continues only as an exit
-    # the box has an edge from.
-    stuck = {}
-    for i in enterable:
-        m = model.machine(i)
-        plain_sources = {u for u, z, _ in m.edges if z is None}
-        stuck[i] = [v for v in sorted(reach_vertex[i])
-                    if not m.is_box(v) and v not in plain_sources]
-    problems = []
-    for i in sorted(enterable):
-        m = model.machine(i)
-        if i == h:
-            problems.extend(f"flat sink: machine {m.name} vertex {v!r} has "
-                            f"no outgoing edge" for v in stuck[i])
-        exit_covered = {}
-        for u, z, v in m.edges:
-            if z is not None:
-                exit_covered.setdefault(u, set()).add(z)
-        for v in sorted(v for v in reach_vertex[i] if m.is_box(v)):
-            target = model.machine(m.expand[v])
-            covered = exit_covered.get(v, ())
-            problems.extend(
-                f"flat sink: machine {target.name} vertex {u!r} has no "
-                f"continuation inside box {v!r} of machine {m.name}"
-                for u in stuck[m.expand[v]] if u not in covered)
-    return problems
+    # Walking down from the top machine, a box its machine reaches enters
+    # its target.  Inside a box a stuck node continues only as an exit the
+    # box has an edge from.  Problems are listed by machine, then by box.
+    top = len(machines) - 1
+    entered = [False] * top + [True]
+    problems = [[] for _ in machines]
+    for i in range(top, -1, -1):
+        if not entered[i]:
+            continue
+        m, a = machines[i], adjs[i]
+        if i == top:
+            problems[i] += [f"flat sink: machine {m.name} vertex "
+                            f"{m.vertices[v]!r} has no outgoing edge"
+                            for v in stuck[i]]
+        for b in sorted((b for b, r in enumerate(reached[i])
+                         if r and a.exit_succ[b] is not None),
+                        key=m.vertices.__getitem__):
+            t = m.expand[m.vertices[b]] - 1
+            entered[t] = True
+            target, ordinal = machines[t], adjs[t].ordinal
+            problems[i] += [
+                f"flat sink: machine {target.name} vertex "
+                f"{target.vertices[u]!r} has no continuation inside box "
+                f"{m.vertices[b]!r} of machine {m.name}"
+                for u in stuck[t]
+                if ordinal[u] is None or not a.exit_succ[b][ordinal[u]]]
+    return [p for listed in problems for p in listed]
 
 
 def is_hsm(model: Shsm) -> bool:

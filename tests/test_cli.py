@@ -12,7 +12,7 @@ import gctl.formula
 import gctl.hier_checker
 from gctl.cli import main
 from gctl.gen import random_shsm
-from gctl.hsm import flatten
+from gctl.hsm import flatten, validate_shsm
 from gctl.modelfile import kripke_to_model, parse_model, render_model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -495,6 +495,31 @@ class TestValidateCmd:
         assert main(["validate", "--model", str(src),
                      "--repair-self-loops"]) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["validate"], *(["check", "--formula", "E [!r U r]", "--engine", e]
+                        for e in ("flat", "hier", "both"))])
+    def test_output_listed_twice_invalid(self, tmp_path, capsys, command):
+        # Listed twice, z would take two exit ordinals, and the engines
+        # would disagree on the verdict.
+        src = tmp_path / "twice.gctl"
+        src.write_text("""
+        machine M1
+          init i; out z, z;
+          node i [p]; node z [q];
+          edge i -> z;
+        end
+        machine Top
+          init a;
+          node a; node c [r];
+          box b expands M1;
+          edge a -> b; edge b.z -> c; edge c -> c;
+        end
+        """)
+        assert main([*command, "--model", str(src)]) == 3
+        captured = capsys.readouterr()
+        assert "invalid: machine M1: output vertex 'z' listed twice\n" in \
+            captured.out + captured.err
+
 
 class TestGen:
     def test_deterministic(self, tmp_path, capsys):
@@ -527,6 +552,18 @@ class TestGen:
             assert captured.err.count("\n") == 1 and not out.exists()
         else:
             assert main(["validate", "--model", str(out)]) == 0
+
+    @pytest.mark.parametrize("args", [
+        (0, 1, 1, 1, 1), (1, -1, 1, 1, 1), (2, 1, -1, 1, 1), (1, 1, 1, -1, 1),
+        (1, 1, 1, 1, -1), (3, 1, 0, 2, 2)])
+    def test_library_rejects_bad_counts(self, args):
+        with pytest.raises(ValueError):
+            random_shsm(*args, seed=0)
+
+    @pytest.mark.parametrize("args", [
+        (1, 1, 0, 2, 2), (3, 1, 0, 0, 2), (2, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+    def test_library_zero_exits_without_lower_boxes(self, args):
+        assert validate_shsm(random_shsm(*args, seed=0)) == []
 
     def test_generated_validates(self, tmp_path, capsys):
         out = tmp_path / "m.gctl"

@@ -19,8 +19,8 @@ from gctl.gen import random_formula, random_shsm
 from gctl.hier_checker import (HierView, WorkMachine, _from_shsm,
                                check_hier, compute_nsc, grade0_pass,
                                graded_next_pass, scope_pass)
-from gctl.hsm import flatten, is_hsm
-from gctl.modelfile import parse_model
+from gctl.hsm import flatten, is_hsm, repair_top_exit_loops, validate_shsm
+from gctl.modelfile import parse_model, render_model
 
 
 def _flat_verdict(model, f):
@@ -540,42 +540,63 @@ class TestSharedKernels:
 
 
 class TestAdjacencyBuiltOnce:
-    """Each input machine's edges are indexed once per check, however many
-    passes, copies and contexts the check makes."""
+    """Each input machine's edges are indexed once per model: validation
+    and every check of the model read the same index, however many
+    passes, copies and contexts a check makes."""
 
-    def test_once_per_reduced_machine(self, monkeypatch, fig2_model):
+    @pytest.fixture
+    def built(self, monkeypatch):
         built = []
-        inputs = []
-        adjacency = gctl.hier_checker._adjacency
-        from_shsm = gctl.hier_checker._from_shsm
+        adjacency = gctl.hsm._adjacency
 
-        def counted_adjacency(*args):
-            built.append(args[1].name)
-            return adjacency(*args)
+        def counted_adjacency(model, m):
+            built.append(m.name)
+            return adjacency(model, m)
 
-        def recorded_from_shsm(model, copy_budget):
-            inputs.append(model)
-            return from_shsm(model, copy_budget)
+        monkeypatch.setattr(gctl.hsm, "_adjacency", counted_adjacency)
+        return built
 
-        monkeypatch.setattr(gctl.hier_checker, "_adjacency",
-                            counted_adjacency)
-        monkeypatch.setattr(gctl.hier_checker, "_from_shsm",
-                            recorded_from_shsm)
-        scoped = random_shsm(5, 3, 3, 3, 3, 2, scope_labels=True)
-        for model, text in ((fig2_model, "A<=1 G !p1"),
-                            (scoped, "E>1 [p0 U E>2 G !p2]"),
-                            (scoped, "A<=2 [p0 U E>1 X p2] & E G !p1")):
+    def test_once_per_input_machine(self, built, fig2_model):
+        scoped = (5, 3, 3, 3, 3, 2)
+        for model, text in (
+                (parse_model(render_model(fig2_model)), "A<=1 G !p1"),
+                (random_shsm(*scoped), "E>1 [p0 U E>2 G !p2]"),
+                (random_shsm(*scoped), "A<=2 [p0 U E>1 X p2] & E G !p1")):
             built.clear()
-            inputs.clear()
+            assert validate_shsm(model) == []
+            assert built == [m.name for m in model.machines]
             _, w = check_hier(model, parse_formula(text))
-            assert len(inputs) == 1 and inputs[0] is model
+            check_hier(model, parse_formula("E>1 X !p1"))
             assert built == [m.name for m in model.machines]
             assert len(w.machines) > len(built)
             assert any(st.kind != "bool" for st in w.stats)
             # Every copy reads its input machine's one index.
-            first = {}
             for m in w.machines:
-                assert first.setdefault(m.source, m.adj) is m.adj
+                assert m.adj is model.adjacency[m.source]
+
+    def test_repaired_model_gets_its_own_index(self, built):
+        model = parse_model("""
+        machine A
+          init i; out z;
+          node i; node z;
+          edge i -> z; edge z -> z;
+        end
+        machine B
+          init j; out y;
+          node j; node y;
+          box b expands A;
+          edge j -> b; edge b.z -> y;
+        end
+        """)
+        assert validate_shsm(model) == [
+            "flat sink: machine B vertex 'y' has no outgoing edge"]
+        repaired = repair_top_exit_loops(model)
+        assert validate_shsm(repaired) == []
+        assert built == ["A", "B", "A", "B"]
+        assert repaired.adjacency is not model.adjacency
+        y = model.adjacency[1].pos_of["y"]
+        assert (model.adjacency[1].succ[y], repaired.adjacency[1].succ[y]) \
+            == ([], [y])
 
 
 class TestCopyBudget:

@@ -1,7 +1,12 @@
+import dataclasses
+import random
+
 import pytest
 
 from gctl.errors import CapacityError, ValidationError
+from gctl.formula import TrueF
 from gctl.gen import random_shsm
+from gctl.hier_checker import HierView, check_hier
 from gctl.hsm import (Machine, Shsm, flat_size, flatten, is_hsm,
                       reduce_to_hsm, repair_top_exit_loops, restrict_ap,
                       validate_shsm)
@@ -109,6 +114,48 @@ class TestValidate:
             "flat sink: machine C vertex 'u' has no outgoing edge",
             inside.format("B", "t", "c", "C"),
         ]
+
+    def test_output_listed_twice(self):
+        model = parse_model("""
+        machine M1
+          init i; out z, y, z, z;
+          node i; node y; node z;
+          edge i -> z; edge i -> y; edge y -> y; edge z -> z;
+        end
+        """)
+        assert validate_shsm(model) == [
+            "machine M1: output vertex 'z' listed twice"]
+
+    def test_sinks_match_reachable_flat_sinks(self):
+        # Oracle: walk the flat states of the checked hierarchy from the
+        # initial one and look for a state without successors.
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(3000):
+            model = random_shsm(rng.randint(1, 4), rng.randint(0, 2),
+                                rng.randint(1, 2), rng.randint(0, 2), 1,
+                                rng.randrange(10**6))
+            machines = list(model.machines)
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randrange(len(machines))
+                edges = list(machines[i].edges)
+                if edges:
+                    del edges[rng.randrange(len(edges))]
+                machines[i] = dataclasses.replace(machines[i], edges=edges)
+            model = Shsm(machines)
+            problems = validate_shsm(model)
+            if not all(p.startswith("flat sink: ") for p in problems):
+                continue
+            view = HierView(model, check_hier(model, TrueF())[1])
+            seen, stack, sink = {view.initial}, [view.initial], False
+            while stack and not sink:
+                succ = view.succ(stack.pop())
+                sink = not succ
+                stack.extend(t for t in succ if t not in seen)
+                seen.update(succ)
+            assert bool(problems) == sink, problems
+            checked += 1
+        assert checked == 3000
 
     def test_repair_fixes_top_exit_sink(self):
         m = Machine("M", ["i", "z"], "i", ["z"],
