@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .flat_checker import SatTable, check_flat
-from .formula import (And, ExistsG, ExistsU, ExistsX, ForallF, ForallG,
-                      ForallU, ForallX, Not, normalize, render,
+from .formula import (PATH, And, ExistsG, ExistsU, ExistsX, ForallF,
+                      ForallG, ForallU, ForallX, Not, normalize, render,
                       violation_families)
 from .kripke import KripkeStructure
 
@@ -32,12 +32,6 @@ class EvidenceTrace:
     loop_start: int      # index the final state loops back to (lassos only)
     form: object         # the normalized path formula witnessed
     evidence_len: int    # prefix length that is the evidence proper
-
-    def formula_text(self):
-        return render(self.form)
-
-    def __iter__(self):
-        return iter(self.states)
 
 
 def serialize_trace(trace: EvidenceTrace) -> str:
@@ -70,7 +64,7 @@ def extract_evidences(view, s, form, n: int) -> list:
     evidences at s.
     """
     form = normalize(form)
-    if not isinstance(form, (ExistsX, ExistsG, ExistsU)):
+    if not isinstance(form, PATH):
         raise ValueError(f"not an existential path formula: {render(form)}")
     if n < 0 or n > form.grade + 1:
         raise ValueError(f"requested {n} traces, limit is grade+1 = {form.grade + 1}")
@@ -245,7 +239,7 @@ def trace_forms(f, n: int) -> list:
     has neither root.  They do not depend on the verdict, so one checking
     run can label them together with f."""
     root = normalize(f)
-    if isinstance(root, (ExistsX, ExistsG, ExistsU)):
+    if isinstance(root, PATH):
         return [replace(root, grade=max(root.grade, n - 1))]
     if not isinstance(f, FORALL_PATH):
         return []

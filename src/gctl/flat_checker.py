@@ -244,27 +244,28 @@ def _label(ks: KripkeStructure, f, path_counts) -> SatTable:
     the per-state capped evidence counts of such a form from its operand
     rows; counts are kept in `table.counts` by position, where
     `boolean_row` reads those of an A<=k U's violation families and
-    `graded_rows` those of a path form's lower grades."""
+    `graded_rows` those of a path form's lower grades.  Hooks run in
+    position order, so each appends its row to `table.sat`."""
     root = normalize(f)
     table = SatTable(ks=ks, root=root)
     rows, counts = table.sat, table.counts
 
     def boolean(g, i, *operands):
-        return boolean_row(g, operands, ks.labels, rows, counts)
+        rows.append(boolean_row(g, operands, ks.labels, rows, counts))
 
     def lower_grade(g, i, j):
         row, counts[i] = graded_rows(g, counts[j])
-        return row
+        rows.append(row)
 
     def path(count):
         def op(g, i, *operands):
             cnt = counts[i] = count(g, *(rows[j] for j in operands))
-            return [c > g.grade for c in cnt]
+            rows.append([c > g.grade for c in cnt])
         return op
 
     ops = {**dict.fromkeys(BOOLEAN, boolean), LOWER_GRADE: lower_grade,
            **{kind: path(count) for kind, count in path_counts.items()}}
-    table.index, table.millis = evaluate(root, ops, rows)
+    table.index, table.millis = evaluate(root, ops)
     return table
 
 

@@ -12,6 +12,10 @@ from dataclasses import dataclass, replace
 from .errors import FormulaSyntaxError
 
 MAX_GRADE = 2**31 - 1
+# The most nodes on a path from a formula's root down to an atom, and the
+# most parentheses and prefix operators around an atom in its text, plus
+# one.  Deeper formulas would exhaust Python's recursion in the engines.
+MAX_DEPTH = 64
 
 _KEYWORDS = frozenset({"true", "false", "E", "A", "X", "F", "G", "U"})
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_^@+]*")
@@ -33,13 +37,6 @@ def _node(cls):
     cls.__hash__ = __hash__
     cls._hash = None
     return cls
-
-
-def _check_grade(grade):
-    if not isinstance(grade, int) or isinstance(grade, bool) or grade < 0:
-        raise ValueError(f"grade must be a nonnegative integer, got {grade!r}")
-    if grade > MAX_GRADE:
-        raise ValueError(f"grade {grade} exceeds the supported maximum {MAX_GRADE}")
 
 
 @_node
@@ -84,78 +81,70 @@ class Implies:
     right: "Formula"
 
 
-@_node
-class ExistsX:
+@dataclass(frozen=True)
+class _Path:
+    """A graded path operator.  Each one declares its operands, after the
+    grade, and its concrete syntax as `syntax` = (quantifier, path letter);
+    the letter ``U`` takes a left and a right operand, the others a child."""
+
     grade: int
-    child: "Formula"
 
     def __post_init__(self):
-        _check_grade(self.grade)
+        grade = self.grade
+        if not isinstance(grade, int) or isinstance(grade, bool) or grade < 0:
+            raise ValueError(f"grade must be a nonnegative integer, got {grade!r}")
+        if grade > MAX_GRADE:
+            raise ValueError(f"grade {grade} exceeds the supported maximum {MAX_GRADE}")
 
 
 @_node
-class ExistsG:
-    grade: int
+class ExistsX(_Path):
     child: "Formula"
-
-    def __post_init__(self):
-        _check_grade(self.grade)
+    syntax = ("E", "X")
 
 
 @_node
-class ExistsF:
-    grade: int
+class ExistsG(_Path):
     child: "Formula"
-
-    def __post_init__(self):
-        _check_grade(self.grade)
+    syntax = ("E", "G")
 
 
 @_node
-class ExistsU:
-    grade: int
+class ExistsF(_Path):
+    child: "Formula"
+    syntax = ("E", "F")
+
+
+@_node
+class ExistsU(_Path):
     left: "Formula"
     right: "Formula"
-
-    def __post_init__(self):
-        _check_grade(self.grade)
+    syntax = ("E", "U")
 
 
 @_node
-class ForallX:
-    grade: int
+class ForallX(_Path):
     child: "Formula"
-
-    def __post_init__(self):
-        _check_grade(self.grade)
+    syntax = ("A", "X")
 
 
 @_node
-class ForallG:
-    grade: int
+class ForallG(_Path):
     child: "Formula"
-
-    def __post_init__(self):
-        _check_grade(self.grade)
+    syntax = ("A", "G")
 
 
 @_node
-class ForallF:
-    grade: int
+class ForallF(_Path):
     child: "Formula"
-
-    def __post_init__(self):
-        _check_grade(self.grade)
+    syntax = ("A", "F")
 
 
 @_node
-class ForallU:
-    grade: int
+class ForallU(_Path):
     left: "Formula"
     right: "Formula"
-
-    def __post_init__(self):
-        _check_grade(self.grade)
+    syntax = ("A", "U")
 
 
 Formula = (
@@ -164,9 +153,11 @@ Formula = (
     | ForallX | ForallG | ForallF | ForallU
 )
 
-_UNARY_TEMPORAL = (ExistsX, ExistsG, ExistsF, ForallX, ForallG, ForallF)
-_BINARY_TEMPORAL = (ExistsU, ForallU)
-_BINARY_BOOL = (And, Or, Implies)
+# The path operator of each (quantifier, path letter), and the mark that
+# introduces a quantifier's grade.
+_PATH_SYNTAX = {cls.syntax: cls for cls in (ExistsX, ExistsG, ExistsF, ExistsU,
+                                            ForallX, ForallG, ForallF, ForallU)}
+_GRADE_MARK = {"E": ">", "A": "<="}
 
 
 def children(f: Formula) -> tuple:
@@ -175,48 +166,11 @@ def children(f: Formula) -> tuple:
         return ()
     if isinstance(f, Not):
         return (f.child,)
-    if isinstance(f, _UNARY_TEMPORAL):
-        return (f.child,)
-    if isinstance(f, _BINARY_BOOL) or isinstance(f, _BINARY_TEMPORAL):
+    if isinstance(f, _Path):
+        return (f.left, f.right) if f.syntax[1] == "U" else (f.child,)
+    if isinstance(f, (And, Or, Implies)):
         return (f.left, f.right)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def atoms(f: Formula) -> frozenset:
-    """The set of atomic propositions occurring in f."""
-    found = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            found.add(g.name)
-        else:
-            stack.extend(children(g))
-    return frozenset(found)
-
-
-def size(f: Formula) -> int:
-    """Number of boolean and temporal operators in f."""
-    total = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if not isinstance(g, (Atom, TrueF, FalseF)):
-            total += 1
-        stack.extend(children(g))
-    return total
-
-
-def max_grade(f: Formula) -> int:
-    """Largest grade annotation in f (0 when there is none)."""
-    best = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, _UNARY_TEMPORAL + _BINARY_TEMPORAL):
-            best = max(best, g.grade)
-        stack.extend(children(g))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +210,15 @@ def _tokenize(text):
     return tokens
 
 
+_TOO_DEEP = f"formula nests deeper than the maximum depth {MAX_DEPTH}"
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0     # unary calls under way
 
     def peek(self):
         return self.tokens[self.i]
@@ -284,14 +242,25 @@ class _Parser:
         f = self.implies()
         if self.peek()[0] != "eof":
             self.error("trailing input after formula")
+        # `&`, `|` and `->` chains nest by looping, not by recursion, so the
+        # tree is measured as well as the descent.
+        stack = [(f, 1)]
+        while stack:
+            g, depth = stack.pop()
+            if depth > MAX_DEPTH:
+                raise FormulaSyntaxError(_TOO_DEEP, 0)
+            stack += [(h, depth + 1) for h in children(g)]
         return f
 
     def implies(self):
-        left = self.or_()
-        if self.peek()[:2] == ("arrow", "->"):
+        operands = [self.or_()]
+        while self.peek()[:2] == ("arrow", "->"):
             self.next()
-            return Implies(left, self.implies())
-        return left
+            operands.append(self.or_())
+        f = operands.pop()
+        while operands:
+            f = Implies(operands.pop(), f)
+        return f
 
     def or_(self):
         f = self.and_()
@@ -308,16 +277,21 @@ class _Parser:
         return f
 
     def unary(self):
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.error(_TOO_DEEP)
+        f = self.operand()
+        self.nesting -= 1
+        return f
+
+    def operand(self):
         kind, value, _ = self.peek()
         if kind == "sym" and value == "!":
             self.next()
             return Not(self.unary())
-        if kind == "ident" and value == "E":
+        if kind == "ident" and value in _GRADE_MARK:
             self.next()
-            return self.path(self.grade_for("E"), existential=True)
-        if kind == "ident" and value == "A":
-            self.next()
-            return self.path(self.grade_for("A"), existential=False)
+            return self.path(value, self.grade_for(value))
         if kind == "ident" and value == "true":
             self.next()
             return TrueF()
@@ -338,33 +312,26 @@ class _Parser:
 
     def grade_for(self, quantifier):
         kind, value, _ = self.peek()
-        if quantifier == "E" and kind == "le":
-            self.error("'E' takes '>', not '<='")
-        if quantifier == "A" and kind == "sym" and value == ">":
-            self.error("'A' takes '<=', not '>'")
-        wants = ">" if quantifier == "E" else "<="
-        if (kind, value) in (("sym", ">"), ("le", "<=")) and value == wants:
-            self.next()
-            tok = self.peek()
-            if tok[0] != "nat":
-                self.error("expected a nonnegative integer grade", tok)
-            self.next()
-            grade = int(tok[1])
-            if grade > MAX_GRADE:
-                self.error(f"grade {grade} exceeds the maximum {MAX_GRADE}", tok)
-            return grade
-        return 0
+        if (kind, value) not in (("sym", ">"), ("le", "<=")):
+            return 0
+        wants = _GRADE_MARK[quantifier]
+        if value != wants:
+            self.error(f"{quantifier!r} takes {wants!r}, not {value!r}")
+        self.next()
+        tok = self.peek()
+        if tok[0] != "nat":
+            self.error("expected a nonnegative integer grade", tok)
+        self.next()
+        grade = int(tok[1])
+        if grade > MAX_GRADE:
+            self.error(f"grade {grade} exceeds the maximum {MAX_GRADE}", tok)
+        return grade
 
-    def path(self, grade, existential):
+    def path(self, quantifier, grade):
         kind, value, _ = self.peek()
         if kind == "ident" and value in ("X", "F", "G"):
             self.next()
-            child = self.unary()
-            table = {
-                ("X", True): ExistsX, ("F", True): ExistsF, ("G", True): ExistsG,
-                ("X", False): ForallX, ("F", False): ForallF, ("G", False): ForallG,
-            }
-            return table[(value, existential)](grade, child)
+            return _PATH_SYNTAX[quantifier, value](grade, self.unary())
         if kind == "sym" and value == "[":
             self.next()
             left = self.implies()
@@ -374,7 +341,7 @@ class _Parser:
             self.next()
             right = self.implies()
             self.expect_sym("]")
-            return (ExistsU if existential else ForallU)(grade, left, right)
+            return _PATH_SYNTAX[quantifier, "U"](grade, left, right)
         self.error("expected a path operator (X, F, G or [.. U ..])")
 
 
@@ -399,20 +366,14 @@ def render(f: Formula) -> str:
         return f"({render(f.left)} | {render(f.right)})"
     if isinstance(f, Implies):
         return f"({render(f.left)} -> {render(f.right)})"
-    if isinstance(f, _UNARY_TEMPORAL):
-        q = _quant_text(f)
-        op = {"ExistsX": "X", "ForallX": "X", "ExistsF": "F", "ForallF": "F",
-              "ExistsG": "G", "ForallG": "G"}[type(f).__name__]
-        return f"{q} {op} {render(f.child)}"
-    if isinstance(f, _BINARY_TEMPORAL):
-        return f"{_quant_text(f)} [{render(f.left)} U {render(f.right)}]"
+    if isinstance(f, _Path):
+        quantifier, letter = f.syntax
+        if f.grade:
+            quantifier += f"{_GRADE_MARK[quantifier]}{f.grade}"
+        if letter == "U":
+            return f"{quantifier} [{render(f.left)} U {render(f.right)}]"
+        return f"{quantifier} {letter} {render(f.child)}"
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _quant_text(f):
-    if isinstance(f, (ExistsX, ExistsG, ExistsF, ExistsU)):
-        return f"E>{f.grade}" if f.grade else "E"
-    return f"A<={f.grade}" if f.grade else "A"
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +398,16 @@ def normalize(f: Formula) -> Formula:
         return Not(And(Not(normalize(f.left)), Not(normalize(f.right))))
     if isinstance(f, Implies):
         return Not(And(normalize(f.left), Not(normalize(f.right))))
-    if isinstance(f, ExistsX):
-        return ExistsX(f.grade, normalize(f.child))
-    if isinstance(f, ExistsG):
-        return ExistsG(f.grade, normalize(f.child))
+    if isinstance(f, (ExistsX, ExistsG, ExistsU, ForallU)):
+        return type(f)(f.grade, *map(normalize, children(f)))
     if isinstance(f, ExistsF):
         return ExistsU(f.grade, TrueF(), normalize(f.child))
-    if isinstance(f, ExistsU):
-        return ExistsU(f.grade, normalize(f.left), normalize(f.right))
     if isinstance(f, ForallX):
         return Not(ExistsX(f.grade, Not(normalize(f.child))))
     if isinstance(f, ForallG):
         return Not(ExistsU(f.grade, TrueF(), Not(normalize(f.child))))
     if isinstance(f, ForallF):
         return Not(ExistsG(f.grade, Not(normalize(f.child))))
-    if isinstance(f, ForallU):
-        return ForallU(f.grade, normalize(f.left), normalize(f.right))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -573,7 +528,7 @@ def _top_grades(root) -> dict:
     return top
 
 
-def evaluate(root: Formula, ops: dict, labels: list = None):
+def evaluate(root: Formula, ops: dict):
     """Label the subformulas of a normalized formula bottom-up.
 
     Positions number the subformulas in labelling order, children first.
@@ -584,9 +539,8 @@ def evaluate(root: Formula, ops: dict, labels: list = None):
     higher grade K with the same operator and operands is instead given
     ``ops[LOWER_GRADE](g, i, j)``, where j is the position of the grade-K
     form, numbered first; the hook reads g's rows off j's counts with
-    `graded_rows`.  When `labels` is given it gets one slot per position,
-    holding what the hook returned.  Returns (subformula -> position, in
-    position order; milliseconds each hook took, by position).
+    `graded_rows`.  Hooks run in position order.  Returns (subformula ->
+    position, in position order; milliseconds each hook took, by position).
     """
     top = _top_grades(root)
     index = {}
@@ -612,13 +566,9 @@ def evaluate(root: Formula, ops: dict, labels: list = None):
 
     visit(root)
     millis = [0.0] * len(index)
-    if labels is not None:
-        labels[:] = [None] * len(index)
     for g, i in index.items():
         kind, args = steps[i]
         started = time.perf_counter()
-        label = ops[kind](g, i, *args)
+        ops[kind](g, i, *args)
         millis[i] = (time.perf_counter() - started) * 1000.0
-        if labels is not None:
-            labels[i] = label
     return index, millis

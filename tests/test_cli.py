@@ -220,6 +220,48 @@ class TestCheck:
         assert rows["E>1 G true"] >= 20.0
 
 
+def _nested(depth):
+    """Formula shapes of the given depth: that many nodes on the longest
+    path from the root to an atom, or one fewer nested parentheses."""
+    inner = depth - 1
+    return {
+        "conjunction": " & ".join(["p1"] * depth),
+        "AG": "A G " * inner + "p1",
+        "or_chain": " | ".join(["p1"] * depth),
+        "implies_chain": " -> ".join(["p1"] * depth),
+        "EU": "E [p1 U " * inner + "p2" + "]" * inner,
+        "parentheses": "(" * inner + "p1" + ")" * inner,
+    }
+
+
+def _check_from_below(frames, argv):
+    """`main` called from `frames` further stack frames down, as a program
+    that embeds gctl might call it."""
+    if frames:
+        return _check_from_below(frames - 1, argv)
+    return main(argv)
+
+
+class TestFormulaDepth:
+    @pytest.mark.parametrize("engine", ["flat", "hier"])
+    @pytest.mark.parametrize("shape", _nested(1))
+    def test_checks_at_the_bound(self, capsys, shape, engine):
+        formula = _nested(gctl.formula.MAX_DEPTH)[shape]
+        code = _check_from_below(150, [
+            "check", "--model", FIG2, "--formula", formula, "--engine",
+            engine, "--witnesses", "2"])
+        assert code in (0, 1), capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [gctl.formula.MAX_DEPTH + 1, 5000])
+    @pytest.mark.parametrize("shape", _nested(1))
+    def test_usage_error_past_the_bound(self, capsys, shape, depth):
+        code = main(["check", "--model", FIG2, "--formula",
+                     _nested(depth)[shape], "--engine", "both"])
+        assert code == 2
+        assert (f"deeper than the maximum depth {gctl.formula.MAX_DEPTH}"
+                in capsys.readouterr().err)
+
+
 class TestTraceWork:
     """Flattening, flat and hierarchical checking done per `check` request.
     Each engine runs once, on f and its trace forms together, whatever the

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 from gctl.errors import FormulaSyntaxError
 from gctl.formula import (And, Atom, ExistsF, ExistsG, ExistsU, ExistsX,
                           FalseF, ForallF, ForallG, ForallU, ForallX, Implies,
-                          Not, Or, TrueF, atoms, children, max_grade,
-                          normalize, parse_formula, render, size,
-                          subformulas_bottom_up)
+                          Not, Or, TrueF, children, normalize, parse_formula,
+                          render, subformulas_bottom_up)
 
 FRAGMENT = (Atom, TrueF, Not, And, ExistsX, ExistsG, ExistsU, ForallU)
 
@@ -122,16 +121,6 @@ class TestSubformulas:
 
 
 class TestHelpers:
-    def test_size_counts_operators(self):
-        assert size(Atom("p")) == 0
-        assert size(parse_formula("E>1 X p & !q")) == 3
-
-    def test_atoms(self):
-        assert atoms(parse_formula("p & E X (q | p)")) == {"p", "q"}
-
-    def test_max_grade(self):
-        assert max_grade(parse_formula("E>3 X p & A<=1 [q U r]")) == 3
-
     def test_atom_name_validation(self):
         with pytest.raises(ValueError):
             Atom("E")

@@ -4,9 +4,9 @@ The benchmark's tracer (perfbench/tracing.py) times gctl's layers by
 swapping module attributes it names in `HOOKS`.  A renamed or deleted
 attribute breaks `perfbench/run.py --trace 1`, so every name must resolve,
 and a pass called other than through its module attribute would read 0, so
-the pass hooks must record spans.  The stored seed-1 `witness_traces`
-references must pass the benchmark's own output check, so a change that
-breaks a benchmark request fails here before a benchmark run.
+the pass hooks must record spans.  The stored seed-1 `hier_check` and
+`witness_traces` references must pass the benchmark's own output check, so
+a change that breaks a benchmark request fails here before a benchmark run.
 The model files and the README's model examples must read and validate, so
 the documented grammar cannot drift from the parser, and every name the
 package exports or the README cites as `gctl.<module>.<name>` must exist, so
@@ -72,6 +72,20 @@ def test_witness_trace_references_replay(tmp_path, monkeypatch):
     assert failures == []
     assert sum(delivered) == sum(r.expect.get("traces", 0)
                                  for r in requests) > 0
+
+
+def test_hier_check_references_replay(tmp_path, monkeypatch):
+    # Every stored seed-1 hier_check request, checked as the benchmark
+    # checks it: exit code and result.
+    run = _perfbench_run(monkeypatch)
+    refs = run.refs_file("hier_check", 1)
+    work, requests, argvs = run.setup("hier_check", 1, refs,
+                                      tmp_path / "work")
+    outcomes = []
+    run.run_pass(main, argvs, outcomes, [])
+    failures, _ = run.verify(work, requests, outcomes)
+    assert failures == []
+    assert len(outcomes) == len(requests) == 192
 
 
 def test_tracer_hooks_resolve():
