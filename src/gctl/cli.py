@@ -95,11 +95,25 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def _read(path):
+    """The text of the file at path; a file that cannot be read as UTF-8
+    text is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise UsageError(f"cannot open {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _read_model(path, repair):
+    model = parse_model(_read(path))
+    return repair_top_exit_loops(model) if repair else model
+
+
 def _load_model(path, repair):
-    with open(path, "r", encoding="utf-8") as fh:
-        model = parse_model(fh.read())
-    if repair:
-        model = repair_top_exit_loops(model)
+    model = _read_model(path, repair)
     problems = validate_shsm(model)
     if problems:
         raise ValidationError(problems)
@@ -119,8 +133,7 @@ def _budget(args):
 
 def _formula_from(args):
     if args.formula_file:
-        with open(args.formula_file, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
+        text = _read(args.formula_file).strip()
     else:
         text = args.formula
     if not text or not text.strip():
@@ -205,10 +218,7 @@ def cmd_flatten(args):
 
 
 def cmd_validate(args):
-    with open(args.model, "r", encoding="utf-8") as fh:
-        model = parse_model(fh.read())
-    if args.repair_self_loops:
-        model = repair_top_exit_loops(model)
+    model = _read_model(args.model, args.repair_self_loops)
     problems = validate_shsm(model, restricted=args.restricted)
     if problems:
         for p in problems:

@@ -18,8 +18,9 @@ information:
 Box rewiring picks the copy matching the counts of each box's actual exit
 successors, so flags can be read off vertices afterwards.  Copies of one
 input machine that a pass cannot tell apart, by the rows it reads and the
-copies their boxes expand, fall in one class (`_classes`), and the pass
-runs each of its analyses once per class and context.
+copies their boxes expand, fall in one class (`_classes`).  The grade-0
+pass and the branching-cycle analysis run once per class, the graded dag
+once per class and exit-count context.
 """
 
 from dataclasses import dataclass, field
@@ -31,8 +32,7 @@ from .formula import (BOOLEAN, LOWER_GRADE, Atom, ExistsG, ExistsU, ExistsX,
                       boolean_row, count_row, evaluate, graded_rows, normalize,
                       position_of, render)
 # check_hier never calls reduce_to_hsm; perfbench/tracing.py hooks the name.
-from .hsm import (Adjacency, Machine, Shsm, _descendant_machines,
-                  reduce_to_hsm)
+from .hsm import Adjacency, Shsm, _descendant_machines, reduce_to_hsm
 
 DEFAULT_COPY_BUDGET = 250_000
 
@@ -99,33 +99,6 @@ class SpecializedHsm:
 
     def flag_of_entry(self, key):
         return self.top.flags[key][self.top.entry]
-
-    def to_shsm(self):
-        """Materialize as a model (vertices renamed unique), plus a
-        lookup from new vertex name to (machine index, vertex position) for
-        reading flags."""
-        machines = []
-        lookup = {}
-        for mi, m in enumerate(self.machines):
-            rename = {pos: f"{v}~m{mi}" for pos, v in enumerate(m.vertices)}
-            for pos, new in rename.items():
-                lookup[new] = (mi, pos)
-            labels = {rename[pos]: m.labels[pos] for pos in range(m.n)}
-            expand = {rename[pos]: (0 if m.expand[pos] is None else m.expand[pos] + 1)
-                      for pos in range(m.n)}
-            edges = [(rename[u], None, rename[v])
-                     for u, vs in enumerate(m.adj.succ) for v in vs]
-            for b, vss in enumerate(m.adj.exit_succ):
-                if vss is None:
-                    continue
-                target = self.machines[m.expand[b]]
-                for o, vs in enumerate(vss):
-                    z_name = f"{target.vertices[target.outs[o]]}~m{m.expand[b]}"
-                    edges.extend((rename[b], z_name, rename[v]) for v in vs)
-            machines.append(Machine(
-                m.name, [rename[p] for p in range(m.n)], rename[m.entry],
-                [rename[p] for p in m.outs], labels, expand, edges))
-        return Shsm(machines), lookup
 
 
 def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
@@ -211,13 +184,29 @@ def _classes(machines, keys) -> list:
     return classes
 
 
+def _per_class(machines, classes, run):
+    """run(mi, done) once per class of `classes` (None: each machine its
+    own), in machine-list order, so box targets are done first; `done`
+    holds the result of every machine before mi.  Returns each machine's
+    result."""
+    done = []
+    first = {}
+    for mi in range(len(machines)):
+        c = mi if classes is None else classes[mi]
+        result = first.get(c)
+        if result is None:
+            result = first[c] = run(mi, done)
+        done.append(result)
+    return done
+
+
 def _stacked(solver, classes):
     """Memoize solver(mi, context) by (class of machine mi, context).  The
-    solver is a generator that yields each (machine, context) pair whose
-    result it needs and is sent that result back.  Solvers only ask for
-    lower machines, so the pairs form no cycle; they are solved on an
-    explicit stack, and hierarchies deeper than the interpreter's recursion
-    limit solve too."""
+    solver, the graded `dag`, is a generator that yields each (machine,
+    context) pair whose result it needs and is sent that result back.
+    Solvers only ask for lower machines, so the pairs form no cycle; they
+    are solved on an explicit stack, and hierarchies deeper than the
+    interpreter's recursion limit solve too."""
     memo = {}
 
     def solve(mi, context):
@@ -315,94 +304,84 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
 # ---------------------------------------------------------------------------
 
 
-def _grade0_solutions(machines, kind, th1_key, th2_key):
-    """Per (machine, continuing exits) satisfaction of the classical E G /
-    E U form.  Exit sets are bit masks over exit ordinals.  Returns a
-    solver giving (flag per vertex, continuing-exit mask per box), memoized
-    by the machine's class under the operand rows.
+def _grade0_summary(machines, summaries, mi, until, th1_key, th2_key):
+    """Exit summary of machine mi for the classical E G / E U form, given
+    the `summaries` of the machines before it, its box targets among them:
+    per vertex a bit mask with bit o set when a th1 path reaches exit o,
+    and the bit `inside` past the exits set when the form holds within the
+    machine alone.  Under the continuing exits y a vertex satisfies the
+    form exactly when mask & (y | inside) != 0.
 
-    E U is a least fixpoint, grown from th2 vertices and th1 exits that
-    continue; E G a greatest one, shrunk as vertices lose their last
-    satisfying successor.  Each change is pushed to the predecessors, and a
-    box solves its target again only when its own exit mask changes."""
-    until = kind == "U"
-
-    def solve(mi, y):
-        m = machines[mi]
-        a = m.adj
-        n = m.n
-        expand = m.expand
-        th1 = m.flags[th1_key]
-        val = [not until] * n
-        mask = [0] * n
-        # Satisfying successors of each exit state: E G counts down from
-        # all of them, E U up from none.
-        live = [0] * len(a.bz_of)
-        stack = []
-        if until:
-            th2 = m.flags[th2_key]
-            for pos, o in enumerate(a.ordinal):
-                if expand[pos] is None and (th2[pos] or th1[pos] and (
-                        o is not None and y >> o & 1)):
-                    val[pos] = True
-                    stack.append(pos)
+    A mask is a vertex's own bits joined with the masks of the vertices it
+    joins: a th1 node owns its exit bit and joins its successors (an E U
+    th2 node owns inside); a box owns inside when its target's entry mask
+    has it and joins the successors of each exit that mask has.  E U is the
+    least fixpoint, grown from 0; E G the greatest, shrunk from all ones."""
+    m = machines[mi]
+    a = m.adj
+    n = m.n
+    inside = 1 << len(m.outs)
+    th1 = m.flags[th1_key]
+    th2 = m.flags[th2_key] if until else None
+    own = [0] * n
+    joins = [()] * n
+    for v, t in enumerate(m.expand):
+        if t is None:
+            if until and th2[v]:
+                own[v] = inside
+            if th1[v]:
+                o = a.ordinal[v]
+                if o is not None:
+                    own[v] |= 1 << o
+                joins[v] = a.succ[v]
         else:
-            for i, (b, o) in enumerate(a.bz_of):
-                live[i] = len(a.exit_succ[b][o])
-                if live[i]:
-                    mask[b] |= 1 << o
-            # Satisfying successors of each node, a continuing exit counted.
-            support = [len(vs) for vs in a.succ]
-            for pos, o in enumerate(a.ordinal):
-                if o is not None and y >> o & 1:
-                    support[pos] += 1
-                if expand[pos] is None and not (th1[pos] and support[pos]):
-                    val[pos] = False
-                    stack.append(pos)
-        for pos, t in enumerate(expand):
-            if t is not None and \
-                    (yield t, mask[pos])[0][machines[t].entry] != val[pos]:
-                val[pos] = until
-                stack.append(pos)
-        while stack:
-            v = stack.pop()
-            for u in a.pred[v]:
-                if until:
-                    if not val[u] and th1[u]:
-                        val[u] = True
-                        stack.append(u)
-                else:
-                    support[u] -= 1
-                    if val[u] and not support[u]:
-                        val[u] = False
-                        stack.append(u)
-            for bz in a.exit_pred[v]:
-                i = bz - n
-                live[i] += 1 if until else -1
-                if live[i] == int(until):
-                    b, o = a.bz_of[i]
-                    mask[b] ^= 1 << o
-                    t = expand[b]
-                    if val[b] != until and \
-                            (yield t, mask[b])[0][machines[t].entry] == until:
-                        val[b] = until
-                        stack.append(b)
-        return val, mask
-
-    keys = (th1_key, th2_key) if until else (th1_key,)
-    return _stacked(solve, _classes(machines, keys))
+            e = summaries[t][machines[t].entry]
+            vss = a.exit_succ[v]
+            own[v] = inside if e >> len(vss) & 1 else 0
+            joins[v] = [s for o, vs in enumerate(vss) if e >> o & 1
+                        for s in vs]
+    joined_by = [[] for _ in range(n)]
+    for v, vs in enumerate(joins):
+        for s in vs:
+            joined_by[s].append(v)
+    mask = [0 if until else 2 * inside - 1] * n
+    stack = list(range(n))
+    while stack:
+        v = stack.pop()
+        x = own[v]
+        for s in joins[v]:
+            x |= mask[s]
+        if x != mask[v]:
+            mask[v] = x
+            stack += joined_by[v]
+    return mask
 
 
 def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
                 op="E0"):
-    """Classical (grade-0) hierarchical pass: specialize machines per set of
-    continuing exits so the flag becomes context-free.  The flag row is
-    also the count row, capped at 1."""
-    solve = _grade0_solutions(w.machines, kind, th1_key, th2_key)
+    """Classical (grade-0) hierarchical pass: summarize each class of
+    machines once, then specialize machines per set of continuing exits so
+    the flag becomes context-free.  The flag row is also the count row,
+    capped at 1."""
+    machines = w.machines
+    until = kind == "U"
+    keys = (th1_key, th2_key) if until else (th1_key,)
+    summaries = _per_class(
+        machines, _classes(machines, keys), lambda mi, done:
+        _grade0_summary(machines, done, mi, until, th1_key, th2_key))
 
     def label(mi, y):
-        flags, mask = solve(mi, y)
-        return flags, flags, mask
+        m = machines[mi]
+        holds = y | 1 << len(m.outs)
+        flags = [x & holds != 0 for x in summaries[mi]]
+        # A box continues from each exit with a satisfying successor.
+        contexts = [None if t is None else 0 for t in m.expand]
+        for s, bzs in enumerate(m.adj.exit_pred):
+            if flags[s]:
+                for bz in bzs:
+                    b, o = m.adj.bz_of[bz - m.n]
+                    contexts[b] |= 1 << o
+        return flags, flags, contexts
 
     _specialize(w, psi_key, 0, label, op, f"{kind}0", 0, 1)
     stats = w.stats[-1]
@@ -447,16 +426,8 @@ def compute_nsc(w: SpecializedHsm, s_key, until_mode=False, th1_key=None,
     states that fail th1 are suppressed, matching the evidence graph.
     """
     machines = w.machines
-    infos = []
-    done = {}
-    for mi in range(len(machines)):
-        c = mi if classes is None else classes[mi]
-        info = done.get(c)
-        if info is None:
-            info = done[c] = _nsc_one(machines, infos, mi, s_key, until_mode,
-                                      th1_key)
-        infos.append(info)
-    return infos
+    return _per_class(machines, classes, lambda mi, infos: _nsc_one(
+        machines, infos, mi, s_key, until_mode, th1_key))
 
 
 def _within(vs, present):

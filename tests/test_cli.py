@@ -516,6 +516,34 @@ class TestFlatten:
         assert m.label("a") == {"p"}
 
 
+class TestUnreadableInput:
+    """A model or formula file that cannot be read as UTF-8 text is a
+    usage error under every command that reads one, as a missing file is,
+    and never an internal error."""
+
+    @pytest.fixture(params=["directory", "not_utf8"])
+    def unreadable(self, request, tmp_path):
+        if request.param == "directory":
+            return str(tmp_path)
+        path = tmp_path / "input.gctl"
+        path.write_bytes(b"\xff\xfe machine M")
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["check", "--formula", "true"],
+                                         ["validate"], ["flatten"]])
+    def test_model(self, unreadable, command, capsys):
+        code = main([*command, "--model", unreadable])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{unreadable}:" in captured.err
+
+    def test_formula_file(self, unreadable, capsys):
+        code = main(["check", "--model", FIG2, "--formula-file", unreadable])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{unreadable}:" in captured.err
+
+
 class TestValidateCmd:
     def test_fig2_valid_restricted(self, capsys):
         assert main(["validate", "--model", FIG2, "--restricted"]) == 0

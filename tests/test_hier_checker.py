@@ -19,13 +19,43 @@ from gctl.gen import random_formula, random_shsm
 from gctl.hier_checker import (HierView, WorkMachine, _from_shsm,
                                check_hier, compute_nsc, grade0_pass,
                                graded_next_pass, scope_pass)
-from gctl.hsm import flatten, is_hsm, repair_top_exit_loops, validate_shsm
+from gctl.hsm import (Machine, Shsm, flatten, is_hsm, repair_top_exit_loops,
+                      validate_shsm)
+from gctl.kripke import KripkeStructure
 from gctl.modelfile import parse_model, render_model
 
 
 def _flat_verdict(model, f):
     ks = flatten(model)
     return check_flat(ks, f).root_row()[ks.initial]
+
+
+def _to_shsm(w):
+    """The working model w as a model (vertices renamed unique), plus a
+    lookup from new vertex name to (machine index, vertex position) for
+    reading flags."""
+    machines = []
+    lookup = {}
+    for mi, m in enumerate(w.machines):
+        rename = {pos: f"{v}~m{mi}" for pos, v in enumerate(m.vertices)}
+        for pos, new in rename.items():
+            lookup[new] = (mi, pos)
+        labels = {rename[pos]: m.labels[pos] for pos in range(m.n)}
+        expand = {rename[pos]: 0 if t is None else t + 1
+                  for pos, t in enumerate(m.expand)}
+        edges = [(rename[u], None, rename[v])
+                 for u, vs in enumerate(m.adj.succ) for v in vs]
+        for b, vss in enumerate(m.adj.exit_succ):
+            if vss is None:
+                continue
+            target = w.machines[m.expand[b]]
+            for o, vs in enumerate(vss):
+                z_name = f"{target.vertices[target.outs[o]]}~m{m.expand[b]}"
+                edges.extend((rename[b], z_name, rename[v]) for v in vs)
+        machines.append(Machine(
+            m.name, [rename[p] for p in range(m.n)], rename[m.entry],
+            [rename[p] for p in m.outs], labels, expand, edges))
+    return Shsm(machines), lookup
 
 
 class TestCheckHier:
@@ -133,6 +163,87 @@ class TestGradedNextPass:
         f = ExistsX(0, Atom("p1"))
         v, _ = check_hier(fig2_model, f)
         assert v == _flat_verdict(fig2_model, f)
+
+
+class TestGrade0Summary:
+    """A machine's grade-0 exit summary, read under every set y of
+    continuing exits, equals the flat engine's E U / E G on the flattening
+    of that machine alone, where exit o steps to a fresh state satisfying
+    the form exactly when bit o of y is set."""
+
+    FORMS = {"U": ExistsU(0, Atom("th1"), Atom("th2")),
+             "G": ExistsG(0, Atom("th1"))}
+
+    @staticmethod
+    def _flattening(machines, mi, y):
+        """The flat states reachable from the vertices of machine mi, and
+        the state a step into each vertex lands on.  A state is the stack
+        of (machine, position) frames down to a node, labelled by the
+        node's th1 and th2 rows; exit o of mi steps to fresh state o, which
+        loops and is labelled th1 and th2 when bit o of y is set."""
+        outs = len(machines[mi].outs)
+        labels = [{"th1", "th2"} if y >> o & 1 else set()
+                  for o in range(outs)]
+        edges = [(o, o) for o in range(outs)]
+        states = {}
+        todo = []
+
+        def enter(frames, m, pos):
+            while machines[m].expand[pos] is not None:
+                frames += ((m, pos),)
+                m = machines[m].expand[pos]
+                pos = machines[m].entry
+            frames += ((m, pos),)
+            if frames not in states:
+                states[frames] = len(labels)
+                labels.append({key for key in ("th1", "th2")
+                               if machines[m].flags[key][pos]})
+                todo.append(frames)
+            return states[frames]
+
+        entered = [enter((), mi, pos) for pos in range(machines[mi].n)]
+        while todo:
+            frames = todo.pop()
+            m, pos = frames[-1]
+            a = machines[m].adj
+            step = [enter(frames[:-1], m, v) for v in a.succ[pos]]
+            o = a.ordinal[pos]
+            if o is not None and len(frames) == 1:
+                step.append(o)
+            elif o is not None:
+                parent, box = frames[-2]
+                step += [enter(frames[:-2], parent, v)
+                         for v in machines[parent].adj.exit_succ[box][o]]
+            edges += [(states[frames], t) for t in step]
+        names = [str(i) for i in range(len(labels))]
+        return KripkeStructure(names, 0, edges, labels), entered
+
+    def test_every_exit_mask_matches_flat_engine(self):
+        rng = random.Random(20)
+        checked = 0
+        for case in range(60):
+            model = random_shsm(rng.randint(2, 4), rng.randint(1, 3),
+                                rng.randint(1, 3), rng.randint(1, 2), 2,
+                                seed=case + 9000, scope_labels=False)
+            machines = _from_shsm(model, 100).machines
+            for m in machines:
+                m.flags["th1"] = [rng.random() < 0.7 for _ in range(m.n)]
+                m.flags["th2"] = [rng.random() < 0.15 for _ in range(m.n)]
+            for kind, f in self.FORMS.items():
+                summaries = gctl.hier_checker._per_class(
+                    machines, None, lambda mi, done:
+                    gctl.hier_checker._grade0_summary(
+                        machines, done, mi, kind == "U", "th1", "th2"))
+                for mi, m in enumerate(machines):
+                    inside = 1 << len(m.outs)
+                    for y in range(inside):
+                        ks, entered = self._flattening(machines, mi, y)
+                        row = check_flat(ks, f).root_row()
+                        assert [x & (y | inside) != 0
+                                for x in summaries[mi]] == \
+                            [row[s] for s in entered], (case, kind, mi, y)
+                        checked += 1
+        assert checked > 500
 
 
 class TestComputeNsc:
@@ -284,7 +395,7 @@ class TestGradedGuPass:
         f = ExistsU(1, Atom("p"), Atom("q"))
         root = normalize(f)
         _, w = check_hier(model, f)
-        specialized, lookup = w.to_shsm()
+        specialized, lookup = _to_shsm(w)
         ks = flatten(specialized)
         table = check_flat(ks, root)
         for s in range(ks.n_states):
@@ -459,7 +570,7 @@ class TestCopyStatistics:
 
 class TestSharedKernels:
     """Copies of one input machine with equal operand rows and equal box
-    targets share the grade-0 solution, the branching-cycle analysis and
+    targets share the grade-0 summary, the branching-cycle analysis and
     the graded dag of every context."""
 
     # Box b1 carries r and b2 does not, so the scope pass of r copies M1;
@@ -494,6 +605,7 @@ class TestSharedKernels:
         machines_of = {}
         classes_of = gctl.hier_checker._classes
         stacked = gctl.hier_checker._stacked
+        summary = gctl.hier_checker._grade0_summary
         nsc_one = gctl.hier_checker._nsc_one
 
         def classes(machines, keys):
@@ -510,12 +622,18 @@ class TestSharedKernels:
                 return solver(mi, context)
             return stacked(run, classes)
 
+        def counted_summary(machines, summaries, mi, *args):
+            runs["summary", machines[mi].source, None] += 1
+            return summary(machines, summaries, mi, *args)
+
         def counted_nsc(machines, infos, mi, *args):
             runs["nsc", machines[mi].source, None] += 1
             return nsc_one(machines, infos, mi, *args)
 
         monkeypatch.setattr(gctl.hier_checker, "_classes", classes)
         monkeypatch.setattr(gctl.hier_checker, "_stacked", counted_stacked)
+        monkeypatch.setattr(gctl.hier_checker, "_grade0_summary",
+                            counted_summary)
         monkeypatch.setattr(gctl.hier_checker, "_nsc_one", counted_nsc)
         verdict, w = check_hier(parse_model(self.MODEL), parse_formula(text))
         monkeypatch.undo()
@@ -526,7 +644,8 @@ class TestSharedKernels:
     def test_kernel_once_per_class(self, monkeypatch, text):
         verdict, w, runs = self._run(monkeypatch, text, shared=True)
         assert [m.source for m in w.machines].count(0) == 2
-        kernels = {"solve", "dag", "nsc"} if "E>1" in text else {"solve"}
+        kernels = {"summary", "dag", "nsc"} if "E>1" in text else \
+            {"summary"}
         m1 = {key: n for key, n in runs.items() if key[1] == 0}
         assert {key[0] for key in m1} == kernels
         assert set(m1.values()) == {1}
@@ -785,7 +904,7 @@ class TestEngineEquivalence:
             f = random_formula(rng, ["p0", "p1"], depth=2)
             root = normalize(f)
             _, w = check_hier(model, f)
-            specialized, lookup = w.to_shsm()
+            specialized, lookup = _to_shsm(w)
             ks = flatten(specialized)
             table = check_flat(ks, root)
             row = table.root_row()
