@@ -78,7 +78,6 @@ class Adjacency:
     b expands is `bz_base[b] + o`, past the last position."""
 
     succ: list                # plain successors per vertex
-    pred: list                # plain predecessors per vertex
     exit_succ: list           # per box: successors per exit ordinal; None for nodes
     exit_pred: list           # exit-state ids with an edge to each vertex
     ordinal: list             # exit ordinal per vertex, None for non-exits
@@ -94,7 +93,6 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
     n = len(m.vertices)
     pos_of = {v: i for i, v in enumerate(m.vertices)}
     succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
     exit_succ = [None] * n
     bz_base = [None] * n
     bz_of = []
@@ -110,7 +108,6 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
         pu, pv = pos_of[u], pos_of[v]
         if z is None:
             succ[pu].append(pv)
-            pred[pv].append(pu)
         else:
             target = model.machine(m.expand[u])
             if v == u and (z, None, target.initial) in target.edges:
@@ -121,8 +118,8 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
     ordinal = [None] * n
     for o, z in enumerate(m.outputs):
         ordinal[pos_of[z]] = o
-    return Adjacency(succ, pred, exit_succ, exit_pred, ordinal, bz_base,
-                     bz_of, pos_of)
+    return Adjacency(succ, exit_succ, exit_pred, ordinal, bz_base, bz_of,
+                     pos_of)
 
 
 # ---------------------------------------------------------------------------
