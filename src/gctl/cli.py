@@ -192,12 +192,16 @@ def cmd_check(args):
 
 
 def _write(path, text):
-    """Write text to the file at path, or to stdout when path is empty."""
-    if path:
+    """Write text to the file at path, or to stdout when path is empty; a
+    file that cannot be written is a usage error."""
+    if not path:
+        print(text, end="")
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        print(text, end="")
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _emit(args, report):
@@ -315,9 +319,6 @@ def main(argv=None):
         return EXIT_USAGE
     except (FormulaSyntaxError, ModelSyntaxError) as e:
         print(f"syntax error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"cannot open {e.filename}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as e:
         for p in e.problems:

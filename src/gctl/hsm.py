@@ -87,9 +87,9 @@ class Adjacency:
 
 
 def _adjacency(model: Shsm, m: Machine) -> Adjacency:
-    """Index the edges of machine m, keeping one edge per flat transition
-    as flattening does: drop repeats, and an exit b.z -> b when the boxed
-    machine steps from z to its initial vertex itself."""
+    """Index the edges of machine m, keeping one edge per flat transition,
+    the rule `flatten` reads here: drop repeats, and an exit b.z -> b when
+    the boxed machine steps from z to its initial vertex itself."""
     n = len(m.vertices)
     pos_of = {v: i for i, v in enumerate(m.vertices)}
     succ = [[] for _ in range(n)]
@@ -319,17 +319,24 @@ def repair_top_exit_loops(model: Shsm) -> Shsm:
 # ---------------------------------------------------------------------------
 
 
-def flat_size(model: Shsm) -> int:
-    """Number of states of the flattening, computed without building it."""
-    sizes = [0] * (model.h + 1)
-    for i in range(1, model.h + 1):
-        m = model.machine(i)
-        total = 0
+def _block_offsets(model: Shsm) -> list:
+    """Per machine, bottom-up: by vertex position, the offset of the
+    vertex's block in the machine's flattening, then its size.  A node's
+    block is its one state, a box's a copy of its target's flattening."""
+    offsets = []
+    for m in model.machines:
+        offset = [0]
         for v in m.vertices:
             e = m.expand.get(v, 0)
-            total += sizes[e] if e else 1
-        sizes[i] = total
-    return sizes[model.h]
+            offset.append(offset[-1] + (offsets[e - 1][-1] if e else 1))
+        offsets.append(offset)
+    return offsets
+
+
+def flat_size(model: Shsm) -> int:
+    """Number of states of the flattening, computed without building it:
+    the end of the top machine's block offsets, as `flatten` numbers them."""
+    return _block_offsets(model)[-1][-1]
 
 
 def flatten(model: Shsm, budget: int = DEFAULT_FLAT_BUDGET) -> KripkeStructure:
@@ -337,57 +344,48 @@ def flatten(model: Shsm, budget: int = DEFAULT_FLAT_BUDGET) -> KripkeStructure:
 
     States are the complete well-formed vertex sequences, named by joining
     the sequence with dots; a state inherits the labels of every vertex in
-    its sequence.
+    its sequence.  States are numbered by block offsets and written, with
+    their edges, off one explicit stack of box instances: no recursion.
     """
-    size = flat_size(model)
+    offsets = _block_offsets(model)
+    size = offsets[-1][-1]
     if budget is not None and size > budget:
         raise CapacityError(
             f"flattening needs {size} states, over the budget of {budget}")
-
-    # Per machine: list of (sequence, label) plus internal transitions, with
-    # box vertices replaced by a copy of the target machine's flattening.
-    cache = {}
-
-    def build(i):
-        if i in cache:
-            return cache[i]
-        m = model.machine(i)
-        seqs = []
-        labels = []
-        edges = []
-        start = {}   # vertex -> index of its entry state in seqs
-        exits = {}   # (vertex, exit name) -> index of the exit state
-        for v in m.vertices:
+    # Per machine, with ids within its flattening: its initial vertex and
+    # outputs, the id a step into each vertex lands on, its nodes and boxes,
+    # and the flat edges its own edges make, read off the shared index.
+    starts, exits, parts = [], [], []
+    for m, a, offset in zip(model.machines, model.adjacency, offsets):
+        starts.append(offset[a.pos_of[m.initial]])
+        exits.append([offset[a.pos_of[z]] for z in m.outputs])
+        entry = [o + starts[m.expand[v] - 1] if m.expand.get(v, 0) else o
+                 for o, v in zip(offset, m.vertices)]
+        nodes, boxes, local = [], [], []
+        for p, v in enumerate(m.vertices):
             e = m.expand.get(v, 0)
-            if e == 0:
-                start[v] = len(seqs)
-                exits[(v, None)] = len(seqs)
-                seqs.append((v,))
-                labels.append(m.label(v))
+            if e:
+                boxes.append((offset[p], e - 1, v + ".", m.label(v)))
+                local += [(offset[p] + x, entry[w]) for x, ws in
+                          zip(exits[e - 1], a.exit_succ[p]) for w in ws]
             else:
-                sub_seqs, sub_labels, sub_edges, sub_start, sub_exits = build(e)
-                base = len(seqs)
-                box_label = m.label(v)
-                for seq, lab in zip(sub_seqs, sub_labels):
-                    seqs.append((v,) + seq)
-                    labels.append(lab | box_label)
-                edges.extend((base + a, base + b) for a, b in sub_edges)
-                start[v] = base + sub_start[model.machine(e).initial]
-                for z in model.machine(e).outputs:
-                    exits[(v, z)] = base + sub_exits[(z, None)]
-        for u, z, v in m.edges:
-            src = exits.get((u, z))
-            if src is None:
-                continue
-            edges.append((src, start[v]))
-        result = (seqs, labels, edges, start, exits)
-        cache[i] = result
-        return result
-
-    seqs, labels, edges, start, _ = build(model.h)
-    names = [".".join(seq) for seq in seqs]
-    ks = KripkeStructure(names, start[model.top.initial], edges, labels)
-    sinks = [names[s] for s in range(ks.n_states) if not ks.succ[s]]
+                nodes.append((offset[p], v, m.label(v)))
+                local += [(offset[p], entry[w]) for w in a.succ[p]]
+        parts.append((nodes, boxes, local))
+    names, labels, edges = [None] * size, [None] * size, []
+    # Box instances: (machine, first id, name prefix, inherited labels).
+    stack = [(model.h - 1, 0, "", frozenset())]
+    while stack:
+        i, base, prefix, inherited = stack.pop()
+        nodes, boxes, local = parts[i]
+        for o, v, label in nodes:
+            names[base + o] = prefix + v
+            labels[base + o] = label | inherited
+        stack += [(t, base + o, prefix + v, inherited | label)
+                  for o, t, v, label in boxes]
+        edges += [(base + u, base + w) for u, w in local]
+    ks = KripkeStructure(names, starts[-1], edges, labels)
+    sinks = [names[s] for s in range(size) if not ks.succ[s]]
     if sinks:
         raise ValidationError(
             [f"flattening is not total; sink states: {', '.join(sinks)}"])

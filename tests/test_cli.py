@@ -1,5 +1,7 @@
+import contextlib
 import json
 import pathlib
+import sys
 import time
 from collections import Counter
 
@@ -12,7 +14,7 @@ import gctl.formula
 import gctl.hier_checker
 from gctl.cli import main
 from gctl.gen import random_shsm
-from gctl.hsm import flatten, validate_shsm
+from gctl.hsm import flat_size, flatten, validate_shsm
 from gctl.modelfile import kripke_to_model, parse_model, render_model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -814,3 +816,84 @@ class TestModelFormat:
         *shape, seed, scoped = spec
         model = random_shsm(*shape, seed, scope_labels=scoped)
         assert parse_model(render_model(model)) == model
+
+
+DEEP_LEVELS = 300       # machines in the chain below
+DEEP_LIMIT = 200        # recursion limit the chain's rows run under
+
+
+@contextlib.contextmanager
+def _recursion_limit(limit):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+class TestExitCodes:
+    """Rows that exited 5 (internal error): the flat paths on a plain chain
+    deeper than the recursion limit, and an --output that is a directory.
+    `{deep}` is the chain, `{dir}` a directory and `{file}` a new file in
+    it; "hier" expects the exit code of `E F p0` under --engine hier."""
+
+    ROWS = [
+        (["check", "--model", "{deep}", "--formula", "E F p0",
+          "--engine", "flat"], "hier"),
+        (["check", "--model", "{deep}", "--formula", "E F p0",
+          "--engine", "both"], "hier"),
+        (["flatten", "--model", "{deep}", "--output", "{file}"], 0),
+        (["check", "--model", FIG2, "--formula", "true",
+          "--output", "{dir}"], 2),
+        (["flatten", "--model", FIG2, "--output", "{dir}"], 2),
+        (["gen", "--output", "{dir}"], 2),
+    ]
+
+    @pytest.fixture(scope="class")
+    def deep(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("deep") / "chain.gctl"
+        path.write_text(render_model(random_shsm(
+            DEEP_LEVELS, 1, 1, 1, 2, seed=1, scope_labels=False)))
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def hier_code(self, deep):
+        with _recursion_limit(DEEP_LIMIT):
+            code = main(["check", "--model", deep, "--formula", "E F p0",
+                         "--engine", "hier"])
+        assert code in (0, 1)
+        return code
+
+    @pytest.mark.parametrize("argv, expected", ROWS,
+                             ids=[" ".join(r[0][:1] + r[0][-2:])
+                                  for r in ROWS])
+    def test_row(self, argv, expected, deep, hier_code, tmp_path, capsys):
+        fill = {"{deep}": deep, "{dir}": str(tmp_path),
+                "{file}": str(tmp_path / "out.gctl")}
+        argv = [fill.get(a, a) for a in argv]
+        capsys.readouterr()
+        with _recursion_limit(DEEP_LIMIT):
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == (hier_code if expected == "hier" else expected), \
+            captured.err
+        if expected == 2:
+            assert captured.out == "" and captured.err == \
+                f"cannot write {tmp_path}: Is a directory\n"
+        if argv[0] == "flatten" and expected == 0:
+            states = flat_size(parse_model(pathlib.Path(deep).read_text()))
+            assert captured.err.startswith(f"// {states} states")
+            flat = parse_model((tmp_path / "out.gctl").read_text())
+            assert len(flat.machines[0].vertices) == states
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--model", FIG2, "--formula", "true"],
+        ["flatten", "--model", FIG2], ["gen"]])
+    def test_output_in_missing_directory(self, command, tmp_path, capsys):
+        path = tmp_path / "missing" / "out"
+        code = main([*command, "--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == \
+            f"cannot write {path}: No such file or directory\n"

@@ -230,6 +230,34 @@ class TestFlatten:
     def test_flat_size_matches(self, fig2_model):
         assert flat_size(fig2_model) == 14
 
+    def test_matches_hier_view(self, fig2_model, retry_model):
+        # Oracle: the flat states of the checked hierarchy, walked from the
+        # initial one by frames, carry the flattening's names, and their
+        # successors come in the flattening's order.  Shuffled vertex lists
+        # put initial vertices and outputs anywhere in their machines.
+        rng = random.Random(11)
+        models = [fig2_model, retry_model]
+        for case in range(120):
+            model = random_shsm(rng.randint(1, 5), rng.randint(0, 2),
+                                rng.randint(1, 3), rng.randint(0, 3), 2,
+                                seed=case, scope_labels=case % 2 == 0)
+            models += [model, Shsm([
+                dataclasses.replace(m, vertices=rng.sample(
+                    m.vertices, len(m.vertices))) for m in model.machines])]
+        for case, model in enumerate(models):
+            ks = flatten(model)
+            assert ks.n_states == flat_size(model), case
+            view = HierView(model, check_hier(model, TrueF())[1])
+            assert view.name(view.initial) == ks.names[ks.initial], case
+            seen, stack = {view.initial}, [view.initial]
+            while stack:
+                s = stack.pop()
+                succ = view.succ(s)
+                assert [view.name(t) for t in succ] == \
+                    [ks.names[t] for t in ks.succ[ks.index_of(view.name(s))]]
+                stack.extend(t for t in succ if t not in seen)
+                seen.update(succ)
+
 
 def _canon(ks, strip=False):
     def name(n):

@@ -4,9 +4,10 @@ The benchmark's tracer (perfbench/tracing.py) times gctl's layers by
 swapping module attributes it names in `HOOKS`.  A renamed or deleted
 attribute breaks `perfbench/run.py --trace 1`, so every name must resolve,
 and a pass called other than through its module attribute would read 0, so
-the pass hooks must record spans.  The stored seed-1 `hier_check` and
-`witness_traces` references must pass the benchmark's own output check, so
-a change that breaks a benchmark request fails here before a benchmark run.
+the pass hooks and the flat path's hooks must record spans.  The stored
+seed-1 `hier_check` and `witness_traces` references must pass the
+benchmark's own output check, so a change that breaks a benchmark request
+fails here before a benchmark run.
 The model files and the README's model examples must read and validate, so
 the documented grammar cannot drift from the parser, and every name the
 package exports or the README cites as `gctl.<module>.<name>` must exist, so
@@ -109,6 +110,19 @@ def test_tracer_pass_hooks_record_spans(tmp_path):
     assert {"hier_checker.check_hier", "hier_checker.grade0_pass",
             "hier_checker.graded_gu_pass", "hier_checker.graded_next_pass",
             "hier_checker.compute_nsc"} <= names
+
+
+def test_tracer_flat_hooks_record_spans(tmp_path):
+    # The flat engine's layers: flattening and the structure it builds.
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        code = main(["check", "--model", str(ROOT / "models" / "fig2.gctl"),
+                     "--formula", "E>1 F p3", "--engine", "flat",
+                     "--output", str(tmp_path / "report.txt")])
+    assert code in (0, 1)
+    names = {span["name"] for span in tracer.to_json()}
+    assert {"hsm.flatten", "kripke.KripkeStructure",
+            "flat_checker.check_flat"} <= names
 
 
 def test_documented_names_resolve():
