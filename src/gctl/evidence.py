@@ -15,13 +15,14 @@ import math
 from dataclasses import dataclass, replace
 
 from .flat_checker import SatTable, check_flat
-from .formula import (PATH, And, ExistsG, ExistsU, ExistsX, ForallF,
-                      ForallG, ForallU, ForallX, Not, normalize, render,
-                      violation_families)
+from .formula import (PATH, And, ExistsF, ExistsG, ExistsU, ExistsX,
+                      ForallF, ForallG, ForallU, ForallX, Not, normalize,
+                      render, violation_families)
 from .kripke import KripkeStructure
 
 FINITE = "finite"
 LASSO = "lasso"
+EXISTS_PATH = (ExistsX, ExistsG, ExistsF, ExistsU)
 FORALL_PATH = (ForallX, ForallG, ForallF, ForallU)
 
 
@@ -239,7 +240,9 @@ def trace_forms(f, n: int) -> list:
     has neither root.  They do not depend on the verdict, so one checking
     run can label them together with f."""
     root = normalize(f)
-    if isinstance(root, PATH):
+    # f's own operator, not its normal form: `!A G p` normalizes to an E
+    # form but is not an E formula.
+    if isinstance(f, EXISTS_PATH):
         return [replace(root, grade=max(root.grade, n - 1))]
     if not isinstance(f, FORALL_PATH):
         return []
@@ -305,8 +308,6 @@ def _deepen(view, trace):
 def _explain(view, s, g):
     """A path witness (suffix after s, relative loop index) for a formula
     that holds at s; empty when the formula needs no path to justify."""
-    if isinstance(g, Not) and isinstance(g.child, Not):
-        return _explain(view, s, g.child.child)
     if isinstance(g, And):
         for part in (g.left, g.right):
             suffix, loop = _explain(view, s, part)
@@ -316,9 +317,8 @@ def _explain(view, s, g):
     if isinstance(g, Not) and isinstance(g.child, And):
         # One conjunct fails; explain the failing side's negation.
         inner = g.child
-        if not view.holds(inner.left, s):
-            return _explain(view, s, Not(inner.left))
-        return _explain(view, s, Not(inner.right))
+        failing = inner.left if not view.holds(inner.left, s) else inner.right
+        return _explain(view, s, normalize(Not(failing)))
     if isinstance(g, ExistsX):
         t = next((t for t in view.succ(s) if view.holds(g.child, t)), None)
         if t is None:

@@ -380,8 +380,9 @@ def render(f: Formula) -> str:
 # Normalization into the minimal existential fragment: Atom, TrueF, Not, And,
 # ExistsX, ExistsG, ExistsU, plus ForallU of every grade, which has no
 # rewrite in graded CTL and is kept as a primitive node; the engines decide
-# it by counting its two `violation_families` of violating paths.
-# normalize is the identity on its own output.
+# it by counting its two `violation_families` of violating paths.  A
+# normalized operand is negated by `_negate`, so the output has no double
+# negation, and normalize is the identity on its own output.
 # ---------------------------------------------------------------------------
 
 
@@ -391,23 +392,23 @@ def normalize(f: Formula) -> Formula:
     if isinstance(f, FalseF):
         return Not(TrueF())
     if isinstance(f, Not):
-        return Not(normalize(f.child))
+        return _negate(normalize(f.child))
     if isinstance(f, And):
         return And(normalize(f.left), normalize(f.right))
     if isinstance(f, Or):
-        return Not(And(Not(normalize(f.left)), Not(normalize(f.right))))
+        return Not(And(_negate(normalize(f.left)), _negate(normalize(f.right))))
     if isinstance(f, Implies):
-        return Not(And(normalize(f.left), Not(normalize(f.right))))
+        return Not(And(normalize(f.left), _negate(normalize(f.right))))
     if isinstance(f, (ExistsX, ExistsG, ExistsU, ForallU)):
         return type(f)(f.grade, *map(normalize, children(f)))
     if isinstance(f, ExistsF):
         return ExistsU(f.grade, TrueF(), normalize(f.child))
     if isinstance(f, ForallX):
-        return Not(ExistsX(f.grade, Not(normalize(f.child))))
+        return Not(ExistsX(f.grade, _negate(normalize(f.child))))
     if isinstance(f, ForallG):
-        return Not(ExistsU(f.grade, TrueF(), Not(normalize(f.child))))
+        return Not(ExistsU(f.grade, TrueF(), _negate(normalize(f.child))))
     if isinstance(f, ForallF):
-        return Not(ExistsG(f.grade, Not(normalize(f.child))))
+        return Not(ExistsG(f.grade, _negate(normalize(f.child))))
     raise TypeError(f"not a formula: {f!r}")
 
 

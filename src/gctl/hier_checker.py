@@ -399,7 +399,8 @@ class NscInfo:
     States are numbered as in `gctl.hsm.Adjacency`; `edges` links those in
     the satisfying set as evidences may step.  `nsc` holds the states from
     which a branching cycle (unboundedly many distinct evidences) is
-    reachable; the other satisfying states are listed in `order`, one per
+    reachable: they saturate, and no other satisfying state has an edge
+    into them.  The other satisfying states are listed in `order`, one per
     strongly connected component and successors' components first, with
     the members of each cycle in `cycles`.  The per-exit summaries let the
     enclosing machine judge cycles that run through a box of this
@@ -407,7 +408,6 @@ class NscInfo:
 
     edges: list
     nsc: set
-    nsc_nodes: set
     order: list
     cycles: dict              # first member -> members of a forced cycle
     path_exists: list
@@ -467,7 +467,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
     # it, and their analysis is empty.
     edges = [()] * size
     if not any(present):
-        return NscInfo(edges, set(), set(), [], {}, [False] * n_out,
+        return NscInfo(edges, set(), [], {}, [False] * n_out,
                        [False] * n_out, [()] * n_out, [0] * n_out)
     th1 = m.flags[th1_key] if until_mode else None
     boxes = []
@@ -480,7 +480,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
                 edges[pos] = _within(a.succ[pos], present)
         else:
             boxes.append(pos)
-            if machines[t].entry in infos[t].nsc_nodes:
+            if machines[t].entry in infos[t].nsc:
                 entering.add(pos)
             base = a.bz_base[pos]
             edges[pos] = [base + o
@@ -533,7 +533,6 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
                     cycles[comp[0]] = comp
                 continue
         nsc.update(comp)
-    nsc_nodes = {i for i in nsc if i < n and expand[i] is None}
 
     # Summaries for the enclosing machine, all relative to entry paths.
     path_exists = [False] * n_out
@@ -558,7 +557,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
             interior_exits[o] = {o2 for o2, z2 in enumerate(m.outs)
                                  if fwd[z2] and bwd_plus[z2]}
 
-    return NscInfo(edges, nsc, nsc_nodes, order, cycles, path_exists,
+    return NscInfo(edges, nsc, order, cycles, path_exists,
                    branch_on_path, interior_exits, internal_outdeg)
 
 
@@ -575,8 +574,8 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     First the grade-0 form is specialized so membership in the satisfying
     set is per-vertex; vertices reaching a branching cycle inside that set
     saturate; the remaining acyclic part is labeled per exit-count context
-    through one dag per demanded (machine, context) pair, which also fixes
-    the box rewiring.
+    through one dag row per demanded (machine class, context) pair, whose
+    exit-state counts also fix the box rewiring.
     """
     psi1_key = ("g0", psi_key)
     grade0_pass(w, mode, th1_key, th2_key, psi1_key, op=op)
@@ -593,21 +592,19 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
 
     def dag(mi, g):
         """Capped evidence counts of machine mi's states under the exit
-        context g, its entry's count and each box's exit context."""
+        context g, by state number."""
         m = machines[mi]
         a = m.adj
         info = infos[mi]
         n = m.n
         expand = m.expand
         edges = info.edges
+        # Saturated states count the cap.  They are never successors of the
+        # others, which are labelled here after their successors; states
+        # outside the satisfying set stay 0.
         labels = [0] * len(edges)
-
-        def bz_value(b, o):
-            bz = a.bz_base[b] + o
-            return cap if bz in info.nsc else labels[bz]
-
-        # Saturated states (cap) are never successors of the others, which
-        # are labelled here after their successors.
+        for i in info.nsc:
+            labels[i] = cap
         for i in info.order:
             cycle = info.cycles.get(i)
             if cycle is not None:
@@ -633,28 +630,27 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
                 # entry label; masking the rest keeps the label dependencies
                 # acyclic (an unreachable exit pair may feed back into this
                 # machine without forming any flat cycle).
-                reach = infos[expand[i]].path_exists
-                labels[i] = (yield expand[i], tuple(
-                    bz_value(i, o) if r else 0
-                    for o, r in enumerate(reach)))[1]
-        # Box rewiring contexts carry every exit's count, including exits
-        # the target cannot reach from its entry (their flat states still
-        # exist and their flags must come out right).
-        box_g = [None if t is None else
-                 tuple(bz_value(pos, o) for o in range(len(machines[t].outs)))
-                 for pos, t in enumerate(expand)]
-        entry_label = cap if m.entry in info.nsc else labels[m.entry]
-        return labels, entry_label, box_g
+                t = expand[i]
+                base = a.bz_base[i]
+                row = yield t, tuple(labels[base + o] if r else 0 for o, r in
+                                     enumerate(infos[t].path_exists))
+                labels[i] = row[machines[t].entry]
+        return labels
 
     dag = _stacked(dag, classes)
 
     def label(mi, g):
-        labels, _entry, box_g = dag(mi, g)
-        nsc_nodes = infos[mi].nsc_nodes
-        # Labels of states outside the satisfying set stay 0.
-        counts = [0 if t is not None else cap if pos in nsc_nodes
-                  else labels[pos]
-                  for pos, t in enumerate(machines[mi].expand)]
+        m = machines[mi]
+        labels = dag(mi, g)
+        base = m.adj.bz_base
+        counts = [0 if t is not None else labels[pos]
+                  for pos, t in enumerate(m.expand)]
+        # Box rewiring contexts carry every exit's count, including exits
+        # the target cannot reach from its entry (their flat states still
+        # exist and their flags must come out right).
+        box_g = [None if t is None else
+                 tuple(labels[base[pos]:base[pos] + len(machines[t].outs)])
+                 for pos, t in enumerate(m.expand)]
         return [c >= cap for c in counts], counts, box_g
 
     top_context = (0,) * len(machines[-1].outs)

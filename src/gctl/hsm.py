@@ -104,6 +104,7 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
             bz_base[pos] = n + len(bz_of)
             bz_of += [(pos, o) for o in range(k)]
     exit_pred = [()] * n
+    preds = {}          # vertex -> exit-state ids, for those that have some
     for u, z, v in dict.fromkeys(m.edges):
         pu, pv = pos_of[u], pos_of[v]
         if z is None:
@@ -114,7 +115,9 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
                 continue
             o = target.outputs.index(z)
             exit_succ[pu][o].append(pv)
-            exit_pred[pv] += (bz_base[pu] + o,)
+            preds.setdefault(pv, []).append(bz_base[pu] + o)
+    for pv, bzs in preds.items():
+        exit_pred[pv] = bzs
     ordinal = [None] * n
     for o, z in enumerate(m.outputs):
         ordinal[pos_of[z]] = o
@@ -428,23 +431,20 @@ def reduce_to_hsm(model: Shsm, ap) -> ReducedHsm:
     renamed ``v@p1+p2``.
     """
     ap = frozenset(ap)
-    order = []      # materialized (index, scope) pairs in demand order
-    demanded = {}
-
-    def demand(i, scope):
-        key = (i, scope)
-        if key not in demanded:
-            demanded[key] = None
-            order.append(key)
-            m = model.machine(i)
-            for v in m.vertices:
-                e = m.expand.get(v, 0)
-                if e:
-                    demand(e, scope | (m.label(v) & ap))
-        return key
-
-    demand(model.h, frozenset())
-    order.sort(key=lambda key: (key[0], sorted(key[1])))
+    # The (index, scope) pairs reached from the top level, collected on an
+    # explicit stack, so hierarchies of any depth reduce.
+    demanded = set()
+    stack = [(model.h, frozenset())]
+    while stack:
+        key = stack.pop()
+        if key in demanded:
+            continue
+        demanded.add(key)
+        i, scope = key
+        m = model.machine(i)
+        stack += [(m.expand[v], scope | (m.label(v) & ap))
+                  for v in m.vertices if m.expand.get(v, 0)]
+    order = sorted(demanded, key=lambda key: (key[0], sorted(key[1])))
     new_index = {key: pos + 1 for pos, key in enumerate(order)}
 
     machines = []

@@ -149,7 +149,8 @@ class TestTraceForms:
     p, q = Atom("p"), Atom("q")
 
     def test_no_trace_applies(self):
-        for text in ("p & q", "!E X p", "E X p | A G p"):
+        for text in ("p & q", "!E X p", "E X p | A G p", "!A G p",
+                     "!!E X p"):
             assert trace_forms(parse_formula(text), 3) == []
 
     def test_satisfied_exists_boosted(self):

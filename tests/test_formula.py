@@ -12,12 +12,13 @@ FRAGMENT = (Atom, TrueF, Not, And, ExistsX, ExistsG, ExistsU, ForallU)
 
 
 def _normal_form(f):
-    """f has only nodes of the normalized fragment and normalizes to
-    itself."""
+    """f has only nodes of the normalized fragment, no double negation, and
+    normalizes to itself."""
     stack = [f]
     while stack:
         g = stack.pop()
-        if not isinstance(g, FRAGMENT):
+        if not isinstance(g, FRAGMENT) or (
+                isinstance(g, Not) and isinstance(g.child, Not)):
             return False
         stack.extend(children(g))
     return normalize(f) == f

@@ -290,7 +290,7 @@ class TestComputeNsc:
         scope_pass(w, "p", 0)
         grade0_pass(w, "G", 0, None, "S")
         infos = compute_nsc(w, "S")
-        assert w.top.entry in infos[-1].nsc_nodes
+        assert w.top.entry in infos[-1].nsc
 
     def test_empty_sat_set_empty_nsc(self, fig2_model):
         w = _from_shsm(fig2_model, 100)
@@ -477,7 +477,7 @@ class TestCopyStatistics:
         ("fig2", "E>1 [true U p1]", True, 4,
          [(1, 1, 3), (1, 1, 3), (1, 2, 4)]),
         ("fig2", "A<=1 G !p1", False, 4,
-         [(1, 1, 3), (1, 1, 3), (1, 1, 3), (1, 1, 3), (1, 2, 4), (1, 1, 4)]),
+         [(1, 1, 3), (1, 1, 3), (1, 2, 4), (1, 1, 4)]),
         ("retry", "A<=1 [!abort U success]", True, 2,
          [(1, 1, 2)] * 9),
         ("retry", "E>2 X (E G !abort)", False, 3,
@@ -493,8 +493,7 @@ class TestCopyStatistics:
          "A<=2 X E>1 [E>2 [p2 U p0] U A [true U true]]", True, 9,
          [(1, 1, 4), (1, 2, 7), (2, 2, 9)] + [(1, 1, 9)] * 11),
         ((4, 1, 3, 2, 3, 1111, False), "A F (p1 | A<=3 G p2)", False, 7,
-         [(1, 1, 4)] * 5 + [(1, 2, 5)] + [(1, 1, 5)] * 5
-         + [(2, 1, 7), (1, 1, 7)]),
+         [(1, 1, 4)] * 5 + [(1, 2, 5), (1, 1, 5), (2, 1, 7), (1, 1, 7)]),
         ((3, 2, 1, 2, 3, 1261, False),
          "A<=2 [A<=2 G A<=2 [p1 U p0] U p0]", False, 5,
          [(1, 1, 3)] * 8 + [(2, 1, 4)] + [(1, 1, 4)] * 5

@@ -313,6 +313,12 @@ class TestReduce:
             assert _canon(flatten(red.model), strip=True) == \
                 _canon(flatten(restrict_ap(model, ap)))
 
+    def test_hierarchy_deeper_than_recursion_limit(self):
+        model = random_shsm(1500, 1, 1, 1, 2, 1)
+        red = reduce_to_hsm(model, {"p0", "p1"})
+        assert validate_shsm(red.model) == []
+        assert flat_size(red.model) == flat_size(model)
+
     def test_flat_names_are_bounded_sequences(self, fig2_model):
         ks = flatten(fig2_model)
         for n in ks.names:
