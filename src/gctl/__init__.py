@@ -9,7 +9,7 @@ from .formula import Formula, normalize, parse_formula, render
 from .hier_checker import SpecializedHsm, check_hier
 from .hsm import (Machine, Shsm, flat_size, flatten, is_hsm, reduce_to_hsm,
                   restrict_ap, validate_shsm)
-from .kripke import KripkeStructure, validate_kripke
+from .kripke import KripkeStructure
 from .modelfile import parse_model, render_model
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "render_model",
     "restrict_ap",
     "serialize_trace",
-    "validate_kripke",
     "validate_shsm",
     "validate_trace",
 ]

@@ -32,7 +32,7 @@ from .formula import (BOOLEAN, LOWER_GRADE, Atom, ExistsG, ExistsU, ExistsX,
                       boolean_row, count_row, evaluate, graded_rows, normalize,
                       position_of, render)
 # check_hier never calls reduce_to_hsm; perfbench/tracing.py hooks the name.
-from .hsm import Adjacency, Shsm, _descendant_machines, reduce_to_hsm
+from .hsm import Adjacency, Shsm, _descendants, reduce_to_hsm
 
 DEFAULT_COPY_BUDGET = 250_000
 
@@ -105,19 +105,18 @@ def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
     """The working model of the input machines that the top machine's boxes
     reach, in input order, each copy reading its input machine's index.
     Passes demand contexts only of these, so every pass sees the same
-    machine set."""
+    machine set.  Copies share the input machine's vertex list and the
+    index's label and output lists."""
+    adjs = model.adjacency
     # input position -> working position
-    kept = {j - 1: i for i, j in
-            enumerate(sorted(_descendant_machines(model, model.h)))}
+    kept = {j: i for i, j in
+            enumerate(sorted(_descendants(adjs, model.h - 1)))}
     machines = []
     for source in kept:
-        m, a = model.machines[source], model.adjacency[source]
-        expand = [None if m.expand.get(v, 0) == 0 else kept[m.expand[v] - 1]
-                  for v in m.vertices]
-        machines.append(WorkMachine(
-            source, m.name, list(m.vertices),
-            [m.label(v) for v in m.vertices], expand, a.pos_of[m.initial],
-            [a.pos_of[z] for z in m.outputs], a))
+        m, a = model.machines[source], adjs[source]
+        expand = [None if t is None else kept[t] for t in a.expand]
+        machines.append(WorkMachine(source, m.name, m.vertices, a.labels,
+                                    expand, a.entry, a.outs, a))
     return SpecializedHsm(machines, copy_budget=copy_budget)
 
 

@@ -71,7 +71,10 @@ class Shsm:
 @dataclass
 class Adjacency:
     """Edges of one input machine by vertex position, one edge per flat
-    transition, and the indexes the checker's passes read.
+    transition, and the indexes the checker's passes read.  It is the one
+    place where vertex names become positions: every later pass reads a
+    vertex's expansion, label, and the machine's entry and outputs here.
+    Its lists are shared by every copy of the machine and never changed.
 
     The branching-cycle graph numbers its states: a node or box keeps its
     position, and the exit state b.z with z the o-th output of the machine
@@ -84,6 +87,10 @@ class Adjacency:
     bz_base: list             # first exit-state id per box, None for nodes
     bz_of: list               # (box pos, exit ordinal) per exit-state id - n
     pos_of: dict              # vertex name -> position
+    expand: list              # 0-based machine index per box, None for nodes
+    labels: list              # frozenset per vertex
+    entry: int                # position of the initial vertex
+    outs: list                # positions of the outputs, declaration order
 
 
 def _adjacency(model: Shsm, m: Machine) -> Adjacency:
@@ -92,14 +99,15 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
     the boxed machine steps from z to its initial vertex itself."""
     n = len(m.vertices)
     pos_of = {v: i for i, v in enumerate(m.vertices)}
+    expand = [m.expand[v] - 1 if m.expand.get(v, 0) else None
+              for v in m.vertices]
     succ = [[] for _ in range(n)]
     exit_succ = [None] * n
     bz_base = [None] * n
     bz_of = []
-    for pos, v in enumerate(m.vertices):
-        e = m.expand.get(v, 0)
-        if e:
-            k = len(model.machine(e).outputs)
+    for pos, t in enumerate(expand):
+        if t is not None:
+            k = len(model.machines[t].outputs)
             exit_succ[pos] = [[] for _ in range(k)]
             bz_base[pos] = n + len(bz_of)
             bz_of += [(pos, o) for o in range(k)]
@@ -110,7 +118,7 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
         if z is None:
             succ[pu].append(pv)
         else:
-            target = model.machine(m.expand[u])
+            target = model.machines[expand[pu]]
             if v == u and (z, None, target.initial) in target.edges:
                 continue
             o = target.outputs.index(z)
@@ -118,11 +126,13 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
             preds.setdefault(pv, []).append(bz_base[pu] + o)
     for pv, bzs in preds.items():
         exit_pred[pv] = bzs
+    outs = [pos_of[z] for z in m.outputs]
     ordinal = [None] * n
-    for o, z in enumerate(m.outputs):
-        ordinal[pos_of[z]] = o
+    for o, z in enumerate(outs):
+        ordinal[z] = o
     return Adjacency(succ, exit_succ, exit_pred, ordinal, bz_base, bz_of,
-                     pos_of)
+                     pos_of, expand, [m.label(v) for v in m.vertices],
+                     pos_of[m.initial], outs)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +144,9 @@ def validate_shsm(model: Shsm, restricted: bool = False) -> list:
     """Itemized invariant report (empty list = valid).
 
     With `restricted`, additionally checks that labels of a box are disjoint
-    from the labels of everything nested below it.  Also reports reachable
-    flat sink states, since those would break the totality of the
-    flattening.
+    from the labels of everything nested below it.  Also reports the flat
+    sink states reachable from the initial one, the only dead ends a valid
+    model rules out; `flatten` rejects exactly these.
     """
     problems = []
     if not model.machines:
@@ -196,33 +206,29 @@ def validate_shsm(model: Shsm, restricted: bool = False) -> list:
     return problems
 
 
-def _descendant_machines(model, start_index):
-    """Machine indices reachable from `start_index` through expansion."""
+def _descendants(adjs, start):
+    """Machine indices reachable from machine `start` through expansion,
+    `start` included, read off the edge indexes `adjs`."""
     seen = set()
-    stack = [start_index]
+    stack = [start]
     while stack:
         j = stack.pop()
-        if j in seen or j == 0:
-            continue
-        seen.add(j)
-        m = model.machine(j)
-        for v in m.vertices:
-            stack.append(m.expand.get(v, 0))
+        if j not in seen:
+            seen.add(j)
+            stack += (t for t in adjs[j].expand if t is not None)
     return seen
 
 
 def _restricted_label_problems(model):
     problems = []
-    for i, m in enumerate(model.machines, start=1):
-        for u in m.vertices:
-            lab = m.label(u)
-            e = m.expand.get(u, 0)
-            if e == 0 or not lab:
+    machines, adjs = model.machines, model.adjacency
+    for m, a in zip(machines, adjs):
+        for u, lab, t in zip(m.vertices, a.labels, a.expand):
+            if t is None or not lab:
                 continue
-            for j in sorted(_descendant_machines(model, e)):
-                mj = model.machine(j)
-                for v in mj.vertices:
-                    clash = lab & mj.label(v)
+            for j in sorted(_descendants(adjs, t)):
+                for v, vlab in zip(machines[j].vertices, adjs[j].labels):
+                    clash = lab & vlab
                     if clash:
                         problems.append(
                             f"restricted: ancestor {u!r} and descendant {v!r} "
@@ -246,7 +252,7 @@ def _flat_sink_problems(model):
     reached, reach_out, stuck = [], [], []
     for m, a in zip(machines, adjs):
         seen = [False] * len(m.vertices)
-        stack = [a.pos_of[m.initial]]
+        stack = [a.entry]
         while stack:
             v = stack.pop()
             if seen[v]:
@@ -254,12 +260,12 @@ def _flat_sink_problems(model):
             seen[v] = True
             stack += a.succ[v]
             if a.exit_succ[v] is not None:
-                target_out = reach_out[m.expand[m.vertices[v]] - 1]
+                target_out = reach_out[a.expand[v]]
                 for vs, r in zip(a.exit_succ[v], target_out):
                     if r:
                         stack += vs
         reached.append(seen)
-        reach_out.append([seen[a.pos_of[z]] for z in m.outputs])
+        reach_out.append([seen[z] for z in a.outs])
         stuck.append(sorted((v for v, r in enumerate(seen) if r and
                              a.exit_succ[v] is None and not a.succ[v]),
                             key=m.vertices.__getitem__))
@@ -281,7 +287,7 @@ def _flat_sink_problems(model):
         for b in sorted((b for b, r in enumerate(reached[i])
                          if r and a.exit_succ[b] is not None),
                         key=m.vertices.__getitem__):
-            t = m.expand[m.vertices[b]] - 1
+            t = a.expand[b]
             entered[t] = True
             target, ordinal = machines[t], adjs[t].ordinal
             problems[i] += [
@@ -327,11 +333,10 @@ def _block_offsets(model: Shsm) -> list:
     vertex's block in the machine's flattening, then its size.  A node's
     block is its one state, a box's a copy of its target's flattening."""
     offsets = []
-    for m in model.machines:
+    for a in model.adjacency:
         offset = [0]
-        for v in m.vertices:
-            e = m.expand.get(v, 0)
-            offset.append(offset[-1] + (offsets[e - 1][-1] if e else 1))
+        for t in a.expand:
+            offset.append(offset[-1] + (1 if t is None else offsets[t][-1]))
         offsets.append(offset)
     return offsets
 
@@ -349,31 +354,36 @@ def flatten(model: Shsm, budget: int = DEFAULT_FLAT_BUDGET) -> KripkeStructure:
     the sequence with dots; a state inherits the labels of every vertex in
     its sequence.  States are numbered by block offsets and written, with
     their edges, off one explicit stack of box instances: no recursion.
+    A model with a reachable flat sink is rejected with the problems
+    validation reports; unreachable states are kept, dead ends or not.
     """
     offsets = _block_offsets(model)
     size = offsets[-1][-1]
     if budget is not None and size > budget:
         raise CapacityError(
             f"flattening needs {size} states, over the budget of {budget}")
+    problems = _flat_sink_problems(model)
+    if problems:
+        raise ValidationError(problems)
     # Per machine, with ids within its flattening: its initial vertex and
     # outputs, the id a step into each vertex lands on, its nodes and boxes,
     # and the flat edges its own edges make, read off the shared index.
     starts, exits, parts = [], [], []
     for m, a, offset in zip(model.machines, model.adjacency, offsets):
-        starts.append(offset[a.pos_of[m.initial]])
-        exits.append([offset[a.pos_of[z]] for z in m.outputs])
-        entry = [o + starts[m.expand[v] - 1] if m.expand.get(v, 0) else o
-                 for o, v in zip(offset, m.vertices)]
+        starts.append(offset[a.entry])
+        exits.append([offset[z] for z in a.outs])
+        entry = [o if t is None else o + starts[t]
+                 for o, t in zip(offset, a.expand)]
         nodes, boxes, local = [], [], []
-        for p, v in enumerate(m.vertices):
-            e = m.expand.get(v, 0)
-            if e:
-                boxes.append((offset[p], e - 1, v + ".", m.label(v)))
-                local += [(offset[p] + x, entry[w]) for x, ws in
-                          zip(exits[e - 1], a.exit_succ[p]) for w in ws]
-            else:
-                nodes.append((offset[p], v, m.label(v)))
+        for p, (v, t, label) in enumerate(zip(m.vertices, a.expand,
+                                              a.labels)):
+            if t is None:
+                nodes.append((offset[p], v, label))
                 local += [(offset[p], entry[w]) for w in a.succ[p]]
+            else:
+                boxes.append((offset[p], t, v + ".", label))
+                local += [(offset[p] + x, entry[w]) for x, ws in
+                          zip(exits[t], a.exit_succ[p]) for w in ws]
         parts.append((nodes, boxes, local))
     names, labels, edges = [None] * size, [None] * size, []
     # Box instances: (machine, first id, name prefix, inherited labels).
@@ -387,12 +397,7 @@ def flatten(model: Shsm, budget: int = DEFAULT_FLAT_BUDGET) -> KripkeStructure:
         stack += [(t, base + o, prefix + v, inherited | label)
                   for o, t, v, label in boxes]
         edges += [(base + u, base + w) for u, w in local]
-    ks = KripkeStructure(names, starts[-1], edges, labels)
-    sinks = [names[s] for s in range(size) if not ks.succ[s]]
-    if sinks:
-        raise ValidationError(
-            [f"flattening is not total; sink states: {', '.join(sinks)}"])
-    return ks
+    return KripkeStructure(names, starts[-1], edges, labels)
 
 
 # ---------------------------------------------------------------------------

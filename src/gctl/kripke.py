@@ -6,7 +6,9 @@ by flattening a hierarchical model); all algorithms run on dense indices.
 
 
 class KripkeStructure:
-    """Finite total transition system with propositional labels."""
+    """Finite transition system with propositional labels.  Paths are read
+    from the initial state, so only the states it reaches need successors;
+    a flattening keeps unreachable states, dead ends or not."""
 
     def __init__(self, names, initial, edges, labels):
         """
@@ -14,18 +16,24 @@ class KripkeStructure:
         initial: index of the initial state
         edges:   iterable of (src, dst) index pairs
         labels:  list of sets of proposition names, one per state
+
+        Raises ValueError when the initial state or an edge end is not a
+        state index, or when there is not one label set per state.
         """
         self.names = list(names)
         self.initial = initial
         self.labels = [frozenset(l) for l in labels]
         n = len(self.names)
+        if len(self.labels) != n:
+            raise ValueError(f"{len(self.labels)} label sets for {n} states")
+        if not 0 <= initial < n:
+            raise ValueError(f"initial state {initial} out of range")
         succ = [set() for _ in range(n)]
-        self._dangling = []
         for s, t in edges:
-            if 0 <= s < n and 0 <= t < n:
-                succ[s].add(t)
-            else:
-                self._dangling.append((s, t))
+            if not (0 <= s < n and 0 <= t < n):
+                raise ValueError(f"transition ({s}, {t}) references a "
+                                 f"missing state")
+            succ[s].add(t)
         self.succ = [sorted(ts) for ts in succ]
         self._pred = None
         self._index_by_name = None
@@ -58,23 +66,3 @@ class KripkeStructure:
     def __repr__(self):
         return (f"KripkeStructure({self.n_states} states, "
                 f"{self.n_transitions} transitions)")
-
-
-def validate_kripke(ks: KripkeStructure) -> list:
-    """Return an itemized problem report; empty means every invariant holds.
-
-    Totality is required: a state with no outgoing transition is reported,
-    never silently repaired.
-    """
-    problems = []
-    n = ks.n_states
-    if len(ks.labels) != n:
-        problems.append(f"{len(ks.labels)} label sets for {n} states")
-    if not 0 <= ks.initial < n:
-        problems.append(f"initial state index {ks.initial} out of range")
-    for s, t in getattr(ks, "_dangling", []):
-        problems.append(f"transition ({s}, {t}) references a missing state")
-    for s in range(n):
-        if not ks.succ[s]:
-            problems.append(f"sink state {ks.names[s]!r} (index {s}): totality violated")
-    return problems

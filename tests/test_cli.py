@@ -887,6 +887,38 @@ class TestExitCodes:
             flat = parse_model((tmp_path / "out.gctl").read_text())
             assert len(flat.machines[0].vertices) == states
 
+    # A flat dead end the initial state cannot reach: valid, and kept in
+    # the flattening.  Every row but validate and hier exited 3.
+    UNREACHABLE_SINK = """
+    machine A
+      init a;
+      node a [p]; node u;
+      edge a -> a;
+    end
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["check", "--formula", "p"],
+        *(["check", "--formula", "p", "--engine", engine]
+          for engine in ("hier", "flat", "both")),
+        ["flatten", "--output", "{file}"]],
+        ids=" ".join)
+    def test_unreachable_dead_end(self, argv, tmp_path, capsys):
+        model = tmp_path / "sink.gctl"
+        model.write_text(self.UNREACHABLE_SINK)
+        out = tmp_path / "out.gctl"
+        argv = [argv[0], "--model", str(model),
+                *(str(out) if a == "{file}" else a for a in argv[1:])]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        if argv[0] == "check":
+            assert "result  : holds" in captured.out
+        if argv[0] == "flatten":
+            flat = parse_model(out.read_text())
+            assert flat.machines[0].vertices == ["a", "u"]
+
     @pytest.mark.parametrize("command", [
         ["check", "--model", FIG2, "--formula", "true"],
         ["flatten", "--model", FIG2], ["gen"]])

@@ -1,8 +1,10 @@
+import copy
 import gc
 import random
 import sys
 import weakref
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import gctl.hier_checker
 import gctl.hsm
 from gctl.errors import CapacityError
+from gctl.evidence import trace_forms, traces_for
 from gctl.flat_checker import check_flat
 from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallF,
                           ForallG, Implies, TrueF, normalize, parse_formula,
@@ -716,6 +719,32 @@ class TestAdjacencyBuiltOnce:
         assert (model.adjacency[1].succ[y], repaired.adjacency[1].succ[y]) \
             == ([], [y])
 
+
+
+class TestCheckLeavesModelUnchanged:
+    """Every copy shares its input machine's vertex list and its index's
+    lists, so no pass and no trace walk may change one in place: a model
+    reads the same after any number of checks."""
+
+    def test_checks_and_traces_change_nothing(self, fig2_model, retry_model):
+        rng = random.Random(3)
+        models = [fig2_model, retry_model] + [
+            random_shsm(rng.randint(2, 5), 2, 2, 2, 3, rng.randrange(10**6),
+                        scope_labels=rng.random() < 0.5) for _ in range(6)]
+        traced = 0
+        for model in models:
+            assert validate_shsm(model) == []
+            before = copy.deepcopy((model.machines, model.adjacency))
+            atoms = sorted(model.all_propositions())
+            for _ in range(5):
+                f = random_formula(rng, atoms, 3)
+                root = normalize(f)
+                forms = [g for g in trace_forms(f, 3) if g != root]
+                _, w = check_hier(model, reduce(And, [f, *forms]))
+                view = HierView(model, w)
+                traced += bool(traces_for(view, view.initial, f, 3))
+            assert (model.machines, model.adjacency) == before
+        assert traced
 
 class TestCopyBudget:
     """A pass may make at most `copy_budget` machine copies."""

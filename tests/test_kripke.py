@@ -1,6 +1,6 @@
 import pytest
 
-from gctl.kripke import KripkeStructure, validate_kripke
+from gctl.kripke import KripkeStructure
 
 
 def ks(names, initial, edges, labels=None):
@@ -9,27 +9,24 @@ def ks(names, initial, edges, labels=None):
 
 
 class TestValidate:
-    def test_self_loop_ok(self):
-        assert validate_kripke(ks(["s"], 0, [(0, 0)])) == []
-
-    def test_sink_reported(self):
-        problems = validate_kripke(ks(["s"], 0, []))
-        assert len(problems) == 1 and "sink" in problems[0]
-
-    def test_two_cycle_ok(self):
-        assert validate_kripke(ks(["a", "b"], 0, [(0, 1), (1, 0)])) == []
-
-    def test_every_sink_listed(self):
-        problems = validate_kripke(ks(["a", "b", "c"], 0, [(0, 1)]))
-        assert len(problems) == 2
+    """The constructor rejects indices that name no state and label
+    lists of the wrong length."""
 
     def test_dangling_edge(self):
-        problems = validate_kripke(ks(["a"], 0, [(0, 3), (0, 0)]))
-        assert any("missing state" in p for p in problems)
+        with pytest.raises(ValueError, match="missing state"):
+            ks(["a"], 0, [(0, 3), (0, 0)])
+        with pytest.raises(ValueError, match="missing state"):
+            ks(["a"], 0, [(-1, 0)])
 
     def test_bad_initial(self):
-        problems = validate_kripke(ks(["a"], 5, [(0, 0)]))
-        assert any("initial" in p for p in problems)
+        with pytest.raises(ValueError, match="initial"):
+            ks(["a"], 5, [(0, 0)])
+        with pytest.raises(ValueError, match="initial"):
+            ks(["a"], -1, [(0, 0)])
+
+    def test_label_sets_per_state(self):
+        with pytest.raises(ValueError, match="2 label sets for 1 states"):
+            ks(["a"], 0, [(0, 0)], [set(), set()])
 
 
 class TestSuccessors:
