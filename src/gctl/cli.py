@@ -11,7 +11,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache
 
 from .errors import (CapacityError, FormulaSyntaxError, ModelSyntaxError,
                      ValidationError)
@@ -21,9 +21,9 @@ from .errors import (CapacityError, FormulaSyntaxError, ModelSyntaxError,
 from .evidence import (counterexamples_for, extract_evidences,
                        serialize_trace, trace_forms, traces_for)
 from .flat_checker import check_flat
-from .formula import And, normalize, parse_formula, render
+from .formula import parse_formula, render
 from .gen import random_shsm
-from .hier_checker import HierView, check_hier
+from .hier_checker import check_hier
 from .hsm import (DEFAULT_FLAT_BUDGET, flat_size, flatten, is_hsm,
                   repair_top_exit_loops, validate_shsm)
 from .modelfile import kripke_to_model, parse_model, render_model
@@ -152,36 +152,32 @@ def cmd_check(args):
     if engine == "auto":
         engine = "hier" if len(model.machines) > 1 else "flat"
 
-    # One run per engine labels f and the forms its traces are read off;
-    # the verdict is f's own entry.  A form equal to f is labelled as f.
-    root = normalize(f)
+    # One run per engine labels f and the forms its traces are read off,
+    # and is a state view of the input model's flattening.
     forms = trace_forms(f, args.witnesses) if args.witnesses else []
-    checked = reduce(And, [f, *(g for g in forms if g != root)])
     report = CheckReport(formula=text, engine=engine, result=False)
-    table = w = None
+    runs = []
     if engine in ("flat", "both"):
         ks = flatten(model, budget=budget)
-        table = check_flat(ks, checked)
-        report.result = table.row(f)[ks.initial]
+        runs.append(check_flat(ks, f, *forms))
         report.flat_states = ks.n_states
     if engine in ("hier", "both"):
-        _verdict, w = check_hier(model, checked)
-        verdict_h = w.flag_of_entry(w.index[root])
-        if engine == "both" and verdict_h != report.result:
-            print(f"engine divergence: flat={report.result} "
-                  f"hier={verdict_h}", file=sys.stderr)
-            return EXIT_INTERNAL
-        report.result = verdict_h
+        _verdict, w = check_hier(model, f, *forms)
+        runs.append(w)
         report.copies = len(w.machines)
-    labelled = table or w     # the flat run's times when both engines ran
-    report.per_subformula = [(g, labelled.millis[i])
-                             for g, i in labelled.index.items()]
+    verdicts = [run.holds(f, run.initial) for run in runs]
+    if len(set(verdicts)) > 1:
+        flat, hier = verdicts
+        print(f"engine divergence: flat={flat} hier={hier}", file=sys.stderr)
+        return EXIT_INTERNAL
+    # The flat run's times and traces when both engines ran; the
+    # hierarchical run's traces are read off its machine copies, and
+    # nothing is flattened.
+    run = runs[0]
+    report.result = verdicts[0]
+    report.per_subformula = [(g, run.millis[i]) for g, i in run.index.items()]
     if args.witnesses:
-        # Traces are named by the input model's flattening: read off the
-        # flat table when it ran, else off the machine copies of the
-        # hierarchical run, and nothing is flattened.
-        view = table or HierView(model, w)
-        report.traces = traces_for(view, view.initial, f, args.witnesses)
+        report.traces = traces_for(run, run.initial, f, args.witnesses)
         if not report.traces:
             report.notes.append(
                 "traces are emitted for satisfied E-path formulas and "

@@ -51,11 +51,11 @@ def serialize_trace(trace: EvidenceTrace) -> str:
 # Extraction reads a structure through a view: `initial`, `succ(s)` in a
 # fixed order, `name(s)` and its inverse `locate(name)`, `holds(g, s)` for
 # every subformula g of the forms to extract, and `count(g, s)`, the capped
-# evidence count of their E X / E G / E U subformulas.  A flat engine's
-# SatTable is one over its Kripke structure; gctl.hier_checker.HierView is
-# one over the machine copies of one check_hier run, without flattening.
-# A view answers only for the forms its run labelled, and raises ValueError
-# for any other.
+# evidence count of their E X / E G / E U subformulas.  Each engine's run
+# is a view: a flat SatTable over its Kripke structure, and the working
+# model of a check_hier run over its machine copies, without flattening.
+# A run labels f and its trace forms together as its roots.  A view answers
+# only for the forms its run labelled, and raises ValueError for any other.
 # ---------------------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import OracleLimitError
 from .formula import (BOOLEAN, LOWER_GRADE, ExistsG, ExistsU, ExistsX,
-                      boolean_row, count_row, evaluate, graded_rows, normalize,
+                      boolean_row, count_row, evaluate, graded_rows,
                       position_of)
 from .kripke import KripkeStructure
 
@@ -196,7 +196,8 @@ def count_next(ks: KripkeStructure, s: int, sat1, cap: int) -> int:
 
 @dataclass
 class SatTable:
-    """Satisfaction table of all subformulas of one normalized formula.
+    """Satisfaction table of all subformulas of the formulas of one run,
+    `root` the first of them.
 
     It is also the state view trace extraction walks (see gctl.evidence):
     `initial`, `succ`, `name`, `locate`, `holds` and `count` over `ks`."""
@@ -212,7 +213,7 @@ class SatTable:
         return self.sat[position_of(self.index, f)]
 
     def root_row(self):
-        return self.sat[self.index[self.root]]
+        return self.row(self.root)
 
     def count_row(self, f):
         return count_row(self.counts, self.index, f)
@@ -237,8 +238,9 @@ class SatTable:
         return self.count_row(f)[s]
 
 
-def _label(ks: KripkeStructure, f, path_counts) -> SatTable:
-    """Label every state with every subformula of f (normalized first).
+def _label(ks: KripkeStructure, roots, path_counts) -> SatTable:
+    """Label every state with every subformula of the formulas of `roots`
+    (normalized first) in one run; the table's root is the first of them.
 
     `path_counts` maps ExistsX, ExistsG and ExistsU to a function giving
     the per-state capped evidence counts of such a form from its operand
@@ -246,8 +248,7 @@ def _label(ks: KripkeStructure, f, path_counts) -> SatTable:
     `boolean_row` reads those of an A<=k U's violation families and
     `graded_rows` those of a path form's lower grades.  Hooks run in
     position order, so each appends its row to `table.sat`."""
-    root = normalize(f)
-    table = SatTable(ks=ks, root=root)
+    table = SatTable(ks=ks, root=roots[0])
     rows, counts = table.sat, table.counts
 
     def boolean(g, i, *operands):
@@ -265,14 +266,15 @@ def _label(ks: KripkeStructure, f, path_counts) -> SatTable:
 
     ops = {**dict.fromkeys(BOOLEAN, boolean), LOWER_GRADE: lower_grade,
            **{kind: path(count) for kind, count in path_counts.items()}}
-    table.index, table.millis = evaluate(root, ops)
+    table.index, table.millis = evaluate(roots, ops)
     return table
 
 
-def check_flat(ks: KripkeStructure, f) -> SatTable:
-    """Label every state with every subformula of f (normalized first)."""
+def check_flat(ks: KripkeStructure, f, *more) -> SatTable:
+    """Label every state with every subformula of f and of the formulas of
+    `more` (each normalized first) in one run; f's table."""
     n = ks.n_states
-    return _label(ks, f, {
+    return _label(ks, (f, *more), {
         ExistsX: lambda g, child: [count_next(ks, s, child, g.grade + 1)
                                    for s in range(n)],
         ExistsG: lambda g, child: globally_analysis(ks, child, g.grade),
@@ -366,7 +368,7 @@ def oracle_table(ks: KripkeStructure, f) -> SatTable:
         return lambda g, *operands: [
             oracle_count(ks, s, kind, g.grade, *operands) for s in range(n)]
 
-    return _label(ks, f, {ExistsX: counted("X"), ExistsG: counted("G"),
+    return _label(ks, (f,), {ExistsX: counted("X"), ExistsG: counted("G"),
                           ExistsU: counted("U")})
 
 

@@ -509,12 +509,12 @@ def graded_rows(g, count) -> tuple:
     return [c > k for c in count], [min(c, k + 1) for c in count]
 
 
-def _top_grades(root) -> dict:
+def _top_grades(roots) -> dict:
     """(path operator, operands) -> the highest grade among the forms that
-    `evaluate` labels for root."""
+    `evaluate` labels for roots."""
     top = {}
     seen = set()
-    stack = [root]
+    stack = list(roots)
     while stack:
         g = stack.pop()
         if g in seen:
@@ -529,8 +529,9 @@ def _top_grades(root) -> dict:
     return top
 
 
-def evaluate(root: Formula, ops: dict):
-    """Label the subformulas of a normalized formula bottom-up.
+def evaluate(roots, ops: dict):
+    """Label the subformulas of each formula of `roots`, normalized first,
+    bottom-up in one run: the roots in turn, a subformula they share once.
 
     Positions number the subformulas in labelling order, children first.
     For each subformula g at position i this calls
@@ -539,11 +540,13 @@ def evaluate(root: Formula, ops: dict):
     its children and before it.  A path form that the run also labels at a
     higher grade K with the same operator and operands is instead given
     ``ops[LOWER_GRADE](g, i, j)``, where j is the position of the grade-K
-    form, numbered first; the hook reads g's rows off j's counts with
-    `graded_rows`.  Hooks run in position order.  Returns (subformula ->
-    position, in position order; milliseconds each hook took, by position).
+    form, numbered first, K the highest grade over all roots; the hook
+    reads g's rows off j's counts with `graded_rows`.  Hooks run in
+    position order.  Returns (subformula -> position, in position order;
+    milliseconds each hook took, by position).
     """
-    top = _top_grades(root)
+    roots = [normalize(g) for g in roots]
+    top = _top_grades(roots)
     index = {}
     # Per position: (ops key, operand positions).  `visit` refers to itself
     # and so lives until a collection; it holds no hook, and so none of
@@ -565,7 +568,8 @@ def evaluate(root: Formula, ops: dict):
             steps.append((kind, args))
         return i
 
-    visit(root)
+    for g in roots:
+        visit(g)
     millis = [0.0] * len(index)
     for g, i in index.items():
         kind, args = steps[i]

@@ -29,7 +29,7 @@ from functools import cache
 from . import flat_checker
 from .errors import CapacityError
 from .formula import (BOOLEAN, LOWER_GRADE, Atom, ExistsG, ExistsU, ExistsX,
-                      boolean_row, count_row, evaluate, graded_rows, normalize,
+                      boolean_row, count_row, evaluate, graded_rows,
                       position_of, render)
 # check_hier never calls reduce_to_hsm; perfbench/tracing.py hooks the name.
 from .hsm import Adjacency, Shsm, _descendants, reduce_to_hsm
@@ -85,20 +85,76 @@ class PassStats:
 class SpecializedHsm:
     """The one working model of a checking run, which every pass labels and
     specializes in place: the current machine list (expansion targets always
-    precede their machines) plus per-pass statistics."""
+    precede their machines) plus per-pass statistics.
+
+    Once checked it is also the state view trace extraction walks (see
+    gctl.evidence): the flattening, built only where a walk goes.  A flat
+    state is the stack of (copy index, vertex position) frames from the top
+    machine down to a node.  Box rewiring has already picked each frame's
+    copy, so the flags and capped counts of the bottom node are those of
+    the flat state.  Names are the input model's dotted vertex sequences,
+    as `flatten` writes them, and successors come in the flattening's index
+    order, which is the order of vertex positions."""
 
     machines: list
     stats: list = field(default_factory=list)
     copy_budget: int = DEFAULT_COPY_BUDGET
     index: dict = field(default_factory=dict)   # subformula -> flag key
     millis: list = field(default_factory=list)  # per flag key, from evaluate
+    # Of the states a walk has met: successors by state, state by name.
+    _succ: dict = field(default_factory=dict, init=False, repr=False)
+    _states: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def top(self):
         return self.machines[-1]
 
-    def flag_of_entry(self, key):
-        return self.top.flags[key][self.top.entry]
+    @property
+    def initial(self):
+        return self._enter((), len(self.machines) - 1, self.top.entry)
+
+    def _enter(self, frames, mi, pos):
+        """Frames of the state a transition into vertex pos of copy mi
+        lands on: the vertex itself, or the entries of the boxes it opens."""
+        while True:
+            frames += ((mi, pos),)
+            mi = self.machines[mi].expand[pos]
+            if mi is None:
+                return frames
+            pos = self.machines[mi].entry
+
+    def succ(self, s):
+        out = self._succ.get(s)
+        if out is None:
+            mi, pos = s[-1]
+            a = self.machines[mi].adj
+            found = {self._enter(s[:-1], mi, v) for v in a.succ[pos]}
+            o = a.ordinal[pos]
+            if len(s) > 1 and o is not None:
+                parent, box = s[-2]
+                found.update(self._enter(s[:-2], parent, v) for v in
+                             self.machines[parent].adj.exit_succ[box][o])
+            out = sorted(found, key=lambda t: [p for _, p in t])
+            self._succ[s] = out
+        return out
+
+    def name(self, s):
+        text = ".".join(self.machines[mi].vertices[pos] for mi, pos in s)
+        self._states[text] = s
+        return text
+
+    def locate(self, name):
+        """The state behind a name this view has produced."""
+        return self._states[name]
+
+    def holds(self, g, s):
+        mi, pos = s[-1]
+        return self.machines[mi].flags[position_of(self.index, g)][pos]
+
+    def count(self, g, s):
+        """Capped evidence count of an E X / E G / E U subformula."""
+        mi, pos = s[-1]
+        return int(count_row(self.machines[mi].counts, self.index, g)[pos])
 
 
 def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
@@ -662,16 +718,17 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
 # ---------------------------------------------------------------------------
 
 
-def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
-    """Check f on the hierarchical model without flattening it.
+def check_hier(model: Shsm, f, *more,
+               copy_budget: int = DEFAULT_COPY_BUDGET):
+    """Check f, and label the formulas of `more` in the same run, on the
+    hierarchical model without flattening it.
 
-    Returns (verdict at the initial state, the working model, which every
-    pass has labelled in place).  Every atom is labelled by a scope pass,
-    the other boolean forms and A<=k U by `boolean_row` on each machine,
-    and a path form of a grade below another of its operator and operands
-    by `graded_rows`.
+    Returns (f's verdict at the initial state, the working model, which
+    every pass has labelled in place and which is the run's state view).
+    Every atom is labelled by a scope pass, the other boolean forms and
+    A<=k U by `boolean_row` on each machine, and a path form of a grade
+    below another of its operator and operands by `graded_rows`.
     """
-    root = normalize(f)
     w = _from_shsm(model, copy_budget)
 
     def boolean(g, i, *operands):
@@ -692,7 +749,7 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
                 graded_gu_pass(w, g.grade, kind, th1, th2, i, op=g)
         return op
 
-    index, millis = evaluate(root, {
+    w.index, w.millis = evaluate((f, *more), {
         **dict.fromkeys(BOOLEAN, boolean),
         LOWER_GRADE: lower_grade,
         Atom: lambda g, i: scope_pass(w, g.name, i, op=g),
@@ -701,79 +758,5 @@ def check_hier(model: Shsm, f, copy_budget: int = DEFAULT_COPY_BUDGET):
         ExistsG: globally_until("G"),
         ExistsU: globally_until("U"),
     })
-    w.index, w.millis = index, millis
-    return w.flag_of_entry(index[root]), w
+    return w.holds(f, w.initial), w
 
-
-# ---------------------------------------------------------------------------
-# Flat states of the checked hierarchy, for trace extraction
-# ---------------------------------------------------------------------------
-
-
-class HierView:
-    """The flattening of a checked model, built only where a walk goes.
-
-    A flat state is the stack of (copy index, vertex position) frames from
-    the top machine down to a node.  Box rewiring has already picked each
-    frame's copy, so the flags and capped counts of the bottom node are
-    those of the flat state.  Names are the input model's dotted vertex
-    sequences, as `flatten` writes them, and successors come in the
-    flattening's index order, which is the order of vertex positions.
-    """
-
-    def __init__(self, model: Shsm, w: SpecializedHsm):
-        self.machines = w.machines
-        self.keys = w.index
-        self.vertex_names = [model.machines[m.source].vertices
-                             for m in w.machines]
-        self._succ = {}
-        self._names = {}
-        self._states = {}
-        top = len(self.machines) - 1
-        self.initial = self._enter((), top, self.machines[top].entry)
-
-    def _enter(self, frames, mi, pos):
-        """Frames of the state a transition into vertex pos of copy mi
-        lands on: the vertex itself, or the entries of the boxes it opens."""
-        while True:
-            frames += ((mi, pos),)
-            mi = self.machines[mi].expand[pos]
-            if mi is None:
-                return frames
-            pos = self.machines[mi].entry
-
-    def succ(self, s):
-        out = self._succ.get(s)
-        if out is None:
-            mi, pos = s[-1]
-            a = self.machines[mi].adj
-            found = {self._enter(s[:-1], mi, v) for v in a.succ[pos]}
-            o = a.ordinal[pos]
-            if len(s) > 1 and o is not None:
-                parent, box = s[-2]
-                found.update(self._enter(s[:-2], parent, v) for v in
-                             self.machines[parent].adj.exit_succ[box][o])
-            out = sorted(found, key=lambda t: [p for _, p in t])
-            self._succ[s] = out
-        return out
-
-    def name(self, s):
-        text = self._names.get(s)
-        if text is None:
-            text = ".".join(self.vertex_names[mi][pos] for mi, pos in s)
-            self._names[s] = text
-            self._states[text] = s
-        return text
-
-    def locate(self, name):
-        """The state behind a name this view has produced."""
-        return self._states[name]
-
-    def holds(self, g, s):
-        mi, pos = s[-1]
-        return self.machines[mi].flags[position_of(self.keys, g)][pos]
-
-    def count(self, g, s):
-        """Capped evidence count of an E X / E G / E U subformula."""
-        mi, pos = s[-1]
-        return int(count_row(self.machines[mi].counts, self.keys, g)[pos])

@@ -53,6 +53,13 @@ class Shsm:
         changed once indexed.  Only a structurally valid model is indexed."""
         return [_adjacency(self, m) for m in self.machines]
 
+    @cached_property
+    def sink_problems(self):
+        """The reachable flat sinks that validation reports and `flatten`
+        rejects, found on first use off `adjacency` and then shared by both,
+        under the same rule."""
+        return _flat_sink_problems(self)
+
     @property
     def top(self):
         return self.machines[-1]
@@ -86,7 +93,6 @@ class Adjacency:
     ordinal: list             # exit ordinal per vertex, None for non-exits
     bz_base: list             # first exit-state id per box, None for nodes
     bz_of: list               # (box pos, exit ordinal) per exit-state id - n
-    pos_of: dict              # vertex name -> position
     expand: list              # 0-based machine index per box, None for nodes
     labels: list              # frozenset per vertex
     entry: int                # position of the initial vertex
@@ -131,7 +137,7 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
     for o, z in enumerate(outs):
         ordinal[z] = o
     return Adjacency(succ, exit_succ, exit_pred, ordinal, bz_base, bz_of,
-                     pos_of, expand, [m.label(v) for v in m.vertices],
+                     expand, [m.label(v) for v in m.vertices],
                      pos_of[m.initial], outs)
 
 
@@ -202,7 +208,7 @@ def validate_shsm(model: Shsm, restricted: bool = False) -> list:
 
     if restricted:
         problems.extend(_restricted_label_problems(model))
-    problems.extend(_flat_sink_problems(model))
+    problems.extend(model.sink_problems)
     return problems
 
 
@@ -362,9 +368,8 @@ def flatten(model: Shsm, budget: int = DEFAULT_FLAT_BUDGET) -> KripkeStructure:
     if budget is not None and size > budget:
         raise CapacityError(
             f"flattening needs {size} states, over the budget of {budget}")
-    problems = _flat_sink_problems(model)
-    if problems:
-        raise ValidationError(problems)
+    if model.sink_problems:
+        raise ValidationError(model.sink_problems)
     # Per machine, with ids within its flattening: its initial vertex and
     # outputs, the id a step into each vertex lands on, its nodes and boxes,
     # and the flat edges its own edges make, read off the shared index.

@@ -12,7 +12,9 @@ import gctl.evidence
 import gctl.flat_checker
 import gctl.formula
 import gctl.hier_checker
+import gctl.hsm
 from gctl.cli import main
+from gctl.errors import ValidationError
 from gctl.gen import random_shsm
 from gctl.hsm import flat_size, flatten, validate_shsm
 from gctl.modelfile import kripke_to_model, parse_model, render_model
@@ -402,8 +404,8 @@ class TestTraceWork:
         runs = []
         check_hier = gctl.cli.check_hier
 
-        def recorded(model, f):
-            verdict, w = check_hier(model, f)
+        def recorded(model, *formulas):
+            verdict, w = check_hier(model, *formulas)
             runs.append(w)
             return verdict, w
 
@@ -462,8 +464,8 @@ class TestTraceWork:
         runs = []
         check_hier = gctl.cli.check_hier
 
-        def recorded(model, f):
-            verdict, w = check_hier(model, f)
+        def recorded(model, *formulas):
+            verdict, w = check_hier(model, *formulas)
             runs.append(w)
             return verdict, w
 
@@ -480,6 +482,89 @@ class TestTraceWork:
             == [(text, 0) for text in {
                 "A [p U q]": ["E G (p & !q)", "E [(p & !q) U (!p & !q)]"],
                 "E F p": ["E [true U p]"]}[formula]]
+
+
+class TestOneRun:
+    """`check` labels f and its trace forms as the roots of one run per
+    engine, and reads every engine's verdict off its own run."""
+
+    def test_divergence_exits_5_with_one_line(self, monkeypatch, capsys):
+        check_hier = gctl.cli.check_hier
+
+        def disagreeing(model, *formulas):
+            verdict, w = check_hier(model, *formulas)
+            holds = w.holds
+            w.holds = lambda g, s: not holds(g, s)
+            return verdict, w
+
+        monkeypatch.setattr(gctl.cli, "check_hier", disagreeing)
+        for witnesses in ("0", "2"):
+            code = main(["check", "--model", FIG2, "--formula", "E F p3",
+                         "--engine", "both", "--witnesses", witnesses])
+            captured = capsys.readouterr()
+            assert code == 5
+            assert captured.out == ""
+            assert captured.err == "engine divergence: flat=True hier=False\n"
+
+    @pytest.mark.parametrize("model, formula", [
+        ("fig2", "E>1 [true U p1]"), ("fig2", "A<=1 [true U p1]"),
+        ("fig2", "E F (p1 & E X p2)"), ("retry", "A [!abort U success]"),
+        ("retry", "A G ((t1 & fail) -> A F abort)"), ("retry", "E>2 F ack"),
+    ])
+    @pytest.mark.parametrize("engine", ["flat", "hier", "both"])
+    def test_text_report_lists_only_forms_of_the_roots(
+            self, capsys, fig2_flat, retry_flat, model, formula, engine):
+        path, ks = {"fig2": (FIG2, fig2_flat),
+                    "retry": (RETRY, retry_flat)}[model]
+        code = main(["check", "--model", path, "--formula", formula,
+                     "--engine", engine, "--witnesses", "3"])
+        assert code in (0, 1)
+        rows = [text for _ms, text in
+                TestCheck._subformula_rows(capsys.readouterr().out)]
+        # What a run of each root alone labels.
+        f = gctl.formula.parse_formula(formula)
+        alone = {gctl.formula.render(g)
+                 for root in (f, *gctl.evidence.trace_forms(f, 3))
+                 for g in gctl.flat_checker.check_flat(ks, root).index}
+        assert rows and set(rows) == alone and len(rows) == len(alone)
+
+
+class TestSinkCheckOnce:
+    """Validation's reachable-sink report is found once per model and
+    read again by `flatten`."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--formula", "E F p3", "--engine", "flat"],
+        ["check", "--formula", "E F p3", "--engine", "both",
+         "--witnesses", "2"],
+        ["flatten"],
+    ])
+    def test_one_sink_search_per_request(self, monkeypatch, capsys, argv):
+        calls = Counter()
+        search = gctl.hsm._flat_sink_problems
+
+        def counted(model):
+            calls["sinks"] += 1
+            return search(model)
+
+        monkeypatch.setattr(gctl.hsm, "_flat_sink_problems", counted)
+        assert main([*argv, "--model", FIG2]) == 0
+        capsys.readouterr()
+        assert calls["sinks"] == 1
+
+    def test_flatten_unvalidated_model_rejects_same_sinks(self):
+        text = """
+        machine A
+          init a; out z;
+          node a; node z;
+          edge a -> z;
+        end
+        """
+        problems = validate_shsm(parse_model(text))
+        assert problems
+        with pytest.raises(ValidationError) as caught:
+            flatten(parse_model(text))
+        assert caught.value.problems == problems
 
 
 class TestFlatten:

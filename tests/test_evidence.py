@@ -13,7 +13,7 @@ from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallG,
                           ForallU, ForallX, Not, TrueF, normalize,
                           parse_formula, render)
 from gctl.gen import random_kripke
-from gctl.hier_checker import HierView, check_hier
+from gctl.hier_checker import check_hier
 from gctl.kripke import KripkeStructure
 
 
@@ -185,7 +185,7 @@ class TestTraceForms:
         p1 = Atom("p1")
         exists, forall = parse_formula("E>1 F p1"), parse_formula("A G !p1")
         for view in (check_flat(fig2_flat, p1),
-                     HierView(fig2_model, check_hier(fig2_model, p1)[1])):
+                     check_hier(fig2_model, p1)[1]):
             s = view.initial
             for call, form in (
                     (lambda: traces_for(view, s, exists, 3),
@@ -200,7 +200,7 @@ class TestTraceForms:
         # flags with no capped count.
         both = parse_formula("A<=0 [true U p3] & E>1 F p1")
         for view in (check_flat(fig2_flat, both),
-                     HierView(fig2_model, check_hier(fig2_model, both)[1])):
+                     check_hier(fig2_model, both)[1]):
             for form in (parse_formula("A [true U p3]"), p1):
                 with pytest.raises(ValueError, match=re.escape(
                         f"no capped count: {render(form)}")):

@@ -11,7 +11,7 @@ from gctl.flat_checker import ORACLE_MAX_STATES, check_flat, oracle_table
 from gctl.formula import (PATH, And, Atom, ExistsG, ExistsU, ExistsX,
                           ForallU, TrueF, children, graded_rows, render)
 from gctl.gen import random_formula, random_shsm
-from gctl.hier_checker import HierView, check_hier
+from gctl.hier_checker import check_hier
 from gctl.hsm import flat_size, flatten
 
 ATOMS = ["p0", "p1"]
@@ -103,10 +103,10 @@ def test_hier_rows_equal_each_form_alone():
         table = check_flat(ks, f)
         _verdict, w = check_hier(model, f)
         shared += len(_shared(w.index))
-        view = HierView(model, w)
+        view = w
         states = _reachable(view)
         for g in w.index:
-            alone = HierView(model, check_hier(model, g)[1])
+            alone = check_hier(model, g)[1]
             alone_states = _reachable(alone)
             assert alone_states.keys() == states.keys(), seed
             for name, s in states.items():

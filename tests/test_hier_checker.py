@@ -19,9 +19,9 @@ from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallF,
                           ForallG, Implies, TrueF, normalize, parse_formula,
                           render)
 from gctl.gen import random_formula, random_shsm
-from gctl.hier_checker import (HierView, WorkMachine, _from_shsm,
-                               check_hier, compute_nsc, grade0_pass,
-                               graded_next_pass, scope_pass)
+from gctl.hier_checker import (WorkMachine, _from_shsm, check_hier,
+                               compute_nsc, grade0_pass, graded_next_pass,
+                               scope_pass)
 from gctl.hsm import (Machine, Shsm, flatten, is_hsm, repair_top_exit_loops,
                       validate_shsm)
 from gctl.kripke import KripkeStructure
@@ -715,7 +715,7 @@ class TestAdjacencyBuiltOnce:
         assert validate_shsm(repaired) == []
         assert built == ["A", "B", "A", "B"]
         assert repaired.adjacency is not model.adjacency
-        y = model.adjacency[1].pos_of["y"]
+        y = model.machines[1].vertices.index("y")
         assert (model.adjacency[1].succ[y], repaired.adjacency[1].succ[y]) \
             == ([], [y])
 
@@ -741,7 +741,7 @@ class TestCheckLeavesModelUnchanged:
                 root = normalize(f)
                 forms = [g for g in trace_forms(f, 3) if g != root]
                 _, w = check_hier(model, reduce(And, [f, *forms]))
-                view = HierView(model, w)
+                view = w
                 traced += bool(traces_for(view, view.initial, f, 3))
             assert (model.machines, model.adjacency) == before
         assert traced
@@ -909,7 +909,7 @@ class TestEngineEquivalence:
             verdict, w = check_hier(model, f)
             where = (case, render(f))
             assert verdict == row[ks.initial], where
-            view = HierView(model, w)
+            view = w
             seen = {view.initial}
             stack = [view.initial]
             while stack:

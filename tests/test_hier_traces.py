@@ -1,9 +1,10 @@
 """Traces read off the checked hierarchy, against the flattening.
 
-`HierView` states must carry the flat engine's labels and capped counts,
-and traces walked on them must replay on the flattening, be pairwise
-distinct and number as many as the flat counts allow.  Its successors come
-in the flattening's order, so they are the very traces the flat walk gives.
+The states of a `check_hier` run, which is its own state view, must carry
+the flat engine's labels and capped counts, and traces walked on them must
+replay on the flattening, be pairwise distinct and number as many as the
+flat counts allow.  Its successors come in the flattening's order, so they
+are the very traces the flat walk gives.
 """
 
 import random
@@ -16,7 +17,7 @@ from gctl.formula import (And, ExistsF, ExistsG, ExistsU, ExistsX, ForallF,
                           ForallG, ForallU, ForallX, normalize, parse_formula,
                           subformulas_bottom_up)
 from gctl.gen import random_formula, random_shsm
-from gctl.hier_checker import HierView, check_hier
+from gctl.hier_checker import check_hier
 from gctl.hsm import flatten
 from gctl.modelfile import parse_model
 
@@ -40,7 +41,7 @@ def _hier_traces(model, f, n):
     """The view of one check_hier run on f and its trace forms, as `check`
     makes it, and the traces read off it."""
     checked = reduce(And, [f, *trace_forms(f, n)])
-    view = HierView(model, check_hier(model, checked)[1])
+    view = check_hier(model, checked)[1]
     return view, traces_for(view, view.initial, f, n)
 
 

@@ -6,7 +6,7 @@ import pytest
 from gctl.errors import CapacityError, ValidationError
 from gctl.formula import TrueF
 from gctl.gen import random_shsm
-from gctl.hier_checker import HierView, check_hier
+from gctl.hier_checker import check_hier
 from gctl.hsm import (Machine, Shsm, flat_size, flatten, is_hsm,
                       reduce_to_hsm, repair_top_exit_loops, restrict_ap,
                       validate_shsm)
@@ -146,7 +146,7 @@ class TestValidate:
             problems = validate_shsm(model)
             if not all(p.startswith("flat sink: ") for p in problems):
                 continue
-            view = HierView(model, check_hier(model, TrueF())[1])
+            view = check_hier(model, TrueF())[1]
             seen, stack, sink = {view.initial}, [view.initial], False
             while stack and not sink:
                 succ = view.succ(stack.pop())
@@ -247,7 +247,7 @@ class TestFlatten:
         for case, model in enumerate(models):
             ks = flatten(model)
             assert ks.n_states == flat_size(model), case
-            view = HierView(model, check_hier(model, TrueF())[1])
+            view = check_hier(model, TrueF())[1]
             assert view.name(view.initial) == ks.names[ks.initial], case
             seen, stack = {view.initial}, [view.initial]
             while stack:
