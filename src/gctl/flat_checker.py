@@ -5,9 +5,11 @@ pairwise distinct evidence paths start there.  Counts saturate at k+1, so
 the work per temporal operator is linear in the structure and independent
 of the grade.
 
-Two independent deciders live here: the production engine (cycle
-classification + capped propagation) and a bounded-enumeration oracle used
-to cross-check it in tests.
+Two independent deciders live here: the production engine (one sweep over
+the strongly connected components of the evidence edges, successors first,
+saturating by the capped sum; no separate fixpoint is computed, since a
+count is positive exactly on it) and a bounded-enumeration oracle used to
+cross-check it in tests.
 """
 
 from dataclasses import dataclass, field
@@ -78,104 +80,57 @@ def tarjan_scc(n, succ):
 # ---------------------------------------------------------------------------
 
 
-def _classify_and_count(core, sub_succ, cap, base):
-    """Shared tail of the G/U counts: SCC classification on the subgraph,
-    then capped propagation in reverse topological order.
+def _count(ks, sat1, grade, base, loops):
+    """Per-state evidence counts, capped at grade+1, in one sweep over the
+    SCCs of the evidence edges, successors first.  Those are the edges out
+    of sat1 states.
 
-    A component that is a cycle with a branching state, or reaches one,
-    has unboundedly many evidences (the cap); a forced cycle that reaches
-    none has exactly one.  base[s] is the count contributed by the state
-    itself (a length-one evidence); it is dominated by any extension, never
-    added to one."""
-    n = len(core)
-    sccs = tarjan_scc(n, sub_succ)
-    counts = [0] * n
-    comp_id = [0] * n
-    reach_branch = []
-    for ci, comp in enumerate(sccs):
-        for s in comp:
-            comp_id[s] = ci
-    for ci, comp in enumerate(sccs):
-        cyclic = len(comp) > 1 or comp[0] in sub_succ[comp[0]]
-        reaches = False
-        for s in comp:
-            if cyclic and len(sub_succ[s]) >= 2:
-                reaches = True
-            for t in sub_succ[s]:
-                if comp_id[t] != ci and reach_branch[comp_id[t]]:
-                    reaches = True
-        reach_branch.append(reaches)
-        if reaches or cyclic:
-            value = cap if reaches else 1
-            for s in comp:
-                if core[s]:
-                    counts[s] = value
-        elif core[comp[0]]:
-            s = comp[0]
+    base[s] is the count of the state's own length-one evidence; it is
+    dominated by any extension, never added to one.  A state off every
+    cycle sums its successors' counts: each evidence is pinned down by its
+    first step, and a successor with count 0 adds nothing.  A cycle counts
+    when `loops` lets an evidence run round it forever, when one of its
+    states has a base, or when it steps out to a state with a positive
+    count.  Then it has unboundedly many evidences (the cap) if some state
+    has two steps, round the cycle or out to positive states, and one
+    otherwise, as all evidences along a forced cycle are prefixes of one
+    another.  So a count is positive exactly on the classical fixpoint."""
+    cap = grade + 1
+    sub_succ = [ts if sat1[s] else () for s, ts in enumerate(ks.succ)]
+    counts = [0] * ks.n_states
+    for comp in tarjan_scc(ks.n_states, sub_succ):
+        s = comp[0]
+        if len(comp) == 1 and s not in sub_succ[s]:
             ext = 0
             for t in sub_succ[s]:
                 ext += counts[t]
             counts[s] = max(base[s], min(cap, ext))
+            continue
+        # The members still read 0, so a positive count is a step out.
+        members = set(comp)
+        steps = max(sum(1 for t in sub_succ[s] if counts[t] or t in members)
+                    for s in comp)
+        if (loops or any(base[s] for s in comp)
+                or any(counts[t] for s in comp for t in sub_succ[s])):
+            value = cap if steps > 1 else 1
+            for s in comp:
+                counts[s] = value
     return counts
 
 
 def globally_analysis(ks: KripkeStructure, sat1, grade: int) -> list:
     """Per-state count (capped at grade+1) of distinct infinite all-sat1
-    paths."""
-    cap = grade + 1
-    n = ks.n_states
-    # Largest set of sat1 states where every member keeps a member successor.
-    core = list(sat1)
-    out = [0] * n
-    rev = [[] for _ in range(n)]
-    for s in range(n):
-        if not core[s]:
-            continue
-        for t in ks.succ[s]:
-            if core[t]:
-                out[s] += 1
-                rev[t].append(s)
-    queue = [s for s in range(n) if core[s] and out[s] == 0]
-    while queue:
-        s = queue.pop()
-        core[s] = False
-        for p in rev[s]:
-            if core[p]:
-                out[p] -= 1
-                if out[p] == 0:
-                    queue.append(p)
-    sub_succ = [[t for t in ks.succ[s] if core[t]] if core[s] else []
-                for s in range(n)]
-    # A state off every cycle contributes only through its successors: each
-    # infinite path is pinned down by where it enters a terminal cycle, so
-    # plain summation counts distinct paths.
-    return _classify_and_count(core, sub_succ, cap, [0] * n)
+    paths.  Every cycle of sat1 states counts; a step off sat1 has count 0,
+    so it adds nothing."""
+    return _count(ks, sat1, grade, [0] * ks.n_states, True)
 
 
 def until_analysis(ks: KripkeStructure, sat1, sat2, grade: int) -> list:
     """Per-state count (capped at grade+1) of distinct finite
-    sat1-until-sat2 evidences.  A path that is a prefix of another is not
-    distinct from it, so a sat2 state with live continuations gains nothing
-    from the length-one evidence."""
-    cap = grade + 1
-    n = ks.n_states
-    # Least set containing sat2 and closed under sat1-predecessors.
-    core = [False] * n
-    queue = [s for s in range(n) if sat2[s]]
-    for s in queue:
-        core[s] = True
-    while queue:
-        t = queue.pop()
-        for s in ks.predecessors(t):
-            if not core[s] and sat1[s]:
-                core[s] = True
-                queue.append(s)
-    # Evidence edges leave only sat1 states.  On a terminal forced cycle all
-    # evidences are prefixes of one another, so the count there is one.
-    sub_succ = [[t for t in ks.succ[s] if core[t]] if core[s] and sat1[s] else []
-                for s in range(n)]
-    base = [1 if sat2[s] else 0 for s in range(n)]
-    return _classify_and_count(core, sub_succ, cap, base)
+    sat1-until-sat2 evidences; each sat2 state is one on its own.  A path
+    that is a prefix of another is not distinct from it, so a sat2 state
+    with live continuations gains nothing from the length-one evidence."""
+    return _count(ks, sat1, grade, [1 if b else 0 for b in sat2], False)
 
 
 def count_next(ks: KripkeStructure, s: int, sat1, cap: int) -> int:

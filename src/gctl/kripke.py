@@ -35,7 +35,6 @@ class KripkeStructure:
                                  f"missing state")
             succ[s].add(t)
         self.succ = [sorted(ts) for ts in succ]
-        self._pred = None
         self._index_by_name = None
 
     @property
@@ -45,15 +44,6 @@ class KripkeStructure:
     @property
     def n_transitions(self):
         return sum(len(ts) for ts in self.succ)
-
-    def predecessors(self, s):
-        if self._pred is None:
-            pred = [[] for _ in range(self.n_states)]
-            for u, ts in enumerate(self.succ):
-                for t in ts:
-                    pred[t].append(u)
-            self._pred = pred
-        return self._pred[s]
 
     def index_of(self, name):
         if self._index_by_name is None:

@@ -223,9 +223,21 @@ def render_model(model: Shsm) -> str:
 
 
 def kripke_to_model(ks) -> Shsm:
-    """Wrap a flat structure as a single-machine model (names made
-    identifier-safe by replacing dots with underscores)."""
-    names = [n.replace(".", "_") for n in ks.names]
+    """Wrap a flat structure as a single-machine model.  Names are made
+    identifier-safe by replacing dots with underscores; a name that then
+    clashes with an earlier one gets the first `^k` suffix that no other
+    name has, so distinct states keep distinct names."""
+    safe = [n.replace(".", "_") for n in ks.names]
+    taken, used, names = set(safe), set(), []
+    for name in safe:
+        if name in used:
+            k = 1
+            while f"{name}^{k}" in taken:
+                k += 1
+            name = f"{name}^{k}"
+            taken.add(name)
+        used.add(name)
+        names.append(name)
     labels = {names[s]: ks.labels[s] for s in range(ks.n_states)}
     expand = {n: 0 for n in names}
     edges = [(names[s], None, names[t])

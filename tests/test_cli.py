@@ -757,6 +757,37 @@ class TestModelFormat:
         model = kripke_to_model(fig2_flat)
         assert all("." not in v for v in model.machines[0].vertices)
 
+    def test_kripke_export_keeps_clashing_names_apart(self, tmp_path,
+                                                      capsys):
+        # The flat state a.b and the vertex a_b both sanitize to a_b.
+        source = tmp_path / "clash.gctl"
+        source.write_text("""
+        machine M1
+          init b; out b; node b [p]; edge b -> b;
+        end
+        machine M2
+          init a_b; node a_b [q]; box a expands M1;
+          edge a_b -> a; edge a.b -> a_b;
+        end
+        """)
+        flat = tmp_path / "flat.gctl"
+        assert main(["flatten", "--model", str(source),
+                     "--output", str(flat)]) == 0
+        ks = flatten(parse_model(source.read_text()))
+        exported = parse_model(flat.read_text())
+        assert validate_shsm(exported) == []
+        again = flatten(exported)
+        assert (again.n_states, again.n_transitions) == (ks.n_states,
+                                                         ks.n_transitions)
+        machine = exported.machines[0]
+        names = kripke_to_model(ks).machines[0].vertices
+        assert len(set(names)) == ks.n_states
+        assert [machine.label(v) for v in names] == ks.labels
+        codes = [main(["check", "--model", str(path), "--formula", "E F q"])
+                 for path in (source, flat)]
+        assert codes[0] in (0, 1) and codes[0] == codes[1]
+        capsys.readouterr()
+
     def test_forward_reference_rejected(self):
         from gctl.errors import ModelSyntaxError
         with pytest.raises(ModelSyntaxError):

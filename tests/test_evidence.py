@@ -1,6 +1,5 @@
 import random
 import re
-from functools import reduce
 
 import pytest
 
@@ -26,9 +25,9 @@ def diamond():
 
 
 def _traced(ks, f, n):
-    """The flat table of f and its trace forms, as a `check` run labels
-    them."""
-    return check_flat(ks, reduce(And, [f, *trace_forms(f, n)]))
+    """The flat table of f and its trace forms, labelled as roots of one
+    run as `check` labels them."""
+    return check_flat(ks, f, *trace_forms(f, n))
 
 
 def _evidences(ks, s, form, n):
@@ -212,7 +211,7 @@ class TestTraceForms:
                              [{"p"}, {"p"}, set(), {"q"}])
         f = ForallU(1, Atom("p"), Atom("q"))
         forms = trace_forms(f, 2)
-        table = check_flat(ks, And(*forms))
+        table = check_flat(ks, *forms)
 
         def refuse(*args):
             raise AssertionError("check_flat called again")

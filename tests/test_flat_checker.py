@@ -86,6 +86,42 @@ class TestCountUntil:
         assert until_analysis(diamond, [True] * 4, [False] * 4, 2) == [0] * 4
 
 
+def _graph(succ):
+    return ks([f"s{i}" for i in range(len(succ))],
+              [(s, t) for s, ts in enumerate(succ) for t in ts],
+              [set()] * len(succ))
+
+
+class TestCountRule:
+    """Hand-built rows for the one counting sweep: a cycle counts only
+    through a loop, a base or a step out to a positive count."""
+
+    def test_until_cycle_with_chord_and_dead_exit(self):
+        # s0 -> s0 is a chord of the cycle s0 s1, not a step out; the one
+        # step out, to s2, leads nowhere near a target.
+        k = _graph([[0, 1], [0, 2], [3], [3]])
+        sat1 = [True, True, True, False]
+        assert until_analysis(k, sat1, [False] * 4, 2) == [0, 0, 0, 0]
+
+    def test_forced_until_cycle_through_target(self):
+        # Every evidence along s0 s1 is a prefix of another; the step out
+        # to the dead s2 adds none.
+        k = _graph([[1], [0, 2], [2]])
+        sat2 = [False, True, False]
+        assert until_analysis(k, [True, True, False], sat2, 2) == [1, 1, 0]
+
+    def test_globally_cycle_with_dead_exit(self):
+        k = _graph([[1], [0, 2], [3], [3]])
+        sat1 = [True, True, True, False]
+        assert globally_analysis(k, sat1, 2) == [1, 1, 0, 0]
+
+    def test_chain_into_branching_cycle_saturates(self):
+        k = _graph([[1], [2], [2, 3], [2]])
+        assert globally_analysis(k, [True] * 4, 2) == [3] * 4
+        sat2 = [False, False, False, True]
+        assert until_analysis(k, [True] * 4, sat2, 2) == [3] * 4
+
+
 class TestCheckFlat:
     def test_self_loop_globally(self):
         k = ks(["s"], [(0, 0)], [{"p"}])

@@ -8,12 +8,11 @@ are the very traces the flat walk gives.
 """
 
 import random
-from functools import reduce
 
 from gctl.evidence import (all_pairwise_distinct, trace_forms, traces_for,
                            validate_trace)
 from gctl.flat_checker import check_flat
-from gctl.formula import (And, ExistsF, ExistsG, ExistsU, ExistsX, ForallF,
+from gctl.formula import (ExistsF, ExistsG, ExistsU, ExistsX, ForallF,
                           ForallG, ForallU, ForallX, normalize, parse_formula,
                           subformulas_bottom_up)
 from gctl.gen import random_formula, random_shsm
@@ -38,10 +37,9 @@ def _reachable(view):
 
 
 def _hier_traces(model, f, n):
-    """The view of one check_hier run on f and its trace forms, as `check`
-    makes it, and the traces read off it."""
-    checked = reduce(And, [f, *trace_forms(f, n)])
-    view = check_hier(model, checked)[1]
+    """The view of one check_hier run with f and its trace forms as roots,
+    as `check` makes it, and the traces read off it."""
+    view = check_hier(model, f, *trace_forms(f, n))[1]
     return view, traces_for(view, view.initial, f, n)
 
 
@@ -67,11 +65,11 @@ class TestAgainstFlattening:
             traced_verdict = verdict == isinstance(normalize(f), COUNTED)
             for n in (1, 2, 3, 5):
                 forms = trace_forms(f, n)
-                checked = reduce(And, [f, *forms])
-                table = check_flat(ks, checked)
+                table = check_flat(ks, f, *forms)
                 view, traces = _hier_traces(model, f, n)
                 where = (case, str(f), n)
-                subs = subformulas_bottom_up(normalize(checked))
+                subs = {g for root in (f, *forms)
+                        for g in subformulas_bottom_up(normalize(root))}
                 for s in _reachable(view):
                     i = ks.index_of(view.name(s))
                     for g in subs:

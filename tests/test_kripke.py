@@ -56,7 +56,3 @@ class TestSuccessors:
         s = fig2_flat.index_of("in3")
         names = [fig2_flat.names[t] for t in fig2_flat.succ[s]]
         assert names == ["in3", "b3^0.in2"]
-
-    def test_predecessors(self):
-        k = ks(["a", "b"], 0, [(0, 1), (1, 1)])
-        assert k.predecessors(1) == [0, 1]
