@@ -49,13 +49,15 @@ def serialize_trace(trace: EvidenceTrace) -> str:
 # Extraction
 #
 # Extraction reads a structure through a view: `initial`, `succ(s)` in a
-# fixed order, `name(s)` and its inverse `locate(name)`, `holds(g, s)` for
-# every subformula g of the forms to extract, and `count(g, s)`, the capped
-# evidence count of their E X / E G / E U subformulas.  Each engine's run
-# is a view: a flat SatTable over its Kripke structure, and the working
-# model of a check_hier run over its machine copies, without flattening.
-# A run labels f and its trace forms together as its roots.  A view answers
-# only for the forms its run labelled, and raises ValueError for any other.
+# fixed order, `name(s)`, `holds(g, s)` for every subformula g of the forms
+# to extract, and `count(g, s)`, the capped evidence count of their E X /
+# E G / E U subformulas.  Each engine's run is a view: a flat SatTable over
+# its Kripke structure, and the working model of a check_hier run over its
+# machine copies, without flattening.  A run labels f and its trace forms
+# together as its roots.  A view answers only for the forms its run
+# labelled, and raises ValueError for any other.  Walks, counterexample
+# extensions and explanations all stay on view states; each state is named
+# once, when its EvidenceTrace is built.
 # ---------------------------------------------------------------------------
 
 
@@ -65,6 +67,13 @@ def extract_evidences(view, s, form, n: int) -> list:
     evidences at s.
     """
     form = normalize(form)
+    return [_named(view, form, states, loop, len(states))
+            for states, loop in _evidences(view, s, form, n)]
+
+
+def _evidences(view, s, form, n):
+    """`extract_evidences` on view states: (states, loop) pairs, loop None
+    for a finite evidence.  `form` is normalized."""
     if not isinstance(form, PATH):
         raise ValueError(f"not an existential path formula: {render(form)}")
     if n < 0 or n > form.grade + 1:
@@ -75,17 +84,16 @@ def extract_evidences(view, s, form, n: int) -> list:
     if have < n:
         raise ValueError(f"only {have} evidences at {view.name(s)}, asked {n}")
     if isinstance(form, ExistsX):
-        hits = [t for t in view.succ(s) if view.holds(form.child, t)][:n]
-        return [EvidenceTrace(FINITE, [view.name(s), view.name(t)], None, form, 2)
-                for t in hits]
-    out = []
-    for states, loop in _walk(_Steps(view, form), s, n):
-        if loop is not None:
-            states, loop = _normalize_lasso(states, loop)
-        out.append(EvidenceTrace(FINITE if loop is None else LASSO,
-                                 [view.name(t) for t in states], loop, form,
-                                 len(states)))
-    return out
+        return [([s, t], None) for t in view.succ(s)
+                if view.holds(form.child, t)][:n]
+    return [(states, loop) if loop is None else _normalize_lasso(states, loop)
+            for states, loop in _walk(_Steps(view, form), s, n)]
+
+
+def _named(view, form, states, loop, evidence_len):
+    return EvidenceTrace(FINITE if loop is None else LASSO,
+                         [view.name(t) for t in states], loop, form,
+                         evidence_len)
 
 
 class _Steps:
@@ -271,9 +279,11 @@ def traces_for(view, s, f, n: int) -> list:
     traces = []
     for g, have in zip(forms, avail):
         take = min(n - len(traces), have)
-        if take > 0:
-            found = extract_evidences(view, s, g, take)
-            traces += [_deepen(view, t) for t in found] if forall else found
+        for states, loop in _evidences(view, s, g, take):
+            size = len(states)
+            if forall:
+                states, loop = _deepen(view, g, states, loop)
+            traces.append(_named(view, g, states, loop, size))
     return traces
 
 
@@ -287,22 +297,16 @@ def counterexamples_for(view, s, f, n: int) -> list:
     return traces_for(view, s, f, n)
 
 
-def _deepen(view, trace):
-    """Extend a finite dual evidence past its last state with a path that
-    explains why the violating condition holds there."""
-    if trace.kind != FINITE:
-        return trace
-    form = trace.form
-    final_formula = form.right if isinstance(form, ExistsU) else form.child
-    last = view.locate(trace.states[-1])
-    suffix, loop_rel = _explain(view, last, final_formula)
-    if not suffix and loop_rel is None:
-        return trace
-    states = trace.states + [view.name(t) for t in suffix]
-    if loop_rel is None:
-        return EvidenceTrace(FINITE, states, None, trace.form, trace.evidence_len)
-    loop = len(trace.states) - 1 + loop_rel
-    return EvidenceTrace(LASSO, states, loop, trace.form, trace.evidence_len)
+def _deepen(view, form, states, loop):
+    """Extend a finite evidence of a path form past its last state with a
+    path that explains why the form's final operand (for a counterexample,
+    the violating condition) holds there."""
+    if loop is not None:
+        return states, loop
+    final = form.right if isinstance(form, ExistsU) else form.child
+    suffix, loop_rel = _explain(view, states[-1], final)
+    return (states + suffix,
+            None if loop_rel is None else len(states) - 1 + loop_rel)
 
 
 def _explain(view, s, g):
@@ -319,28 +323,11 @@ def _explain(view, s, g):
         inner = g.child
         failing = inner.left if not view.holds(inner.left, s) else inner.right
         return _explain(view, s, normalize(Not(failing)))
-    if isinstance(g, ExistsX):
-        t = next((t for t in view.succ(s) if view.holds(g.child, t)), None)
-        if t is None:
-            return [], None
-        rest, loop = _explain(view, t, g.child)
-        return [t] + rest, (None if loop is None else loop + 1)
-    if isinstance(g, ExistsU):
-        if not view.holds(g, s):
-            return [], None
-        ev = extract_evidences(view, s, g, 1)[0]
-        suffix = [view.locate(name) for name in ev.states[1:]]
-        rest, loop = _explain(view, view.locate(ev.states[-1]), g.right)
-        if rest or loop is not None:
-            return suffix + rest, (None if loop is None else loop + len(suffix))
-        return suffix, None
-    if isinstance(g, ExistsG):
-        if not view.holds(g, s):
-            return [], None
-        ev = extract_evidences(view, s, g, 1)[0]
-        # ev.states[0] is s itself; loop indices stay in s-origin coordinates.
-        suffix = [view.locate(name) for name in ev.states[1:]]
-        return suffix, ev.loop_start
+    if isinstance(g, PATH) and view.holds(g, s):
+        # One evidence from s, itself explained; loop indices stay in
+        # s-origin coordinates.
+        states, loop = _deepen(view, g, *_evidences(view, s, g, 1)[0])
+        return states[1:], loop
     return [], None
 
 
@@ -368,6 +355,8 @@ def validate_trace(ks: KripkeStructure, trace: EvidenceTrace,
             problems.append("lasso does not close")
     elif trace.loop_start is not None:
         problems.append("finite trace with a loop start")
+    if not 1 <= trace.evidence_len <= len(idx):
+        problems.append(f"evidence length {trace.evidence_len} out of range")
     if problems:
         return problems
 

@@ -155,7 +155,8 @@ class SatTable:
     `root` the first of them.
 
     It is also the state view trace extraction walks (see gctl.evidence):
-    `initial`, `succ`, `name`, `locate`, `holds` and `count` over `ks`."""
+    `initial`, `succ`, `name`, `holds` and `count` over `ks`.  States are
+    the structure's indices, named only when a trace is emitted."""
 
     ks: KripkeStructure
     root: object
@@ -182,9 +183,6 @@ class SatTable:
 
     def name(self, s):
         return self.ks.names[s]
-
-    def locate(self, name):
-        return self.ks.index_of(name)
 
     def holds(self, f, s):
         return self.sat[position_of(self.index, f)][s]

@@ -87,14 +87,8 @@ def random_shsm(machines: int, nodes: int, exits: int, boxes: int,
                 if (b, z) not in covered:
                     edges.append((b, z, rng.choice(vertices)))
         # Dedupe, preserving order.
-        seen = set()
-        unique_edges = []
-        for e in edges:
-            if e not in seen:
-                seen.add(e)
-                unique_edges.append(e)
         result.append(Machine(name, vertices, entry, outs, labels, expand,
-                              unique_edges))
+                              list(dict.fromkeys(edges))))
     return Shsm(result)
 
 
@@ -121,6 +115,14 @@ def random_kripke(states: int, seed: int, props=("p", "q", "r"),
     return KripkeStructure([f"s{i}" for i in range(states)], 0, edges, labels)
 
 
+# The operators random_formula draws from, with their operand counts; all
+# but the Boolean ones take a grade.
+_BOOLEAN = (Not, And, Or, Implies)
+_OPERATORS = ((Not, 1), (And, 2), (Or, 2), (Implies, 2),
+              (ExistsX, 1), (ExistsG, 1), (ExistsF, 1), (ExistsU, 2),
+              (ForallX, 1), (ForallG, 1), (ForallF, 1), (ForallU, 2))
+
+
 def random_formula(rng: random.Random, atom_names, depth: int = 3,
                    grades=(0, 1, 2, 3)):
     """A random formula of bounded operator depth over the given atoms."""
@@ -130,29 +132,8 @@ def random_formula(rng: random.Random, atom_names, depth: int = 3,
         if r < 0.7:
             return Atom(rng.choice(atom_names))
         return TrueF()
-    kind = rng.randrange(12)
-    sub = lambda: random_formula(rng, atom_names, depth - 1, grades)
+    op, arity = _OPERATORS[rng.randrange(len(_OPERATORS))]
     grade = rng.choice(grades)
-    if kind == 0:
-        return Not(sub())
-    if kind == 1:
-        return And(sub(), sub())
-    if kind == 2:
-        return Or(sub(), sub())
-    if kind == 3:
-        return Implies(sub(), sub())
-    if kind == 4:
-        return ExistsX(grade, sub())
-    if kind == 5:
-        return ExistsG(grade, sub())
-    if kind == 6:
-        return ExistsF(grade, sub())
-    if kind == 7:
-        return ExistsU(grade, sub(), sub())
-    if kind == 8:
-        return ForallX(grade, sub())
-    if kind == 9:
-        return ForallG(grade, sub())
-    if kind == 10:
-        return ForallF(grade, sub())
-    return ForallU(grade, sub(), sub())
+    operands = [random_formula(rng, atom_names, depth - 1, grades)
+                for _ in range(arity)]
+    return op(*operands) if op in _BOOLEAN else op(grade, *operands)

@@ -88,22 +88,23 @@ class SpecializedHsm:
     precede their machines) plus per-pass statistics.
 
     Once checked it is also the state view trace extraction walks (see
-    gctl.evidence): the flattening, built only where a walk goes.  A flat
-    state is the stack of (copy index, vertex position) frames from the top
-    machine down to a node.  Box rewiring has already picked each frame's
-    copy, so the flags and capped counts of the bottom node are those of
-    the flat state.  Names are the input model's dotted vertex sequences,
-    as `flatten` writes them, and successors come in the flattening's index
-    order, which is the order of vertex positions."""
+    gctl.evidence), `initial`, `succ`, `name`, `holds` and `count` over
+    the flattening, built only where a walk goes.  A flat state is the
+    stack of (copy index, vertex position) frames from the top machine
+    down to a node.  Box rewiring has already picked each frame's copy, so
+    the flags and capped counts of the bottom node are those of the flat
+    state.  Names are the input model's dotted vertex sequences, as
+    `flatten` writes them, read off the frames only when a trace is
+    emitted; successors come in the flattening's index order, which is the
+    order of vertex positions."""
 
     machines: list
     stats: list = field(default_factory=list)
     copy_budget: int = DEFAULT_COPY_BUDGET
     index: dict = field(default_factory=dict)   # subformula -> flag key
     millis: list = field(default_factory=list)  # per flag key, from evaluate
-    # Of the states a walk has met: successors by state, state by name.
+    # Successors of the states a walk has met.
     _succ: dict = field(default_factory=dict, init=False, repr=False)
-    _states: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def top(self):
@@ -139,13 +140,7 @@ class SpecializedHsm:
         return out
 
     def name(self, s):
-        text = ".".join(self.machines[mi].vertices[pos] for mi, pos in s)
-        self._states[text] = s
-        return text
-
-    def locate(self, name):
-        """The state behind a name this view has produced."""
-        return self._states[name]
+        return ".".join(self.machines[mi].vertices[pos] for mi, pos in s)
 
     def holds(self, g, s):
         mi, pos = s[-1]

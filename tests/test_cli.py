@@ -1,6 +1,8 @@
 import contextlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -22,6 +24,7 @@ from gctl.modelfile import kripke_to_model, parse_model, render_model
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 FIG2 = str(MODELS / "fig2.gctl")
 RETRY = str(MODELS / "retry.gctl")
+SRC = MODELS.parent / "src"
 
 
 class TestCheck:
@@ -155,13 +158,13 @@ class TestCheck:
         assert best["hier"] < best["flat"]
 
     def test_millis_covers_trace_extraction(self, capsys, monkeypatch):
-        extract = gctl.evidence.extract_evidences
+        extract = gctl.cli.traces_for
 
         def slow(*args, **kwargs):
             time.sleep(0.05)
             return extract(*args, **kwargs)
 
-        monkeypatch.setattr(gctl.evidence, "extract_evidences", slow)
+        monkeypatch.setattr(gctl.cli, "traces_for", slow)
         code = main(["check", "--model", FIG2, "--formula", "E>1 [true U p1]",
                      "--witnesses", "2", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
@@ -1045,3 +1048,34 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err == \
             f"cannot write {path}: No such file or directory\n"
+
+
+class TestProcess:
+    """`python -m gctl.cli` as its own process: the exit code reaches the
+    shell through sys.exit, and the reports reach the real streams."""
+
+    @staticmethod
+    def _run(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "gctl.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    @pytest.mark.parametrize("formula, code, stream, text", [
+        ("E F p3", 0, "stdout", "result  : holds"),
+        ("A G p3", 1, "stdout", "result  : fails"),
+        ("E F (", 2, "stderr", "syntax error"),
+    ])
+    def test_check(self, formula, code, stream, text):
+        done = self._run("check", "--model", FIG2, "--formula", formula)
+        assert done.returncode == code, done.stderr
+        assert text in getattr(done, stream)
+
+    def test_validate_flat_sink(self, tmp_path):
+        model = tmp_path / "sink.gctl"
+        model.write_text("machine M\n  init a;\n  node a;\nend\n")
+        done = self._run("validate", "--model", str(model))
+        assert done.returncode == 3
+        assert done.stdout.startswith("invalid: flat sink")

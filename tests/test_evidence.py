@@ -223,6 +223,24 @@ class TestTraceForms:
             assert validate_trace(ks, c, table) == []
 
 
+class TestValidate:
+    # The shortest evidence of E[true U p3] at fig2's initial state.
+    REACH_P3 = ["in3", "b3^0.in2", "b3^0.b2^0.in1", "b3^0.b2^0.z1",
+                "b3^0.b2^1.in1", "b3^0.b2^1.z1", "b3^0.z2", "b3^1.in2"]
+
+    @pytest.mark.parametrize("states, evidence_len, problems", [
+        (REACH_P3, 8, []),
+        ([], 0, ["evidence length 0 out of range"]),
+        (["in3"], 0, ["evidence length 0 out of range"]),
+        (REACH_P3, 9, ["evidence length 9 out of range"]),
+    ])
+    def test_evidence_length_in_range(self, fig2_flat, states, evidence_len,
+                                      problems):
+        form = parse_formula("E[true U p3]")
+        trace = EvidenceTrace("finite", states, None, form, evidence_len)
+        assert validate_trace(fig2_flat, trace) == problems
+
+
 class TestSerialization:
     def test_finite(self):
         t = EvidenceTrace("finite", ["a", "b.c", "d"], None,

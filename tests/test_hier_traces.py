@@ -7,10 +7,14 @@ flat counts allow.  Its successors come in the flattening's order, so they
 are the very traces the flat walk gives.
 """
 
+import pathlib
 import random
 
-from gctl.evidence import (all_pairwise_distinct, trace_forms, traces_for,
-                           validate_trace)
+import pytest
+
+from gctl.cli import main
+from gctl.evidence import (all_pairwise_distinct, serialize_trace,
+                           trace_forms, traces_for, validate_trace)
 from gctl.flat_checker import check_flat
 from gctl.formula import (ExistsF, ExistsG, ExistsU, ExistsX, ForallF,
                           ForallG, ForallU, ForallX, normalize, parse_formula,
@@ -20,6 +24,7 @@ from gctl.hier_checker import check_hier
 from gctl.hsm import flatten
 from gctl.modelfile import parse_model
 
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 PATH_ROOTS = (ExistsX, ExistsG, ExistsF, ExistsU,
               ForallX, ForallG, ForallF, ForallU)
 COUNTED = (ExistsX, ExistsG, ExistsU)
@@ -132,3 +137,39 @@ class TestScopedNames:
             for t in traces:
                 assert t.states[:2] == ["a@p", "b.a"]
                 assert validate_trace(ks, t) == []
+
+
+class TestExtendedCounterexamples:
+    """A failed A formula's counterexample runs on past the violating state
+    with the inner witness that explains it, the same on either engine."""
+
+    RETRY_LASSO = ("Start,Try1.Send,Try1.Wait,Try1.Timeout,Try1.Fail,"
+                   "Try2.Send,Try2.Wait,Try2.Ack,(Success)*")
+    REACH_P3 = ("b3^0.in2,b3^0.b2^0.in1,b3^0.b2^0.z1,b3^0.b2^1.in1,"
+                "b3^0.b2^1.z1,b3^0.z2,b3^1.in2")
+
+    @pytest.mark.parametrize("engine", ["hier", "flat"])
+    @pytest.mark.parametrize("name, formula, n, expected", [
+        # The inner E G !abort, explained by its lasso.
+        ("retry", "A G ((t1 & fail) -> A F abort)", 1,
+         [(RETRY_LASSO, 5)]),
+        # The inner E F p3, explained by its finite E U evidence.
+        ("fig2", "A G !E F p3", 2,
+         [("in3," + REACH_P3, 2), ("in3,in3," + REACH_P3, 3)]),
+    ])
+    def test_explained_suffix(self, capsys, engine, name, formula, n,
+                              expected):
+        path = MODELS / f"{name}.gctl"
+        assert main(["check", "--model", str(path), "--formula", formula,
+                     "--witnesses", str(n), "--engine", engine]) == 1
+        lines = capsys.readouterr().out.split("traces:\n", 1)[1].splitlines()
+        assert [line.strip() for line in lines] == [t for t, _ in expected]
+        f = parse_formula(formula)
+        model = parse_model(path.read_text())
+        if engine == "flat":
+            view = check_flat(flatten(model), f, *trace_forms(f, n))
+        else:
+            view = check_hier(model, f, *trace_forms(f, n))[1]
+        traces = traces_for(view, view.initial, f, n)
+        assert [(serialize_trace(t), t.evidence_len) for t in traces] \
+            == expected
