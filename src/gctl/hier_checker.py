@@ -34,35 +34,28 @@ from .formula import (BOOLEAN, LOWER_GRADE, Atom, ExistsG, ExistsU, ExistsX,
 # check_hier never calls reduce_to_hsm; perfbench/tracing.py hooks the name.
 from .hsm import Adjacency, Shsm, _descendants, reduce_to_hsm
 
-DEFAULT_COPY_BUDGET = 250_000
+# Machine copies one pass may make; more raise CapacityError.
+COPY_BUDGET = 250_000
 
 
 @dataclass
 class WorkMachine:
-    """One machine of the working model; flags are positional over
-    vertices."""
+    """One machine of the working model: a copy of an input machine, whose
+    vertex names, labels, entry and outputs it reads off that machine's
+    index `adj`.  It holds only what passes write; flags are positional
+    over vertices."""
 
     source: int               # position of the input machine this copies
-    name: str
-    vertices: list
-    labels: list              # frozenset per vertex
-    expand: list              # None for nodes, working-list index for boxes
-    entry: int
-    outs: list                # positions of output vertices, declaration order
     adj: Adjacency
+    expand: list              # None for nodes, working-list index for boxes
     flags: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)   # E X / E G / E U forms only
 
-    @property
-    def n(self):
-        return len(self.vertices)
-
-    def shell_copy(self, name):
+    def shell_copy(self):
         """A copy sharing this machine's lists, with its own flag and count
         dicts: passes assign new flag, count and expansion lists and never
         change one in place."""
-        return WorkMachine(self.source, name, self.vertices, self.labels,
-                           self.expand, self.entry, self.outs, self.adj,
+        return WorkMachine(self.source, self.adj, self.expand,
                            dict(self.flags), dict(self.counts))
 
 
@@ -100,7 +93,6 @@ class SpecializedHsm:
 
     machines: list
     stats: list = field(default_factory=list)
-    copy_budget: int = DEFAULT_COPY_BUDGET
     index: dict = field(default_factory=dict)   # subformula -> flag key
     millis: list = field(default_factory=list)  # per flag key, from evaluate
     # Successors of the states a walk has met.
@@ -112,7 +104,7 @@ class SpecializedHsm:
 
     @property
     def initial(self):
-        return self._enter((), len(self.machines) - 1, self.top.entry)
+        return self._enter((), len(self.machines) - 1, self.top.adj.entry)
 
     def _enter(self, frames, mi, pos):
         """Frames of the state a transition into vertex pos of copy mi
@@ -122,7 +114,7 @@ class SpecializedHsm:
             mi = self.machines[mi].expand[pos]
             if mi is None:
                 return frames
-            pos = self.machines[mi].entry
+            pos = self.machines[mi].adj.entry
 
     def succ(self, s):
         out = self._succ.get(s)
@@ -140,7 +132,7 @@ class SpecializedHsm:
         return out
 
     def name(self, s):
-        return ".".join(self.machines[mi].vertices[pos] for mi, pos in s)
+        return ".".join(self.machines[mi].adj.names[pos] for mi, pos in s)
 
     def holds(self, g, s):
         mi, pos = s[-1]
@@ -152,29 +144,25 @@ class SpecializedHsm:
         return int(count_row(self.machines[mi].counts, self.index, g)[pos])
 
 
-def _from_shsm(model: Shsm, copy_budget) -> SpecializedHsm:
+def _from_shsm(model: Shsm) -> SpecializedHsm:
     """The working model of the input machines that the top machine's boxes
     reach, in input order, each copy reading its input machine's index.
     Passes demand contexts only of these, so every pass sees the same
-    machine set.  Copies share the input machine's vertex list and the
-    index's label and output lists."""
+    machine set."""
     adjs = model.adjacency
     # input position -> working position
     kept = {j: i for i, j in
             enumerate(sorted(_descendants(adjs, model.h - 1)))}
-    machines = []
-    for source in kept:
-        m, a = model.machines[source], adjs[source]
-        expand = [None if t is None else kept[t] for t in a.expand]
-        machines.append(WorkMachine(source, m.name, m.vertices, a.labels,
-                                    expand, a.entry, a.outs, a))
-    return SpecializedHsm(machines, copy_budget=copy_budget)
+    return SpecializedHsm([
+        WorkMachine(j, adjs[j], [None if t is None else kept[t]
+                                 for t in adjs[j].expand]) for j in kept])
 
 
-def _specialize(w, key, top_context, label, op, kind, grade, grade0_factor):
-    """Label `key` on each machine under every context demanded of it,
-    rewire every box to the copy of its own context and record the pass
-    statistics.
+def _specialize(w, key, top_context, label):
+    """Label `key` on each machine under every context demanded of it and
+    rewire every box to the copy of its own context.  Returns the pass's
+    context factor, the most contexts one machine had, and the number of
+    machines after it.
 
     `label(mi, g)` gives machine mi's flag row and capped count row (None
     for a form without counts) under context g, and the context of each box
@@ -189,11 +177,11 @@ def _specialize(w, key, top_context, label, op, kind, grade, grade0_factor):
     for mi in range(len(machines) - 1, -1, -1):
         m = machines[mi]
         for g, i in demanded[mi].items():
-            if len(made) >= w.copy_budget:
+            if len(made) >= COPY_BUDGET:
                 raise CapacityError(
-                    f"machine copies exceed budget {w.copy_budget}")
+                    f"machine copies exceed budget {COPY_BUDGET}")
             flag, count, contexts = label(mi, g)
-            copy = m.shell_copy(f"{m.name}~{i}") if i else m
+            copy = m.shell_copy() if i else m
             copy.flags[key] = flag
             if count is not None:
                 copy.counts[key] = count
@@ -211,8 +199,7 @@ def _specialize(w, key, top_context, label, op, kind, grade, grade0_factor):
         copy.expand = [None if t is None else first[t] + demanded[t][c]
                        for t, c in zip(copy.expand, contexts)]
         w.machines[first[mi] + i] = copy
-    w.stats.append(PassStats(op, kind, grade, grade0_factor,
-                             max(map(len, demanded)), len(made)))
+    return max(map(len, demanded)), len(made)
 
 
 def _classes(machines, keys) -> list:
@@ -300,10 +287,11 @@ def scope_pass(w: SpecializedHsm, atom, key, op="p"):
     machines = w.machines
 
     def label(mi, inherited):
-        here = [inherited or atom in lab for lab in machines[mi].labels]
+        here = [inherited or atom in lab for lab in machines[mi].adj.labels]
         return here, None, here
 
-    _specialize(w, key, False, label, op, "scope", 0, 1)
+    w.stats.append(PassStats(op, "scope", 0, 1,
+                             *_specialize(w, key, False, label)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +318,7 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
         target's entry."""
         m = machines[mi]
         hit = [m.flags[th1_key][v] if t is None else
-               machines[t].flags[th1_key][machines[t].entry]
+               machines[t].flags[th1_key][machines[t].adj.entry]
                for v, t in enumerate(m.expand)]
         return ([sum(hit[v] for v in vs) for vs in m.adj.succ],
                 [None if vss is None else
@@ -345,8 +333,9 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
                   for pos, (t, o) in enumerate(zip(m.expand, m.adj.ordinal))]
         return [c >= cap for c in counts], counts, box_g
 
-    top_context = (0,) * len(machines[-1].outs)
-    _specialize(w, psi_key, top_context, label, op, "X", grade, 1)
+    top_context = (0,) * len(machines[-1].adj.outs)
+    w.stats.append(PassStats(op, "X", grade, 1,
+                             *_specialize(w, psi_key, top_context, label)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +358,8 @@ def _grade0_summary(machines, summaries, mi, until, th1_key, th2_key):
     least fixpoint, grown from 0; E G the greatest, shrunk from all ones."""
     m = machines[mi]
     a = m.adj
-    n = m.n
-    inside = 1 << len(m.outs)
+    n = len(a.names)
+    inside = 1 << len(a.outs)
     th1 = m.flags[th1_key]
     th2 = m.flags[th2_key] if until else None
     own = [0] * n
@@ -385,7 +374,7 @@ def _grade0_summary(machines, summaries, mi, until, th1_key, th2_key):
                     own[v] |= 1 << o
                 joins[v] = a.succ[v]
         else:
-            e = summaries[t][machines[t].entry]
+            e = summaries[t][machines[t].adj.entry]
             vss = a.exit_succ[v]
             own[v] = inside if e >> len(vss) & 1 else 0
             joins[v] = [s for o, vs in enumerate(vss) if e >> o & 1
@@ -407,12 +396,13 @@ def _grade0_summary(machines, summaries, mi, until, th1_key, th2_key):
     return mask
 
 
-def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
-                op="E0"):
+def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key):
     """Classical (grade-0) hierarchical pass: summarize each class of
     machines once, then specialize machines per set of continuing exits so
     the flag becomes context-free.  The flag row is also the count row,
-    capped at 1."""
+    capped at 1.  Returns the context factor and machines after, which the
+    caller records: check_hier for the grade-0 form, graded_gu_pass as the
+    first stage of a graded one."""
     machines = w.machines
     until = kind == "U"
     keys = (th1_key, th2_key) if until else (th1_key,)
@@ -422,20 +412,19 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key,
 
     def label(mi, y):
         m = machines[mi]
-        holds = y | 1 << len(m.outs)
+        a = m.adj
+        holds = y | 1 << len(a.outs)
         flags = [x & holds != 0 for x in summaries[mi]]
         # A box continues from each exit with a satisfying successor.
         contexts = [None if t is None else 0 for t in m.expand]
-        for s, bzs in enumerate(m.adj.exit_pred):
+        for s, bzs in enumerate(a.exit_pred):
             if flags[s]:
                 for bz in bzs:
-                    b, o = m.adj.bz_of[bz - m.n]
+                    b, o = a.bz_of[bz - len(a.names)]
                     contexts[b] |= 1 << o
         return flags, flags, contexts
 
-    _specialize(w, psi_key, 0, label, op, f"{kind}0", 0, 1)
-    stats = w.stats[-1]
-    stats.grade0_factor, stats.context_factor = stats.context_factor, 1
+    return _specialize(w, psi_key, 0, label)
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +489,18 @@ def _reach(starts, edges):
 def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
     m = machines[mi]
     a = m.adj
-    n = m.n
+    n = len(a.names)
     expand = m.expand
     present = m.flags[s_key] + [False] * len(a.bz_of)
     size = len(present)
     for pos, t in enumerate(expand):
         if t is not None:
-            target = machines[t]
-            ts = target.flags[s_key]
-            present[pos] = ts[target.entry]
-            for o, z in enumerate(target.outs):
+            ts, ta = machines[t].flags[s_key], machines[t].adj
+            present[pos] = ts[ta.entry]
+            for o, z in enumerate(ta.outs):
                 present[a.bz_base[pos] + o] = ts[z]
 
-    n_out = len(m.outs)
+    n_out = len(a.outs)
     # States outside the set have no edges.  Many copies lie wholly outside
     # it, and their analysis is empty.
     edges = [()] * size
@@ -530,7 +518,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
                 edges[pos] = _within(a.succ[pos], present)
         else:
             boxes.append(pos)
-            if machines[t].entry in infos[t].nsc:
+            if machines[t].adj.entry in infos[t].nsc:
                 entering.add(pos)
             base = a.bz_base[pos]
             edges[pos] = [base + o
@@ -539,7 +527,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
     for i, (b, o) in enumerate(a.bz_of, n):
         if present[i]:
             target = machines[expand[b]]
-            if th1 is None or target.flags[th1_key][target.outs[o]]:
+            if th1 is None or target.flags[th1_key][target.adj.outs[o]]:
                 edges[i] = _within(a.exit_succ[b][o], present)
 
     def branching(i):
@@ -588,15 +576,15 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
     path_exists = [False] * n_out
     branch_on_path = [False] * n_out
     interior_exits = [()] * n_out
-    internal_outdeg = [len(edges[z]) for z in m.outs]
-    if present[m.entry] and m.entry not in nsc:
+    internal_outdeg = [len(edges[z]) for z in a.outs]
+    if present[a.entry] and a.entry not in nsc:
         rev = [[] for _ in range(size)]
         for i, succ in enumerate(edges):
             for j in succ:
                 rev[j].append(i)
-        fwd = _reach([m.entry], edges)
+        fwd = _reach([a.entry], edges)
         branchy = [i for i in range(size) if fwd[i] and branching(i)]
-        for o, z in enumerate(m.outs):
+        for o, z in enumerate(a.outs):
             if not fwd[z]:
                 continue
             path_exists[o] = True
@@ -604,7 +592,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
             branch_on_path[o] = any(bwd_plus[i] for i in branchy) or any(
                 fwd[b] and bwd_plus[bz] and branch_through(b, bz - a.bz_base[b])
                 for b in boxes for bz in edges[b])
-            interior_exits[o] = {o2 for o2, z2 in enumerate(m.outs)
+            interior_exits[o] = {o2 for o2, z2 in enumerate(a.outs)
                                  if fwd[z2] and bwd_plus[z2]}
 
     return NscInfo(edges, nsc, order, cycles, path_exists,
@@ -628,8 +616,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     exit-state counts also fix the box rewiring.
     """
     psi1_key = ("g0", psi_key)
-    grade0_pass(w, mode, th1_key, th2_key, psi1_key, op=op)
-    grade0_factor = w.stats.pop().grade0_factor
+    grade0_factor, _ = grade0_pass(w, mode, th1_key, th2_key, psi1_key)
 
     cap = grade + 1
     machines = w.machines
@@ -646,7 +633,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
         m = machines[mi]
         a = m.adj
         info = infos[mi]
-        n = m.n
+        n = len(a.names)
         expand = m.expand
         edges = info.edges
         # Saturated states count the cap.  They are never successors of the
@@ -684,7 +671,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
                 base = a.bz_base[i]
                 row = yield t, tuple(labels[base + o] if r else 0 for o, r in
                                      enumerate(infos[t].path_exists))
-                labels[i] = row[machines[t].entry]
+                labels[i] = row[machines[t].adj.entry]
         return labels
 
     dag = _stacked(dag, classes)
@@ -692,20 +679,19 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     def label(mi, g):
         m = machines[mi]
         labels = dag(mi, g)
-        base = m.adj.bz_base
         counts = [0 if t is not None else labels[pos]
                   for pos, t in enumerate(m.expand)]
         # Box rewiring contexts carry every exit's count, including exits
         # the target cannot reach from its entry (their flat states still
         # exist and their flags must come out right).
         box_g = [None if t is None else
-                 tuple(labels[base[pos]:base[pos] + len(machines[t].outs)])
-                 for pos, t in enumerate(m.expand)]
+                 tuple(labels[b:b + len(machines[t].adj.outs)])
+                 for b, t in zip(m.adj.bz_base, m.expand)]
         return [c >= cap for c in counts], counts, box_g
 
-    top_context = (0,) * len(machines[-1].outs)
-    _specialize(w, psi_key, top_context, label, op, mode, grade,
-                grade0_factor)
+    top_context = (0,) * len(machines[-1].adj.outs)
+    w.stats.append(PassStats(op, mode, grade, grade0_factor,
+                             *_specialize(w, psi_key, top_context, label)))
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +699,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
 # ---------------------------------------------------------------------------
 
 
-def check_hier(model: Shsm, f, *more,
-               copy_budget: int = DEFAULT_COPY_BUDGET):
+def check_hier(model: Shsm, f, *more):
     """Check f, and label the formulas of `more` in the same run, on the
     hierarchical model without flattening it.
 
@@ -724,11 +709,12 @@ def check_hier(model: Shsm, f, *more,
     A<=k U by `boolean_row` on each machine, and a path form of a grade
     below another of its operator and operands by `graded_rows`.
     """
-    w = _from_shsm(model, copy_budget)
+    w = _from_shsm(model)
 
     def boolean(g, i, *operands):
         for m in w.machines:
-            m.flags[i] = boolean_row(g, operands, m.labels, m.flags, m.counts)
+            m.flags[i] = boolean_row(g, operands, m.adj.labels, m.flags,
+                                     m.counts)
         w.stats.append(PassStats(g, "bool", 0, 1, 1, len(w.machines)))
 
     def lower_grade(g, i, j):
@@ -738,10 +724,11 @@ def check_hier(model: Shsm, f, *more,
 
     def globally_until(kind):
         def op(g, i, th1, th2=None):
-            if g.grade == 0:
-                grade0_pass(w, kind, th1, th2, i, op=g)
-            else:
+            if g.grade:
                 graded_gu_pass(w, g.grade, kind, th1, th2, i, op=g)
+            else:
+                factor, after = grade0_pass(w, kind, th1, th2, i)
+                w.stats.append(PassStats(g, f"{kind}0", 0, factor, 1, after))
         return op
 
     w.index, w.millis = evaluate((f, *more), {

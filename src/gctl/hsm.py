@@ -80,13 +80,15 @@ class Adjacency:
     """Edges of one input machine by vertex position, one edge per flat
     transition, and the indexes the checker's passes read.  It is the one
     place where vertex names become positions: every later pass reads a
-    vertex's expansion, label, and the machine's entry and outputs here.
-    Its lists are shared by every copy of the machine and never changed.
+    vertex's name, expansion and label, and the machine's entry and outputs
+    here.  Its lists are shared by every copy of the machine and never
+    changed.
 
     The branching-cycle graph numbers its states: a node or box keeps its
     position, and the exit state b.z with z the o-th output of the machine
     b expands is `bz_base[b] + o`, past the last position."""
 
+    names: list               # the machine's vertex list, shared
     succ: list                # plain successors per vertex
     exit_succ: list           # per box: successors per exit ordinal; None for nodes
     exit_pred: list           # exit-state ids with an edge to each vertex
@@ -136,8 +138,8 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
     ordinal = [None] * n
     for o, z in enumerate(outs):
         ordinal[z] = o
-    return Adjacency(succ, exit_succ, exit_pred, ordinal, bz_base, bz_of,
-                     expand, [m.label(v) for v in m.vertices],
+    return Adjacency(m.vertices, succ, exit_succ, exit_pred, ordinal,
+                     bz_base, bz_of, expand, [m.label(v) for v in m.vertices],
                      pos_of[m.initial], outs)
 
 

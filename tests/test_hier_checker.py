@@ -40,24 +40,25 @@ def _to_shsm(w):
     machines = []
     lookup = {}
     for mi, m in enumerate(w.machines):
-        rename = {pos: f"{v}~m{mi}" for pos, v in enumerate(m.vertices)}
+        a = m.adj
+        rename = {pos: f"{v}~m{mi}" for pos, v in enumerate(a.names)}
         for pos, new in rename.items():
             lookup[new] = (mi, pos)
-        labels = {rename[pos]: m.labels[pos] for pos in range(m.n)}
+        labels = {rename[pos]: lab for pos, lab in enumerate(a.labels)}
         expand = {rename[pos]: 0 if t is None else t + 1
                   for pos, t in enumerate(m.expand)}
         edges = [(rename[u], None, rename[v])
-                 for u, vs in enumerate(m.adj.succ) for v in vs]
-        for b, vss in enumerate(m.adj.exit_succ):
+                 for u, vs in enumerate(a.succ) for v in vs]
+        for b, vss in enumerate(a.exit_succ):
             if vss is None:
                 continue
-            target = w.machines[m.expand[b]]
+            target = w.machines[m.expand[b]].adj
             for o, vs in enumerate(vss):
-                z_name = f"{target.vertices[target.outs[o]]}~m{m.expand[b]}"
+                z_name = f"{target.names[target.outs[o]]}~m{m.expand[b]}"
                 edges.extend((rename[b], z_name, rename[v]) for v in vs)
         machines.append(Machine(
-            m.name, [rename[p] for p in range(m.n)], rename[m.entry],
-            [rename[p] for p in m.outs], labels, expand, edges))
+            f"M{mi}", list(rename.values()), rename[a.entry],
+            [rename[p] for p in a.outs], labels, expand, edges))
     return Shsm(machines), lookup
 
 
@@ -143,21 +144,22 @@ class TestGradedNextPass:
 
     def test_box_rewired_to_exit_counts(self):
         model = self._two_exit_model()
-        w = _from_shsm(model, 1000)
+        w = _from_shsm(model)
         scope_pass(w, "p", "th1")
         graded_next_pass(w, 1, "th1", "psi")
         top = w.top
-        box_pos = next(p for p in range(top.n) if top.expand[p] is not None)
+        box_pos = next(p for p, t in enumerate(top.expand) if t is not None)
         target = w.machines[top.expand[box_pos]]
+        z1, z2 = target.adj.outs
         # z1 sees two satisfying successors (capped at 2), z2 none.
-        assert target.counts["psi"][target.outs[0]] == 2
-        assert target.counts["psi"][target.outs[1]] == 0
-        assert target.flags["psi"][target.outs[0]]
-        assert not target.flags["psi"][target.outs[1]]
+        assert target.counts["psi"][z1] == 2
+        assert target.counts["psi"][z2] == 0
+        assert target.flags["psi"][z1]
+        assert not target.flags["psi"][z2]
 
     def test_no_boxes_no_copies(self):
         model = random_shsm(1, 3, 1, 0, 2, 1)
-        w = _from_shsm(model, 1000)
+        w = _from_shsm(model)
         scope_pass(w, "p0", "th1")
         graded_next_pass(w, 2, "th1", "psi")
         assert len(w.machines) == 1
@@ -184,7 +186,7 @@ class TestGrade0Summary:
         of (machine, position) frames down to a node, labelled by the
         node's th1 and th2 rows; exit o of mi steps to fresh state o, which
         loops and is labelled th1 and th2 when bit o of y is set."""
-        outs = len(machines[mi].outs)
+        outs = len(machines[mi].adj.outs)
         labels = [{"th1", "th2"} if y >> o & 1 else set()
                   for o in range(outs)]
         edges = [(o, o) for o in range(outs)]
@@ -195,7 +197,7 @@ class TestGrade0Summary:
             while machines[m].expand[pos] is not None:
                 frames += ((m, pos),)
                 m = machines[m].expand[pos]
-                pos = machines[m].entry
+                pos = machines[m].adj.entry
             frames += ((m, pos),)
             if frames not in states:
                 states[frames] = len(labels)
@@ -204,7 +206,8 @@ class TestGrade0Summary:
                 todo.append(frames)
             return states[frames]
 
-        entered = [enter((), mi, pos) for pos in range(machines[mi].n)]
+        entered = [enter((), mi, pos)
+                   for pos in range(len(machines[mi].adj.names))]
         while todo:
             frames = todo.pop()
             m, pos = frames[-1]
@@ -228,17 +231,17 @@ class TestGrade0Summary:
             model = random_shsm(rng.randint(2, 4), rng.randint(1, 3),
                                 rng.randint(1, 3), rng.randint(1, 2), 2,
                                 seed=case + 9000, scope_labels=False)
-            machines = _from_shsm(model, 100).machines
+            machines = _from_shsm(model).machines
             for m in machines:
-                m.flags["th1"] = [rng.random() < 0.7 for _ in range(m.n)]
-                m.flags["th2"] = [rng.random() < 0.15 for _ in range(m.n)]
+                m.flags["th1"] = [rng.random() < 0.7 for _ in m.adj.names]
+                m.flags["th2"] = [rng.random() < 0.15 for _ in m.adj.names]
             for kind, f in self.FORMS.items():
                 summaries = gctl.hier_checker._per_class(
                     machines, None, lambda mi, done:
                     gctl.hier_checker._grade0_summary(
                         machines, done, mi, kind == "U", "th1", "th2"))
                 for mi, m in enumerate(machines):
-                    inside = 1 << len(m.outs)
+                    inside = 1 << len(m.adj.outs)
                     for y in range(inside):
                         ks, entered = self._flattening(machines, mi, y)
                         row = check_flat(ks, f).root_row()
@@ -260,7 +263,7 @@ class TestComputeNsc:
           edge b -> a;
         end
         """)
-        w = _from_shsm(model, 100)
+        w = _from_shsm(model)
         scope_pass(w, "p", 0)
         grade0_pass(w, "G", 0, None, "S")
         infos = compute_nsc(w, "S")
@@ -289,16 +292,16 @@ class TestComputeNsc:
           edge bb.z1 -> bb;
         end
         """)
-        w = _from_shsm(model, 100)
+        w = _from_shsm(model)
         scope_pass(w, "p", 0)
         grade0_pass(w, "G", 0, None, "S")
         infos = compute_nsc(w, "S")
-        assert w.top.entry in infos[-1].nsc
+        assert w.top.adj.entry in infos[-1].nsc
 
     def test_empty_sat_set_empty_nsc(self, fig2_model):
-        w = _from_shsm(fig2_model, 100)
+        w = _from_shsm(fig2_model)
         for m in w.machines:
-            m.flags["S"] = m.flags["th1"] = [False] * m.n
+            m.flags["S"] = m.flags["th1"] = [False] * len(m.adj.names)
         infos = compute_nsc(w, "S", until_mode=True, th1_key="th1")
         assert all(not info.nsc for info in infos)
 
@@ -529,9 +532,9 @@ class TestCopyStatistics:
         made = []
         shell_copy = WorkMachine.shell_copy
 
-        def counted(self, *args):
-            made.append(self.name)
-            return shell_copy(self, *args)
+        def counted(self):
+            made.append(self.source)
+            return shell_copy(self)
 
         monkeypatch.setattr(WorkMachine, "shell_copy", counted)
         for spec, text, *_ in self.PINNED:
@@ -566,8 +569,8 @@ class TestCopyStatistics:
         """)
         for text in ("true", "p", "E X p"):
             verdict, w = check_hier(model, parse_formula(text))
-            assert (verdict, [m.name for m in w.machines]) == \
-                (True, ["Top"]), text
+            assert (verdict, [model.machines[m.source].name
+                              for m in w.machines]) == (True, ["Top"]), text
 
 
 class TestSharedKernels:
@@ -747,11 +750,11 @@ class TestCheckLeavesModelUnchanged:
         assert traced
 
 class TestCopyBudget:
-    """A pass may make at most `copy_budget` machine copies."""
+    """A pass may make at most `COPY_BUDGET` machine copies."""
 
     @pytest.mark.parametrize("text, kind", [
         ("E>1 X p0", "X"), ("E [p0 U p1]", "U0"), ("E>1 G p0", "G")])
-    def test_budget_is_inclusive(self, text, kind):
+    def test_budget_is_inclusive(self, monkeypatch, text, kind):
         model = random_shsm(3, 2, 2, 2, 2, 3, scope_labels=False)
         f = parse_formula(text)
         verdict, w = check_hier(model, f)
@@ -761,12 +764,14 @@ class TestCopyBudget:
         assert max(last.grade0_factor, last.context_factor) > 1
         need = max(st.machines_after for st in w.stats)
         assert need > len(model.machines)
-        got, w2 = check_hier(model, f, copy_budget=need)
+        monkeypatch.setattr(gctl.hier_checker, "COPY_BUDGET", need)
+        got, w2 = check_hier(model, f)
         assert (got, len(w2.machines)) == (verdict, len(w.machines))
+        monkeypatch.setattr(gctl.hier_checker, "COPY_BUDGET", need - 1)
         with pytest.raises(CapacityError):
-            check_hier(model, f, copy_budget=need - 1)
+            check_hier(model, f)
 
-    def test_scope_pass_within_budget(self):
+    def test_scope_pass_within_budget(self, monkeypatch):
         # An atom that box labels carry copies machines in its scope pass.
         model = random_shsm(5, 3, 3, 3, 3, 2, scope_labels=True)
         f = parse_formula("p0")
@@ -775,9 +780,11 @@ class TestCopyBudget:
             [("scope", 2)]
         need = len(w.machines)
         assert need > len(model.machines)
-        assert check_hier(model, f, copy_budget=need)[0] == verdict
+        monkeypatch.setattr(gctl.hier_checker, "COPY_BUDGET", need)
+        assert check_hier(model, f)[0] == verdict
+        monkeypatch.setattr(gctl.hier_checker, "COPY_BUDGET", need - 1)
         with pytest.raises(CapacityError):
-            check_hier(model, f, copy_budget=need - 1)
+            check_hier(model, f)
 
 
 class TestDeepHierarchy:
