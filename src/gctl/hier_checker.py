@@ -8,8 +8,8 @@ depends on context labels a machine in place under the first context
 demanded of it and copies it for each further one, keyed by per-exit
 information:
 
-  * grade-0 G/U passes copy per set of exits whose continuation satisfies
-    the subformula (at most 2^d copies per machine);
+  * grade-0 G/U passes copy per set of th1 exits whose continuation
+    satisfies the subformula (at most 2^d copies per machine);
   * graded passes copy per map from exits to capped evidence counts
     (at most (k+2)^d copies per machine);
   * an atom copies per inherited bit, whether an enclosing box carries it
@@ -409,19 +409,25 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key):
     summaries = _per_class(
         machines, _classes(machines, keys), lambda mi, done:
         _grade0_summary(machines, done, mi, until, th1_key, th2_key))
+    # Per machine, the bits of its th1 exits.  Only these own their bit in
+    # a summary (the E G start sets the others only along with `inside`),
+    # so a machine's flags read no other bit of its context.
+    th1_exits = [sum(1 << o for o, z in enumerate(m.adj.outs)
+                     if m.flags[th1_key][z]) for m in machines]
 
     def label(mi, y):
         m = machines[mi]
         a = m.adj
         holds = y | 1 << len(a.outs)
         flags = [x & holds != 0 for x in summaries[mi]]
-        # A box continues from each exit with a satisfying successor.
+        # A box continues from each th1 exit of its target with a
+        # satisfying successor.
         contexts = [None if t is None else 0 for t in m.expand]
         for s, bzs in enumerate(a.exit_pred):
             if flags[s]:
                 for bz in bzs:
                     b, o = a.bz_of[bz - len(a.names)]
-                    contexts[b] |= 1 << o
+                    contexts[b] |= (1 << o) & th1_exits[m.expand[b]]
         return flags, flags, contexts
 
     return _specialize(w, psi_key, 0, label)

@@ -488,8 +488,8 @@ class TestCopyStatistics:
          [(1, 1, 2)] * 9),
         ("retry", "E>2 X (E G !abort)", False, 3,
          [(1, 1, 2), (1, 1, 2), (2, 1, 3), (1, 1, 3)]),
-        ((4, 2, 3, 2, 3, 1253, False), "A<=3 F p2", True, 8,
-         [(1, 1, 4), (1, 1, 4), (4, 1, 8), (1, 1, 8)]),
+        ((4, 2, 3, 2, 3, 1253, False), "A<=3 F p2", True, 6,
+         [(1, 1, 4), (1, 1, 4), (2, 1, 6), (1, 1, 6)]),
         ((3, 1, 3, 2, 3, 1235, True),
          "E>3 [p1 U E>2 [A X true U E>3 F p2]]", False, 6,
          [(1, 1, 3)] * 6 + [(2, 3, 6), (1, 1, 6), (1, 1, 6)]),
@@ -498,17 +498,16 @@ class TestCopyStatistics:
         ((4, 2, 2, 2, 3, 1088, True),
          "A<=2 X E>1 [E>2 [p2 U p0] U A [true U true]]", True, 9,
          [(1, 1, 4), (1, 2, 7), (2, 2, 9)] + [(1, 1, 9)] * 11),
-        ((4, 1, 3, 2, 3, 1111, False), "A F (p1 | A<=3 G p2)", False, 7,
-         [(1, 1, 4)] * 5 + [(1, 2, 5), (1, 1, 5), (2, 1, 7), (1, 1, 7)]),
+        ((4, 1, 3, 2, 3, 1111, False), "A F (p1 | A<=3 G p2)", False, 6,
+         [(1, 1, 4)] * 5 + [(1, 2, 5), (1, 1, 5), (2, 1, 6), (1, 1, 6)]),
         ((3, 2, 1, 2, 3, 1261, False),
-         "A<=2 [A<=2 G A<=2 [p1 U p0] U p0]", False, 5,
-         [(1, 1, 3)] * 8 + [(2, 1, 4)] + [(1, 1, 4)] * 5
-         + [(1, 2, 5)] + [(1, 1, 5)] * 3),
+         "A<=2 [A<=2 G A<=2 [p1 U p0] U p0]", False, 4,
+         [(1, 1, 3)] * 14 + [(1, 2, 4)] + [(1, 1, 4)] * 3),
         ((8, 1, 1, 2, 2, 1, False), "E>2 F (p1 & E>1 X p0)", False, 10,
          [(1, 1, 8), (1, 1, 8), (1, 1, 8), (1, 2, 10), (1, 1, 10),
           (1, 1, 10)]),
-        ((5, 3, 3, 3, 3, 2, True), "E>1 [p0 U E>2 G !p2]", False, 24,
-         [(1, 2, 9), (1, 2, 13), (1, 1, 13), (3, 2, 22), (3, 1, 24)]),
+        ((5, 3, 3, 3, 3, 2, True), "E>1 [p0 U E>2 G !p2]", False, 22,
+         [(1, 2, 9), (1, 2, 13), (1, 1, 13), (2, 2, 19), (3, 2, 22)]),
     ]
 
     def _model(self, request, spec):
