@@ -47,10 +47,20 @@ class Shsm:
         return self.machines[index - 1]
 
     @cached_property
+    def structure_problems(self):
+        """The structural problems validation reports: names, expansions
+        and edges that do not fit together.  Found on first use and then
+        shared by validation and the index, which refuses such a model."""
+        return _structure_problems(self)
+
+    @cached_property
     def adjacency(self):
         """Per machine, in list order, its `Adjacency`, built on first use
         and then shared by validation and every check: a model is not
-        changed once indexed.  Only a structurally valid model is indexed."""
+        changed once indexed.  Only a structurally valid model is indexed;
+        another raises ValidationError with validation's problems."""
+        if self.structure_problems:
+            raise ValidationError(self.structure_problems)
         return [_adjacency(self, m) for m in self.machines]
 
     @cached_property
@@ -156,9 +166,18 @@ def validate_shsm(model: Shsm, restricted: bool = False) -> list:
     sink states reachable from the initial one, the only dead ends a valid
     model rules out; `flatten` rejects exactly these.
     """
-    problems = []
+    if model.structure_problems:
+        return list(model.structure_problems)
+    problems = _restricted_label_problems(model) if restricted else []
+    return problems + model.sink_problems
+
+
+def _structure_problems(model):
+    """Names, expansions and edges that do not fit together; the model can
+    be indexed exactly when there are none."""
     if not model.machines:
         return ["model has no machines"]
+    problems = []
     seen = {}
     for i, m in enumerate(model.machines, start=1):
         where = f"machine {m.name}"
@@ -205,12 +224,6 @@ def validate_shsm(model: Shsm, restricted: bool = False) -> list:
                     problems.append(
                         f"{where}: edge {u}.{z} uses {z!r}, not an output of machine "
                         f"{model.machine(e).name}")
-    if problems:
-        return problems
-
-    if restricted:
-        problems.extend(_restricted_label_problems(model))
-    problems.extend(model.sink_problems)
     return problems
 
 

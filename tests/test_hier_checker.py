@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import gc
+import io
 import random
 import sys
 import weakref
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import gctl.hier_checker
 import gctl.hsm
+from gctl.cli import main
 from gctl.errors import CapacityError
 from gctl.evidence import trace_forms, traces_for
 from gctl.flat_checker import check_flat
@@ -696,6 +699,27 @@ class TestAdjacencyBuiltOnce:
             # Every copy reads its input machine's one index.
             for m in w.machines:
                 assert m.adj is model.adjacency[m.source]
+
+    def test_cli_reports_structure_once(self, monkeypatch, tmp_path, built,
+                                        fig2_model):
+        # The CLI validates the model, then both engines index it: the
+        # structural report is found once and the index built once.
+        reports = []
+        structure_problems = gctl.hsm._structure_problems
+
+        def counted(model):
+            reports.append(model)
+            return structure_problems(model)
+
+        monkeypatch.setattr(gctl.hsm, "_structure_problems", counted)
+        path = tmp_path / "fig2.gctl"
+        path.write_text(render_model(fig2_model))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check", "--model", str(path), "--formula",
+                         "E>1 F p1", "--engine", "both",
+                         "--witnesses", "2"]) == 0
+        assert len(reports) == 1
+        assert built == [m.name for m in fig2_model.machines]
 
     def test_repaired_model_gets_its_own_index(self, built):
         model = parse_model("""

@@ -164,6 +164,26 @@ class TestValidate:
         model = repair_top_exit_loops(Shsm([m]))
         assert validate_shsm(model) == []
 
+    @pytest.mark.parametrize("machines", [
+        # An edge to an undeclared vertex.
+        [Machine("M", ["a"], "a", [], {}, {}, [("a", None, "b")])],
+        # An undeclared initial vertex.
+        [Machine("M", ["a"], "x", [], {}, {}, [("a", None, "a")])],
+        # A box that expands its own machine.
+        [Machine("M", ["a", "b"], "a", [], {}, {"b": 1},
+                 [("a", None, "b"), ("b", "z", "a")])],
+    ])
+    def test_index_refuses_structurally_invalid_models(self, machines):
+        # Checking and flattening an unvalidated model raise validation's
+        # own report instead of failing inside the index.
+        problems = validate_shsm(Shsm(machines))
+        assert problems
+        for run in (lambda model: check_hier(model, TrueF()), flatten,
+                    flat_size):
+            with pytest.raises(ValidationError) as raised:
+                run(Shsm(machines))
+            assert raised.value.problems == problems
+
 
 class TestIsHsm:
     def test_scoped_fixture(self, fig2_model):
