@@ -7,6 +7,9 @@ some have flat dead ends, reachable or not.  Per model:
   * `check` exits with the same code under every engine and witness count;
   * `validate` exits 0 exactly when `flatten` does;
   * `validate` exits 3 exactly when `check --engine hier` does.
+
+A file that cannot be opened, read as UTF-8 or written is a usage error
+under every command that names it.
 """
 
 import contextlib
@@ -25,11 +28,18 @@ SEED = 5
 ENGINES = ("hier", "flat", "both", "auto")
 
 
+def _run(argv):
+    """Exit code and stderr of one in-process `gctl` call, its stdout
+    discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
 def _exit(argv):
     """Exit code of one in-process `gctl` call, its output discarded."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    return _run(argv)[0]
 
 
 def _cases(rng):
@@ -74,3 +84,38 @@ def test_engines_and_commands_agree(tmp_path):
         invalid += valid == 3
     # The sweep covers both sides of the validity rule.
     assert 0 < invalid < CASES
+
+
+def _io_failures(tmp_path):
+    """(argv, verb, path) per file a command cannot use: a model path that
+    is missing, a directory or not UTF-8; a formula file that is a
+    directory or not UTF-8; an output path that is a directory or sits in
+    a missing directory."""
+    model = tmp_path / "model.gctl"
+    model.write_text(render_model(random_shsm(2, 1, 1, 1, 1, 0)))
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"machine M\xe9\n")
+    rows = []
+    for command in ("check", "flatten", "validate"):
+        formula = ["--formula", "true"] if command == "check" else []
+        for path, verb in ((tmp_path / "missing.gctl", "open"),
+                           (tmp_path, "open"), (latin1, "read")):
+            rows.append(([command, "--model", str(path), *formula],
+                         verb, path))
+    for path, verb in ((tmp_path, "open"), (latin1, "read")):
+        rows.append((["check", "--model", str(model),
+                      "--formula-file", str(path)], verb, path))
+    for path in (tmp_path, tmp_path / "missing" / "out.txt"):
+        for argv in (["check", "--model", str(model), "--formula", "true"],
+                     ["flatten", "--model", str(model)], ["gen"]):
+            rows.append(([*argv, "--output", str(path)], "write", path))
+    return rows
+
+
+def test_io_failures_are_usage_errors(tmp_path):
+    rows = _io_failures(tmp_path)
+    assert len(rows) == 17
+    for argv, verb, path in rows:
+        code, err = _run(argv)
+        assert (code, err.startswith(f"cannot {verb} {path}: ")) == \
+            (2, True), (argv, code, err)
