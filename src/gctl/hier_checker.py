@@ -398,8 +398,8 @@ def _grade0_summary(machines, summaries, mi, until, th1_key, th2_key):
 
 def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key):
     """Classical (grade-0) hierarchical pass: summarize each class of
-    machines once, then specialize machines per set of continuing exits so
-    the flag becomes context-free.  The flag row is also the count row,
+    machines once, then specialize machines per set of continuing th1
+    exits so the flag becomes context-free.  The flag row is also the count row,
     capped at 1.  Returns the context factor and machines after, which the
     caller records: check_hier for the grade-0 form, graded_gu_pass as the
     first stage of a graded one."""
