@@ -86,8 +86,7 @@ def _evidences(view, s, form, n):
     if isinstance(form, ExistsX):
         return [([s, t], None) for t in view.succ(s)
                 if view.holds(form.child, t)][:n]
-    return [(states, loop) if loop is None else _normalize_lasso(states, loop)
-            for states, loop in _walk(_Steps(view, form), s, n)]
+    return _walk(_Steps(view, form), s, n)
 
 
 def _named(view, form, states, loop, evidence_len):
@@ -158,6 +157,13 @@ def _walk(steps, s, n):
     states whose counts are all >= q >= 2, so the cycle is not forced: one
     of its states has a live successor off the cycle, and the q evidences
     loop the cycle 0..q-1 times before leaving there.
+
+    Lassos come out normal, with a minimal loop not preceded by its last
+    state: `single` returns distinct states, and a loop at its first state
+    u would need the prefix's last state p to step first to u and hand it
+    quota 1, yet counts are uniform on a strongly connected component, so u
+    takes count(p) >= 2; a `_pumped` side looping back first would likewise
+    have taken the whole quota.
     """
     out = []
     prefix = []
@@ -220,20 +226,6 @@ def _pumped(steps, prefix, at, q):
     tail = steps.single(side)
     head = prefix[:at + i]
     return [_joined(head + turn * j + [x], *tail) for j in range(q)]
-
-
-def _normalize_lasso(states, loop):
-    """Minimal loop, earliest loop start, for the denoted infinite path."""
-    stem = states[:loop]
-    cycle = states[loop:]
-    for p in range(1, len(cycle) + 1):
-        if len(cycle) % p == 0 and cycle == cycle[: p] * (len(cycle) // p):
-            cycle = cycle[:p]
-            break
-    while stem and stem[-1] == cycle[-1]:
-        stem.pop()
-        cycle = [cycle[-1]] + cycle[:-1]
-    return stem + cycle, len(stem)
 
 
 # ---------------------------------------------------------------------------

@@ -88,15 +88,14 @@ class SpecializedHsm:
     the flags and capped counts of the bottom node are those of the flat
     state.  Names are the input model's dotted vertex sequences, as
     `flatten` writes them, read off the frames only when a trace is
-    emitted; successors come in the flattening's index order, which is the
-    order of vertex positions."""
+    emitted.  Successors come in the flattening's index order, the order
+    of vertex positions: where two frame stacks first differ, their frames
+    hold the same copy index, so the stacks sort in that order."""
 
     machines: list
     stats: list = field(default_factory=list)
     index: dict = field(default_factory=dict)   # subformula -> flag key
     millis: list = field(default_factory=list)  # per flag key, from evaluate
-    # Successors of the states a walk has met.
-    _succ: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def top(self):
@@ -117,19 +116,15 @@ class SpecializedHsm:
             pos = self.machines[mi].adj.entry
 
     def succ(self, s):
-        out = self._succ.get(s)
-        if out is None:
-            mi, pos = s[-1]
-            a = self.machines[mi].adj
-            found = {self._enter(s[:-1], mi, v) for v in a.succ[pos]}
-            o = a.ordinal[pos]
-            if len(s) > 1 and o is not None:
-                parent, box = s[-2]
-                found.update(self._enter(s[:-2], parent, v) for v in
-                             self.machines[parent].adj.exit_succ[box][o])
-            out = sorted(found, key=lambda t: [p for _, p in t])
-            self._succ[s] = out
-        return out
+        mi, pos = s[-1]
+        a = self.machines[mi].adj
+        found = {self._enter(s[:-1], mi, v) for v in a.succ[pos]}
+        o = a.ordinal[pos]
+        if len(s) > 1 and o is not None:
+            parent, box = s[-2]
+            found.update(self._enter(s[:-2], parent, v) for v in
+                         self.machines[parent].adj.exit_succ[box][o])
+        return sorted(found)
 
     def name(self, s):
         return ".".join(self.machines[mi].adj.names[pos] for mi, pos in s)
@@ -222,17 +217,15 @@ def _classes(machines, keys) -> list:
 
 
 def _per_class(machines, classes, run):
-    """run(mi, done) once per class of `classes` (None: each machine its
-    own), in machine-list order, so box targets are done first; `done`
-    holds the result of every machine before mi.  Returns each machine's
-    result."""
+    """run(mi, done) once per class of `classes`, in machine-list order, so
+    box targets are done first; `done` holds the result of every machine
+    before mi.  Returns each machine's result."""
     done = []
     first = {}
     for mi in range(len(machines)):
-        c = mi if classes is None else classes[mi]
-        result = first.get(c)
+        result = first.get(classes[mi])
         if result is None:
-            result = first[c] = run(mi, done)
+            result = first[classes[mi]] = run(mi, done)
         done.append(result)
     return done
 
@@ -422,12 +415,9 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key):
         flags = [x & holds != 0 for x in summaries[mi]]
         # A box continues from each th1 exit of its target with a
         # satisfying successor.
-        contexts = [None if t is None else 0 for t in m.expand]
-        for s, bzs in enumerate(a.exit_pred):
-            if flags[s]:
-                for bz in bzs:
-                    b, o = a.bz_of[bz - len(a.names)]
-                    contexts[b] |= (1 << o) & th1_exits[m.expand[b]]
+        contexts = [None if t is None else th1_exits[t] & sum(
+            1 << o for o, vs in enumerate(a.exit_succ[b])
+            if any(flags[v] for v in vs)) for b, t in enumerate(m.expand)]
         return flags, flags, contexts
 
     return _specialize(w, psi_key, 0, label)
@@ -461,18 +451,18 @@ class NscInfo:
     internal_outdeg: list
 
 
-def compute_nsc(w: SpecializedHsm, s_key, until_mode=False, th1_key=None,
-                classes=None):
+def compute_nsc(w: SpecializedHsm, s_key, th1_key, classes):
     """Bottom-up branching-cycle analysis for every machine, run once per
     class of `classes`, numbers from `_classes` under keys that include
-    s_key and, in until mode, th1_key (by default each machine its own).
+    s_key and th1_key.
 
-    s_key flags the grade-0 satisfying set; in until mode edges leaving
-    states that fail th1 are suppressed, matching the evidence graph.
+    s_key flags the grade-0 satisfying set.  th1_key is None for E G; for
+    E U, edges leaving states that fail th1 are suppressed, matching the
+    evidence graph.
     """
     machines = w.machines
     return _per_class(machines, classes, lambda mi, infos: _nsc_one(
-        machines, infos, mi, s_key, until_mode, th1_key))
+        machines, infos, mi, s_key, th1_key))
 
 
 def _within(vs, present):
@@ -492,7 +482,7 @@ def _reach(starts, edges):
     return seen
 
 
-def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
+def _nsc_one(machines, infos, mi, s_key, th1_key):
     m = machines[mi]
     a = m.adj
     n = len(a.names)
@@ -513,7 +503,7 @@ def _nsc_one(machines, infos, mi, s_key, until_mode, th1_key):
     if not any(present):
         return NscInfo(edges, set(), [], {}, [False] * n_out,
                        [False] * n_out, [()] * n_out, [0] * n_out)
-    th1 = m.flags[th1_key] if until_mode else None
+    th1 = None if th1_key is None else m.flags[th1_key]
     boxes = []
     entering = set()    # boxes entering their target where it saturates
     for pos, t in enumerate(expand):
@@ -630,8 +620,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
     # The branching-cycle analysis and the dags read these rows only.
     classes = _classes(machines, (psi1_key, th1_key, th2_key) if until
                        else (psi1_key,))
-    infos = compute_nsc(w, psi1_key, until_mode=until, th1_key=th1_key,
-                        classes=classes)
+    infos = compute_nsc(w, psi1_key, th1_key if until else None, classes)
 
     def dag(mi, g):
         """Capped evidence counts of machine mi's states under the exit

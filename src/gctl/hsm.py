@@ -92,7 +92,7 @@ class Adjacency:
     place where vertex names become positions: every later pass reads a
     vertex's name, expansion and label, and the machine's entry and outputs
     here.  Its lists are shared by every copy of the machine and never
-    changed.
+    changed; box exits are indexed forward only, in `exit_succ`.
 
     The branching-cycle graph numbers its states: a node or box keeps its
     position, and the exit state b.z with z the o-th output of the machine
@@ -101,7 +101,6 @@ class Adjacency:
     names: list               # the machine's vertex list, shared
     succ: list                # plain successors per vertex
     exit_succ: list           # per box: successors per exit ordinal; None for nodes
-    exit_pred: list           # exit-state ids with an edge to each vertex
     ordinal: list             # exit ordinal per vertex, None for non-exits
     bz_base: list             # first exit-state id per box, None for nodes
     bz_of: list               # (box pos, exit ordinal) per exit-state id - n
@@ -129,8 +128,6 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
             exit_succ[pos] = [[] for _ in range(k)]
             bz_base[pos] = n + len(bz_of)
             bz_of += [(pos, o) for o in range(k)]
-    exit_pred = [()] * n
-    preds = {}          # vertex -> exit-state ids, for those that have some
     for u, z, v in dict.fromkeys(m.edges):
         pu, pv = pos_of[u], pos_of[v]
         if z is None:
@@ -141,14 +138,11 @@ def _adjacency(model: Shsm, m: Machine) -> Adjacency:
                 continue
             o = target.outputs.index(z)
             exit_succ[pu][o].append(pv)
-            preds.setdefault(pv, []).append(bz_base[pu] + o)
-    for pv, bzs in preds.items():
-        exit_pred[pv] = bzs
     outs = [pos_of[z] for z in m.outputs]
     ordinal = [None] * n
     for o, z in enumerate(outs):
         ordinal[z] = o
-    return Adjacency(m.vertices, succ, exit_succ, exit_pred, ordinal,
+    return Adjacency(m.vertices, succ, exit_succ, ordinal,
                      bz_base, bz_of, expand, [m.label(v) for v in m.vertices],
                      pos_of[m.initial], outs)
 

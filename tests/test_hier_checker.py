@@ -240,7 +240,7 @@ class TestGrade0Summary:
                 m.flags["th2"] = [rng.random() < 0.15 for _ in m.adj.names]
             for kind, f in self.FORMS.items():
                 summaries = gctl.hier_checker._per_class(
-                    machines, None, lambda mi, done:
+                    machines, range(len(machines)), lambda mi, done:
                     gctl.hier_checker._grade0_summary(
                         machines, done, mi, kind == "U", "th1", "th2"))
                 for mi, m in enumerate(machines):
@@ -269,7 +269,7 @@ class TestComputeNsc:
         w = _from_shsm(model)
         scope_pass(w, "p", 0)
         grade0_pass(w, "G", 0, None, "S")
-        infos = compute_nsc(w, "S")
+        infos = compute_nsc(w, "S", None, range(len(w.machines)))
         assert not infos[-1].nsc
 
     def test_branch_inside_box_detected(self):
@@ -298,14 +298,14 @@ class TestComputeNsc:
         w = _from_shsm(model)
         scope_pass(w, "p", 0)
         grade0_pass(w, "G", 0, None, "S")
-        infos = compute_nsc(w, "S")
+        infos = compute_nsc(w, "S", None, range(len(w.machines)))
         assert w.top.adj.entry in infos[-1].nsc
 
     def test_empty_sat_set_empty_nsc(self, fig2_model):
         w = _from_shsm(fig2_model)
         for m in w.machines:
             m.flags["S"] = m.flags["th1"] = [False] * len(m.adj.names)
-        infos = compute_nsc(w, "S", until_mode=True, th1_key="th1")
+        infos = compute_nsc(w, "S", "th1", range(len(w.machines)))
         assert all(not info.nsc for info in infos)
 
 
