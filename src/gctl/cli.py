@@ -221,9 +221,7 @@ def cmd_validate(args):
     model = _read_model(args.model, args.repair_self_loops)
     problems = validate_shsm(model, restricted=args.restricted)
     if problems:
-        for p in problems:
-            print(f"invalid: {p}")
-        return EXIT_INVALID
+        raise ValidationError(problems)
     kind = "HSM" if is_hsm(model) else "SHSM"
     print(f"valid {kind}: {len(model.machines)} machines, "
           f"{flat_size(model)} flat states")
