@@ -18,7 +18,10 @@ MAX_GRADE = 2**31 - 1
 MAX_DEPTH = 64
 
 _KEYWORDS = frozenset({"true", "false", "E", "A", "X", "F", "G", "U"})
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_^@+]*")
+# Identifier syntax, shared by atoms here and by every name and
+# proposition in a model file (gctl.modelfile).
+IDENT = r"[A-Za-z_][A-Za-z0-9_^@+]*"
+_IDENT_RE = re.compile(IDENT)
 
 
 def _node(cls):
@@ -187,7 +190,7 @@ def children(f: Formula) -> tuple:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<le><=)|(?P<sym>[!&|()\[\]>])"
-    r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_^@+]*))"
+    rf"|(?P<nat>\d+)|(?P<ident>{IDENT}))"
 )
 
 

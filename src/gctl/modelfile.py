@@ -18,9 +18,9 @@ README.md ("Model files") states the accepted grammar exactly.
 import re
 
 from .errors import ModelSyntaxError
+from .formula import IDENT as _ID
 from .hsm import Machine, Shsm
 
-_ID = r"[A-Za-z_][A-Za-z0-9_^@+]*"
 _IDENT_RE = re.compile(_ID)
 _COMMENT_RE = re.compile(r"//[^\n]*")
 _MACHINE_WORD_RE = re.compile(r"machine[^\S\n]+([^\s;]+)")

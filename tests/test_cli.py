@@ -756,6 +756,18 @@ class TestModelFormat:
         """)
         assert model.machines[0].label("a") == {"p", "q"}
 
+    def test_models_and_formulas_share_identifier_syntax(self, tmp_path,
+                                                        capsys):
+        # Every character an identifier may hold, in a proposition of the
+        # model and an atom of the formula.
+        model = tmp_path / "ident.gctl"
+        model.write_text("machine M\n  init a;\n  node a;\n"
+                         "  node b [p^1@x+y];\n  edge a -> b;\n"
+                         "  edge b -> b;\nend\n")
+        assert main(["check", "--model", str(model),
+                     "--formula", "E F p^1@x+y"]) == 0
+        assert "result  : holds" in capsys.readouterr().out
+
     def test_kripke_export_sanitizes_names(self, fig2_flat):
         model = kripke_to_model(fig2_flat)
         assert all("." not in v for v in model.machines[0].vertices)
