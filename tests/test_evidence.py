@@ -11,7 +11,7 @@ from gctl.flat_checker import check_flat
 from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallG,
                           ForallU, ForallX, Not, TrueF, normalize,
                           parse_formula, render)
-from gctl.gen import random_kripke
+from gctl.gen import random_formula, random_kripke, random_shsm
 from gctl.hier_checker import check_hier
 from gctl.kripke import KripkeStructure
 
@@ -275,6 +275,72 @@ class TestDistinctness:
         a = EvidenceTrace("lasso", ["x", "y"], 0, f, 2)
         b = EvidenceTrace("lasso", ["x", "z"], 0, f, 2)
         assert traces_distinct(a, b)
+
+    @pytest.mark.parametrize("states, distinct", [
+        (["x", "y", "z", "y"], False),   # a prefix of x,y,z,y,z,...
+        (["x", "y", "z", "z"], True),
+    ])
+    @pytest.mark.parametrize("lasso_first", [True, False])
+    def test_lasso_against_finite(self, states, distinct, lasso_first):
+        lasso = EvidenceTrace("lasso", ["x", "y", "z"], 1,
+                              ExistsG(0, Atom("p")), 3)
+        finite = EvidenceTrace("finite", states, None,
+                               ExistsU(1, TrueF(), Atom("p")), len(states))
+        pair = (lasso, finite) if lasso_first else (finite, lasso)
+        assert traces_distinct(*pair) == distinct
+
+
+def _normal(trace):
+    """A lasso in normal form: its loop has minimal period, and the state
+    before the loop is not the loop's last state."""
+    loop = trace.states[trace.loop_start:]
+    k = len(loop)
+    return all(loop != loop[:p] * (k // p) for p in range(1, k)
+               if k % p == 0) \
+        and (trace.loop_start == 0 or
+             trace.states[trace.loop_start - 1] != trace.states[-1])
+
+
+class TestLassoNormalForm:
+    """The count-guided walk emits lassos in normal form by construction;
+    nothing normalizes them afterwards.  Checked on the evidences of every
+    trace form, before a counterexample is extended past its violating
+    state."""
+
+    @staticmethod
+    def _formula(rng, atoms):
+        """A random formula, or half the time a graded E G one, whose
+        evidences are all lassos."""
+        if rng.random() < 0.5:
+            return random_formula(rng, atoms, depth=3)
+        return ExistsG(rng.randint(0, 3), random_formula(rng, atoms, depth=2))
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_walk_lassos_are_normal(self, hierarchical):
+        rng = random.Random(28)
+        lassos = 0
+        for case in range(300):
+            n = rng.randint(1, 4)
+            if hierarchical:
+                model = random_shsm(rng.randint(1, 4), rng.randint(1, 3),
+                                    rng.randint(1, 2), rng.randint(1, 2), 3,
+                                    case + 500, scope_labels=case % 2 == 0)
+                f = self._formula(rng, ["p0", "p1", "p2"])
+                forms = trace_forms(f, n)
+                _, view = check_hier(model, f, *forms)
+            else:
+                ks = random_kripke(rng.randint(2, 8), case + 500)
+                f = self._formula(rng, ["p", "q", "r"])
+                forms = trace_forms(f, n)
+                view = check_flat(ks, f, *forms)
+            for g in forms:
+                take = min(n, view.count(g, view.initial))
+                for t in extract_evidences(view, view.initial, g, take):
+                    if t.kind == "lasso":
+                        assert _normal(t), (case, render(g), t.states,
+                                            t.loop_start)
+                        lassos += 1
+        assert lassos > 150
 
 
 class TestRandomizedReplay:

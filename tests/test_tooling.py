@@ -4,10 +4,10 @@ The benchmark's tracer (perfbench/tracing.py) times gctl's layers by
 swapping module attributes it names in `HOOKS`.  A renamed or deleted
 attribute breaks `perfbench/run.py --trace 1`, so every name must resolve,
 and a pass called other than through its module attribute would read 0, so
-the pass hooks and the flat path's hooks must record spans.  The stored
-seed-1 `hier_check` and `witness_traces` references must pass the
-benchmark's own output check, so a change that breaks a benchmark request
-fails here before a benchmark run.
+the pass hooks and the flat path's hooks must record spans, with a graded
+pass's stages nested under it.  The stored seed-1 `hier_check` and
+`witness_traces` references must pass the benchmark's own output check, so
+a change that breaks a benchmark request fails here before a benchmark run.
 The model files and the README's model examples must read and validate, so
 the documented grammar cannot drift from the parser, and every name the
 package exports or the README cites as `gctl.<module>.<name>` must exist, so
@@ -110,6 +110,32 @@ def test_tracer_pass_hooks_record_spans(tmp_path):
     assert {"hier_checker.check_hier", "hier_checker.grade0_pass",
             "hier_checker.graded_gu_pass", "hier_checker.graded_next_pass",
             "hier_checker.compute_nsc"} <= names
+
+
+def test_tracer_pass_spans_nest(tmp_path):
+    # A graded pass must call its stages through their hooked module
+    # attributes: a stage called through a private alias records no span,
+    # and its time reads as the caller's own without breaking the
+    # accounting.  The graded E U and E G passes are the only callers here.
+    model = tmp_path / "scoped.gctl"
+    model.write_text(render_model(random_shsm(4, 2, 2, 2, 3, 1)))
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        code = main(["check", "--model", str(model), "--formula",
+                     "E>1 [p1 U E>1 G p2]", "--engine", "hier",
+                     "--output", str(tmp_path / "report.txt")])
+    assert code in (0, 1)
+    spans = tracer.to_json()
+    parents = {}
+    for span in spans:
+        if span["parent"] is not None:
+            parents.setdefault(span["name"], set()).add(
+                spans[span["parent"]]["name"])
+    graded = {"hier_checker.graded_gu_pass"}
+    assert parents.get("hier_checker.grade0_pass") == graded
+    assert parents.get("hier_checker.compute_nsc") == graded
+    assert parents.get("flat_checker.tarjan_scc") == \
+        {"hier_checker.compute_nsc"}
 
 
 def test_tracer_flat_hooks_record_spans(tmp_path):
