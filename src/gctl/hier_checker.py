@@ -24,7 +24,7 @@ once per class and exit-count context.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 from . import flat_checker
 from .errors import CapacityError
@@ -61,7 +61,7 @@ class WorkMachine:
 
 @dataclass
 class PassStats:
-    form: object              # the labelled subformula, or a name for the pass
+    form: object              # the labelled subformula
     kind: str
     grade: int
     grade0_factor: int
@@ -71,7 +71,7 @@ class PassStats:
     @property
     def op(self):
         """The labelled subformula as text, rendered when read."""
-        return self.form if isinstance(self.form, str) else render(self.form)
+        return render(self.form)
 
 
 @dataclass
@@ -269,9 +269,9 @@ def _stacked(solver, classes):
 # ---------------------------------------------------------------------------
 
 
-def scope_pass(w: SpecializedHsm, atom, key, op="p"):
-    """Label an atom: it holds at a node labelled with it and at every node
-    nested in a box labelled with it.
+def scope_pass(w: SpecializedHsm, g, i):
+    """Label the atom g at position i: it holds at a node labelled with it
+    and at every node nested in a box labelled with it.
 
     The context is one bit, whether an enclosing box carries the atom; a
     box hands its target the same value as a node's flag would take.  When
@@ -280,11 +280,11 @@ def scope_pass(w: SpecializedHsm, atom, key, op="p"):
     machines = w.machines
 
     def label(mi, inherited):
-        here = [inherited or atom in lab for lab in machines[mi].adj.labels]
+        here = [inherited or g.name in lab for lab in machines[mi].adj.labels]
         return here, None, here
 
-    w.stats.append(PassStats(op, "scope", 0, 1,
-                             *_specialize(w, key, False, label)))
+    w.stats.append(PassStats(g, "scope", 0, 1,
+                             *_specialize(w, i, False, label)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +292,15 @@ def scope_pass(w: SpecializedHsm, atom, key, op="p"):
 # ---------------------------------------------------------------------------
 
 
-def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
-                     op="E X"):
-    """Label vertices with 'at least grade+1 successors satisfy th1'.
+def graded_next_pass(w: SpecializedHsm, g, i, th1):
+    """Label g = E>k X th1 at position i: vertices with at least k+1
+    successors satisfying th1 (at position th1).
 
     Output vertices also see the exit successors of the enclosing box, so
     machines are copied per capped exit-count map and boxes rewired to the
     copy matching their own successors.
     """
-    cap = grade + 1
+    cap = g.grade + 1
     machines = w.machines
 
     @cache
@@ -310,25 +310,25 @@ def graded_next_pass(w: SpecializedHsm, grade: int, th1_key, psi_key,
         for every context of the machine.  A step into a box lands on its
         target's entry."""
         m = machines[mi]
-        hit = [m.flags[th1_key][v] if t is None else
-               machines[t].flags[th1_key][machines[t].adj.entry]
+        hit = [m.flags[th1][v] if t is None else
+               machines[t].flags[th1][machines[t].adj.entry]
                for v, t in enumerate(m.expand)]
         return ([sum(hit[v] for v in vs) for vs in m.adj.succ],
                 [None if vss is None else
                  tuple(min(cap, sum(hit[v] for v in vs)) for vs in vss)
                  for vss in m.adj.exit_succ])
 
-    def label(mi, g):
+    def label(mi, y):
         m = machines[mi]
-        internal, box_g = successor_hits(mi)
+        internal, box_y = successor_hits(mi)
         counts = [0 if t is not None else
-                  min(cap, internal[pos] + (0 if o is None else g[o]))
+                  min(cap, internal[pos] + (0 if o is None else y[o]))
                   for pos, (t, o) in enumerate(zip(m.expand, m.adj.ordinal))]
-        return [c >= cap for c in counts], counts, box_g
+        return [c >= cap for c in counts], counts, box_y
 
     top_context = (0,) * len(machines[-1].adj.outs)
-    w.stats.append(PassStats(op, "X", grade, 1,
-                             *_specialize(w, psi_key, top_context, label)))
+    w.stats.append(PassStats(g, "X", g.grade, 1,
+                             *_specialize(w, i, top_context, label)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +389,23 @@ def _grade0_summary(machines, summaries, mi, until, th1_key, th2_key):
     return mask
 
 
-def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key):
-    """Classical (grade-0) hierarchical pass: summarize each class of
-    machines once, then specialize machines per set of continuing th1
-    exits so the flag becomes context-free.  The flag row is also the count row,
-    capped at 1.  Returns the context factor and machines after, which the
-    caller records: check_hier for the grade-0 form, graded_gu_pass as the
-    first stage of a graded one."""
+def grade0_pass(w: SpecializedHsm, g, i, th1, th2):
+    """Label g = E G th1 or E th1 U th2 at position i as at grade 0:
+    summarize each class of machines once, then specialize machines per set
+    of continuing th1 exits so the flag becomes context-free.  The flag row
+    is also the count row, capped at 1.  Returns the context factor and
+    machines after, which the caller records: `globally_until` for a
+    grade-0 form, graded_gu_pass as the first stage of a graded one."""
     machines = w.machines
-    until = kind == "U"
-    keys = (th1_key, th2_key) if until else (th1_key,)
+    until = isinstance(g, ExistsU)
     summaries = _per_class(
-        machines, _classes(machines, keys), lambda mi, done:
-        _grade0_summary(machines, done, mi, until, th1_key, th2_key))
+        machines, _classes(machines, (th1, th2) if until else (th1,)),
+        lambda mi, done: _grade0_summary(machines, done, mi, until, th1, th2))
     # Per machine, the bits of its th1 exits.  Only these own their bit in
     # a summary (the E G start sets the others only along with `inside`),
     # so a machine's flags read no other bit of its context.
     th1_exits = [sum(1 << o for o, z in enumerate(m.adj.outs)
-                     if m.flags[th1_key][z]) for m in machines]
+                     if m.flags[th1][z]) for m in machines]
 
     def label(mi, y):
         m = machines[mi]
@@ -420,7 +419,7 @@ def grade0_pass(w: SpecializedHsm, kind, th1_key, th2_key, psi_key):
             if any(flags[v] for v in vs)) for b, t in enumerate(m.expand)]
         return flags, flags, contexts
 
-    return _specialize(w, psi_key, 0, label)
+    return _specialize(w, i, 0, label)
 
 
 # ---------------------------------------------------------------------------
@@ -600,31 +599,29 @@ def _nsc_one(machines, infos, mi, s_key, th1_key):
 # ---------------------------------------------------------------------------
 
 
-def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
-                   th2_key, psi_key, op="E GU"):
-    """Label vertices with 'at least grade+1 distinct evidences' for
-    G th1 (mode 'G') or th1 U th2 (mode 'U').
+def graded_gu_pass(w: SpecializedHsm, g, i, th1, th2):
+    """Label g = E>k G th1 or E>k th1 U th2 at position i: vertices with at
+    least k+1 distinct evidences.
 
-    First the grade-0 form is specialized so membership in the satisfying
-    set is per-vertex; vertices reaching a branching cycle inside that set
-    saturate; the remaining acyclic part is labeled per exit-count context
-    through one dag row per demanded (machine class, context) pair, whose
-    exit-state counts also fix the box rewiring.
+    First the grade-0 form is labelled in g's own row and specialized, so
+    membership in the satisfying set is per-vertex; vertices reaching a
+    branching cycle inside that set saturate; the remaining acyclic part is
+    labeled per exit-count context through one dag row per demanded
+    (machine class, context) pair, whose exit-state counts also fix the box
+    rewiring.  The dag's rows then overwrite the grade-0 row in every copy.
     """
-    psi1_key = ("g0", psi_key)
-    grade0_factor, _ = grade0_pass(w, mode, th1_key, th2_key, psi1_key)
+    grade0_factor, _ = grade0_pass(w, g, i, th1, th2)
 
-    cap = grade + 1
+    cap = g.grade + 1
     machines = w.machines
-    until = mode == "U"
+    until = isinstance(g, ExistsU)
     # The branching-cycle analysis and the dags read these rows only.
-    classes = _classes(machines, (psi1_key, th1_key, th2_key) if until
-                       else (psi1_key,))
-    infos = compute_nsc(w, psi1_key, th1_key if until else None, classes)
+    classes = _classes(machines, (i, th1, th2) if until else (i,))
+    infos = compute_nsc(w, i, th1 if until else None, classes)
 
-    def dag(mi, g):
+    def dag(mi, y):
         """Capped evidence counts of machine mi's states under the exit
-        context g, by state number."""
+        context y, by state number."""
         m = machines[mi]
         a = m.adj
         info = infos[mi]
@@ -643,7 +640,7 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
                 # A surviving cycle is forced; context continuations on one
                 # of its exits let it branch after any number of turns.
                 rich = any(j < n and expand[j] is None and
-                           a.ordinal[j] is not None and g[a.ordinal[j]] >= 1
+                           a.ordinal[j] is not None and y[a.ordinal[j]] >= 1
                            for j in cycle)
                 for j in cycle:
                     labels[j] = cap if rich else 1
@@ -655,8 +652,8 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
                 labels[i] = min(cap, ext)
             elif expand[i] is None:
                 o = a.ordinal[i]
-                ext = min(cap, ext + (0 if o is None else g[o]))
-                labels[i] = max(int(m.flags[th2_key][i]), ext) if until else ext
+                ext = min(cap, ext + (0 if o is None else y[o]))
+                labels[i] = max(int(m.flags[th2][i]), ext) if until else ext
             else:
                 # Only exits reachable from the target's entry influence its
                 # entry label; masking the rest keeps the label dependencies
@@ -671,27 +668,50 @@ def graded_gu_pass(w: SpecializedHsm, grade: int, mode: str, th1_key,
 
     dag = _stacked(dag, classes)
 
-    def label(mi, g):
+    def label(mi, y):
         m = machines[mi]
-        labels = dag(mi, g)
+        labels = dag(mi, y)
         counts = [0 if t is not None else labels[pos]
                   for pos, t in enumerate(m.expand)]
         # Box rewiring contexts carry every exit's count, including exits
         # the target cannot reach from its entry (their flat states still
         # exist and their flags must come out right).
-        box_g = [None if t is None else
+        box_y = [None if t is None else
                  tuple(labels[b:b + len(machines[t].adj.outs)])
                  for b, t in zip(m.adj.bz_base, m.expand)]
-        return [c >= cap for c in counts], counts, box_g
+        return [c >= cap for c in counts], counts, box_y
 
     top_context = (0,) * len(machines[-1].adj.outs)
-    w.stats.append(PassStats(op, mode, grade, grade0_factor,
-                             *_specialize(w, psi_key, top_context, label)))
+    w.stats.append(PassStats(g, g.syntax[1], g.grade, grade0_factor,
+                             *_specialize(w, i, top_context, label)))
 
 
 # ---------------------------------------------------------------------------
 # Full hierarchical check
 # ---------------------------------------------------------------------------
+
+
+def boolean_pass(w: SpecializedHsm, g, i, *operands):
+    """Label a boolean form or A<=k U on each machine."""
+    for m in w.machines:
+        m.flags[i] = boolean_row(g, operands, m.adj.labels, m.flags, m.counts)
+    w.stats.append(PassStats(g, "bool", 0, 1, 1, len(w.machines)))
+
+
+def lower_grade_pass(w: SpecializedHsm, g, i, j):
+    """Read g's rows off the counts of the same form at a higher grade."""
+    for m in w.machines:
+        m.flags[i], m.counts[i] = graded_rows(g, m.counts[j])
+    w.stats.append(PassStats(g, "lower", g.grade, 1, 1, len(w.machines)))
+
+
+def globally_until(w: SpecializedHsm, g, i, th1, th2=None):
+    """Label an E G or E U form, by the classical pass alone at grade 0."""
+    if g.grade:
+        graded_gu_pass(w, g, i, th1, th2)
+    else:
+        factor, after = grade0_pass(w, g, i, th1, th2)
+        w.stats.append(PassStats(g, f"{g.syntax[1]}0", 0, factor, 1, after))
 
 
 def check_hier(model: Shsm, f, *more):
@@ -702,38 +722,13 @@ def check_hier(model: Shsm, f, *more):
     every pass has labelled in place and which is the run's state view).
     Every atom is labelled by a scope pass, the other boolean forms and
     A<=k U by `boolean_row` on each machine, and a path form of a grade
-    below another of its operator and operands by `graded_rows`.
+    below another of its operator and operands by `graded_rows`.  The
+    hooks are read when the run starts, so wrapped module attributes apply.
     """
     w = _from_shsm(model)
-
-    def boolean(g, i, *operands):
-        for m in w.machines:
-            m.flags[i] = boolean_row(g, operands, m.adj.labels, m.flags,
-                                     m.counts)
-        w.stats.append(PassStats(g, "bool", 0, 1, 1, len(w.machines)))
-
-    def lower_grade(g, i, j):
-        for m in w.machines:
-            m.flags[i], m.counts[i] = graded_rows(g, m.counts[j])
-        w.stats.append(PassStats(g, "lower", g.grade, 1, 1, len(w.machines)))
-
-    def globally_until(kind):
-        def op(g, i, th1, th2=None):
-            if g.grade:
-                graded_gu_pass(w, g.grade, kind, th1, th2, i, op=g)
-            else:
-                factor, after = grade0_pass(w, kind, th1, th2, i)
-                w.stats.append(PassStats(g, f"{kind}0", 0, factor, 1, after))
-        return op
-
+    hooks = {**dict.fromkeys(BOOLEAN, boolean_pass), Atom: scope_pass,
+             LOWER_GRADE: lower_grade_pass, ExistsX: graded_next_pass,
+             ExistsG: globally_until, ExistsU: globally_until}
     w.index, w.millis = evaluate((f, *more), {
-        **dict.fromkeys(BOOLEAN, boolean),
-        LOWER_GRADE: lower_grade,
-        Atom: lambda g, i: scope_pass(w, g.name, i, op=g),
-        ExistsX: lambda g, i, child: graded_next_pass(w, g.grade, child, i,
-                                                      op=g),
-        ExistsG: globally_until("G"),
-        ExistsU: globally_until("U"),
-    })
+        kind: partial(hook, w) for kind, hook in hooks.items()})
     return w.holds(f, w.initial), w
-

@@ -148,8 +148,8 @@ class TestGradedNextPass:
     def test_box_rewired_to_exit_counts(self):
         model = self._two_exit_model()
         w = _from_shsm(model)
-        scope_pass(w, "p", "th1")
-        graded_next_pass(w, 1, "th1", "psi")
+        scope_pass(w, Atom("p"), "th1")
+        graded_next_pass(w, ExistsX(1, Atom("p")), "psi", "th1")
         top = w.top
         box_pos = next(p for p, t in enumerate(top.expand) if t is not None)
         target = w.machines[top.expand[box_pos]]
@@ -163,8 +163,8 @@ class TestGradedNextPass:
     def test_no_boxes_no_copies(self):
         model = random_shsm(1, 3, 1, 0, 2, 1)
         w = _from_shsm(model)
-        scope_pass(w, "p0", "th1")
-        graded_next_pass(w, 2, "th1", "psi")
+        scope_pass(w, Atom("p0"), "th1")
+        graded_next_pass(w, ExistsX(2, Atom("p0")), "psi", "th1")
         assert len(w.machines) == 1
 
     def test_grade0_equals_classical_next(self, fig2_model):
@@ -267,8 +267,8 @@ class TestComputeNsc:
         end
         """)
         w = _from_shsm(model)
-        scope_pass(w, "p", 0)
-        grade0_pass(w, "G", 0, None, "S")
+        scope_pass(w, Atom("p"), 0)
+        grade0_pass(w, ExistsG(0, Atom("p")), "S", 0, None)
         infos = compute_nsc(w, "S", None, range(len(w.machines)))
         assert not infos[-1].nsc
 
@@ -296,8 +296,8 @@ class TestComputeNsc:
         end
         """)
         w = _from_shsm(model)
-        scope_pass(w, "p", 0)
-        grade0_pass(w, "G", 0, None, "S")
+        scope_pass(w, Atom("p"), 0)
+        grade0_pass(w, ExistsG(0, Atom("p")), "S", 0, None)
         infos = compute_nsc(w, "S", None, range(len(w.machines)))
         assert w.top.adj.entry in infos[-1].nsc
 
