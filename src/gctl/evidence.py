@@ -292,13 +292,24 @@ def counterexamples_for(view, s, f, n: int) -> list:
 def _deepen(view, form, states, loop):
     """Extend a finite evidence of a path form past its last state with a
     path that explains why the form's final operand (for a counterexample,
-    the violating condition) holds there."""
+    the violating condition) holds there.
+
+    An explaining lasso is normal (see `_walk`), but the evidence may end
+    in its loop's last state, as `a,(b,a)*` for `(a,b)*`; such a loop
+    starts earlier, as far as it can without cutting into the evidence."""
     if loop is not None:
         return states, loop
     final = form.right if isinstance(form, ExistsU) else form.child
-    suffix, loop_rel = _explain(view, states[-1], final)
-    return (states + suffix,
-            None if loop_rel is None else len(states) - 1 + loop_rel)
+    size = len(states)
+    suffix, loop = _explain(view, states[-1], final)
+    states = states + suffix
+    if loop is None:
+        return states, None
+    loop += size - 1
+    while loop and len(states) > size and states[loop - 1] == states[-1]:
+        states.pop()
+        loop -= 1
+    return states, loop
 
 
 def _explain(view, s, g):

@@ -3,16 +3,17 @@ import re
 
 import pytest
 
-from gctl.evidence import (EvidenceTrace, all_pairwise_distinct,
-                           counterexamples_for, extract_evidences,
-                           serialize_trace, trace_forms, traces_distinct,
-                           traces_for, validate_trace)
+from gctl.evidence import (EXISTS_PATH, FORALL_PATH, EvidenceTrace,
+                           all_pairwise_distinct, counterexamples_for,
+                           extract_evidences, serialize_trace, trace_forms,
+                           traces_distinct, traces_for, validate_trace)
 from gctl.flat_checker import check_flat
 from gctl.formula import (And, Atom, ExistsG, ExistsU, ExistsX, ForallG,
                           ForallU, ForallX, Not, TrueF, normalize,
                           parse_formula, render)
 from gctl.gen import random_formula, random_kripke, random_shsm
 from gctl.hier_checker import check_hier
+from gctl.hsm import flatten
 from gctl.kripke import KripkeStructure
 
 
@@ -240,6 +241,49 @@ class TestValidate:
         trace = EvidenceTrace("finite", states, None, form, evidence_len)
         assert validate_trace(fig2_flat, trace) == problems
 
+    # Retry's run to success, and its run to abort.
+    SUCCEED = ["Start", "Try1.Send", "Try1.Wait", "Try1.Ack", "Success"]
+    ABORT = ["Start", "Try1.Send", "Try1.Wait", "Try1.Timeout", "Try1.Fail",
+             "Try2.Send", "Try2.Wait", "Try2.Timeout", "Try2.Fail", "Abort"]
+
+    # One row per rejection, each on a trace that passes every other check;
+    # the last two pass them all.  A lasso has a loop start, a finite trace
+    # none.
+    @pytest.mark.parametrize("model, states, loop, formula, problem", [
+        ("fig2", ["in3", "b3^9.in2"], None, "E[true U p3]",
+         "unknown state 'b3^9.in2'"),
+        ("fig2", ["in3", "z3"], None, "E[true U p3]",
+         "missing transition in3 -> z3"),
+        ("retry", ["Success"], 1, "E G !abort", "loop start 1 out of range"),
+        ("retry", SUCCEED, 0, "E G !abort", "lasso does not close"),
+        ("retry", SUCCEED[1:4], None, "E X wait",
+         "next evidence must have exactly two states"),
+        ("retry", SUCCEED[1:3], None, "E X ack",
+         "successor does not satisfy the operand"),
+        ("retry", SUCCEED[:3], None, "E[!abort U success]",
+         "until evidence does not end in a target state"),
+        ("retry", SUCCEED, None, "E[t1 U success]",
+         "state Start fails the until guard"),
+        ("retry", SUCCEED, None, "E G !abort",
+         "globally evidence must be a lasso"),
+        ("retry", ABORT, 9, "E G !abort", "state Abort fails the invariant"),
+        ("fig2", ["z3"], None, "p3", "unsupported evidence formula p3"),
+        ("retry", SUCCEED, 4, "E G !abort", None),
+        ("retry", SUCCEED[1:3], None, "E X wait", None),
+    ])
+    def test_rejects(self, request, model, states, loop, formula, problem):
+        trace = EvidenceTrace("finite" if loop is None else "lasso", states,
+                              loop, parse_formula(formula), len(states))
+        ks = request.getfixturevalue(f"{model}_flat")
+        assert validate_trace(ks, trace) == ([] if problem is None
+                                             else [problem])
+
+    def test_rejects_finite_trace_with_loop_start(self, retry_flat):
+        trace = EvidenceTrace("finite", ["Try1.Ack", "Success"], 1,
+                              parse_formula("E F success"), 2)
+        assert validate_trace(retry_flat, trace) == \
+            ["finite trace with a loop start"]
+
 
 class TestSerialization:
     def test_finite(self):
@@ -302,45 +346,89 @@ def _normal(trace):
 
 
 class TestLassoNormalForm:
-    """The count-guided walk emits lassos in normal form by construction;
-    nothing normalizes them afterwards.  Checked on the evidences of every
-    trace form, before a counterexample is extended past its violating
-    state."""
+    """The count-guided walk emits lassos in normal form by construction,
+    and a counterexample extended past its violating state stays normal as
+    far as its evidence prefix allows; nothing normalizes them afterwards."""
 
     @staticmethod
-    def _formula(rng, atoms):
+    def _walk_formula(rng, atoms):
         """A random formula, or half the time a graded E G one, whose
         evidences are all lassos."""
         if rng.random() < 0.5:
             return random_formula(rng, atoms, depth=3)
         return ExistsG(rng.randint(0, 3), random_formula(rng, atoms, depth=2))
 
-    @pytest.mark.parametrize("hierarchical", [False, True])
-    def test_walk_lassos_are_normal(self, hierarchical):
-        rng = random.Random(28)
-        lassos = 0
+    @staticmethod
+    def _forall_formula(rng, atoms):
+        """A random A formula whose final operand is a path formula, so a
+        counterexample is often extended by an explaining lasso."""
+        inner = random_formula(rng, atoms, depth=2)
+        while not isinstance(inner, EXISTS_PATH + FORALL_PATH):
+            inner = random_formula(rng, atoms, depth=2)
+        op = rng.choice(FORALL_PATH)
+        if op is ForallU:
+            return op(rng.randint(0, 2), random_formula(rng, atoms, depth=1),
+                      inner)
+        return op(rng.randint(0, 2), inner)
+
+    @staticmethod
+    def _cases(hierarchical, seed, formula):
+        """300 seeded (view, f, n) cases, each view labelling f and its
+        trace forms."""
+        rng = random.Random(seed)
         for case in range(300):
             n = rng.randint(1, 4)
             if hierarchical:
                 model = random_shsm(rng.randint(1, 4), rng.randint(1, 3),
                                     rng.randint(1, 2), rng.randint(1, 2), 3,
                                     case + 500, scope_labels=case % 2 == 0)
-                f = self._formula(rng, ["p0", "p1", "p2"])
-                forms = trace_forms(f, n)
-                _, view = check_hier(model, f, *forms)
+                f = formula(rng, ["p0", "p1", "p2"])
+                _, view = check_hier(model, f, *trace_forms(f, n))
             else:
                 ks = random_kripke(rng.randint(2, 8), case + 500)
-                f = self._formula(rng, ["p", "q", "r"])
-                forms = trace_forms(f, n)
-                view = check_flat(ks, f, *forms)
-            for g in forms:
+                f = formula(rng, ["p", "q", "r"])
+                view = check_flat(ks, f, *trace_forms(f, n))
+            yield view, f, n
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_walk_lassos_are_normal(self, hierarchical):
+        lassos = 0
+        for view, f, n in self._cases(hierarchical, 28, self._walk_formula):
+            for g in trace_forms(f, n):
                 take = min(n, view.count(g, view.initial))
                 for t in extract_evidences(view, view.initial, g, take):
                     if t.kind == "lasso":
-                        assert _normal(t), (case, render(g), t.states,
-                                            t.loop_start)
+                        assert _normal(t), (render(g), t.states, t.loop_start)
                         lassos += 1
         assert lassos > 150
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_counterexample_lassos_are_normal(self, hierarchical):
+        # Only a loop whose rotation would cut into the evidence may stay
+        # as it is, as s,(s)* for an E X evidence s,s.
+        extended = 0
+        for view, f, n in self._cases(hierarchical, 35, self._forall_formula):
+            for t in traces_for(view, view.initial, f, n):
+                if t.kind == "lasso":
+                    assert _normal(t) or len(t.states) == t.evidence_len, \
+                        (render(f), t.states, t.loop_start)
+                    extended += len(t.states) > t.evidence_len
+        assert extended > 5
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_counterexample_rotated_back(self, hierarchical):
+        # The evidence M1_in,M1_v2 ends in the loop's last state: the
+        # explaining lasso from M1_v2 steps back to M1_in.
+        model = random_shsm(1, 3, 1, 1, 3, 3936)
+        f = parse_formula("A<=2 X (A F p2 & E>2 X p1)")
+        forms = trace_forms(f, 2)
+        if hierarchical:
+            _, view = check_hier(model, f, *forms)
+        else:
+            view = check_flat(flatten(model), f, *forms)
+        assert [serialize_trace(t) for t in
+                traces_for(view, view.initial, f, 2)] == \
+            ["M1_in,M1_v0", "(M1_in,M1_v2)*"]
 
 
 class TestRandomizedReplay:
