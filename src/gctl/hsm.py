@@ -181,7 +181,7 @@ def _structure_problems(model):
         for z in dict.fromkeys(z for k, z in enumerate(m.outputs)
                                if z in m.outputs[:k]):
             problems.append(f"{where}: output vertex {z!r} listed twice")
-        for v in m.vertices:
+        for v in dict.fromkeys(m.vertices):
             if v in seen:
                 problems.append(
                     f"{where}: vertex {v!r} already used in machine {seen[v]}")

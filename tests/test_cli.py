@@ -756,6 +756,13 @@ class TestModelFormat:
         """)
         assert model.machines[0].label("a") == {"p", "q"}
 
+    def test_machine_closes_the_block_before_it(self):
+        text = (MODELS / "fig2.gctl").read_text()
+        first_end = text.index("\nend\n")
+        without = text[:first_end] + text[first_end + len("\nend"):]
+        assert without.count("\nend\n") == text.count("\nend\n") - 1
+        assert parse_model(without) == parse_model(text)
+
     def test_models_and_formulas_share_identifier_syntax(self, tmp_path,
                                                         capsys):
         # Every character an identifier may hold, in a proposition of the

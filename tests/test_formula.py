@@ -69,6 +69,16 @@ class TestParse:
             parse_formula("p & $")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize("bad, message, position", [
+        ("E [p1 p2]", "expected 'U'", 6),
+        ("U", "keyword 'U' cannot start a formula here", 0),
+    ])
+    def test_error_message(self, bad, message, position):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(bad)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
 
 class TestNormalize:
     def test_forall_next(self):

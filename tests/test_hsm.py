@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gctl.cli import main
 from gctl.errors import CapacityError, ValidationError
 from gctl.formula import TrueF
 from gctl.gen import random_shsm
@@ -10,7 +11,8 @@ from gctl.hier_checker import check_hier
 from gctl.hsm import (Machine, Shsm, flat_size, flatten, is_hsm,
                       reduce_to_hsm, repair_top_exit_loops, restrict_ap,
                       validate_shsm)
-from gctl.modelfile import parse_model
+from gctl.modelfile import parse_model, render_model
+
 FIG3_EDGES = {
     ("in3", "in3"), ("in3", "b3^0.in2"),
     ("b3^0.in2", "b3^0.in2"), ("b3^0.in2", "b3^0.b2^0.in1"),
@@ -49,8 +51,9 @@ class TestValidate:
                     {v: frozenset() for v in "ibz"},
                     {"i": 0, "b": 1, "z": 0},
                     [("i", None, "b"), ("b", "z", "z"), ("z", None, "z")])
-        problems = validate_shsm(Shsm([m]))
-        assert any("strictly lower" in p for p in problems)
+        assert validate_shsm(Shsm([m])) == [
+            "machine M: vertex 'b' expands to machine 1, which is not "
+            "strictly lower than 1"]
 
     def test_hsm_restricted_vacuously(self, retry_model):
         stripped = Shsm([
@@ -125,6 +128,55 @@ class TestValidate:
         """)
         assert validate_shsm(model) == [
             "machine M1: output vertex 'z' listed twice"]
+
+    @staticmethod
+    def _machine(name, vertices, edges, initial=None, outputs=(),
+                 expand=None, labels=None):
+        return Machine(name, vertices, initial or vertices[0], list(outputs),
+                       labels or {}, expand or {}, edges)
+
+    # A bottom machine with one exit, for the rows whose top machine boxes it.
+    LEAF = ("A", ["i", "z"], [("i", None, "z"), ("z", None, "z")], "i", ["z"])
+
+    # Each row has one fault, reported once.
+    @pytest.mark.parametrize("machines, problem", [
+        ([], "model has no machines"),
+        ([("M", ["i", "a", "a"], [("i", None, "a"), ("a", None, "a")])],
+         "machine M: duplicate vertex names"),
+        ([LEAF, ("B", ["j", "z"], [("j", None, "z"), ("z", None, "z")])],
+         "machine B: vertex 'z' already used in machine A"),
+        ([("M", ["i"], [("i", None, "i")], "i", ["y"])],
+         "machine M: output vertex 'y' undeclared"),
+        ([("M", ["i", "b"], [("i", None, "b")], "i", [], {"b": 2})],
+         "machine M: vertex 'b' expands to missing machine 2"),
+        ([LEAF, ("B", ["j", "b"], [("j", None, "b"), ("b", "z", "j")], "b",
+                 [], {"b": 1})],
+         "machine B: 'b' is an initial/output vertex and cannot be a box"),
+        ([("M", ["i", "z"], [("i", "z", "z"), ("z", None, "z")])],
+         "machine M: exit edge from non-box vertex 'i'"),
+    ])
+    def test_structure_problem(self, machines, problem):
+        model = Shsm([self._machine(*m) for m in machines])
+        assert validate_shsm(model) == [problem]
+
+    def test_check_exits_3_on_structure_problem(self, tmp_path, capsys):
+        m = self._machine("M", ["i", "z"],
+                          [("i", "z", "z"), ("z", None, "z")])
+        path = tmp_path / "bad.gctl"
+        path.write_text(render_model(Shsm([m])))
+        assert main(["check", "--model", str(path), "--formula", "true"]) == 3
+        assert capsys.readouterr().err == \
+            "invalid: machine M: exit edge from non-box vertex 'i'\n"
+
+    def test_restricted_label_clash(self):
+        leaf = self._machine(*self.LEAF, labels={"z": frozenset({"p"})})
+        top = self._machine("B", ["j", "b"],
+                            [("j", None, "b"), ("b", "z", "j")],
+                            expand={"b": 1}, labels={"b": frozenset({"p"})})
+        model = Shsm([leaf, top])
+        assert validate_shsm(model) == []
+        assert validate_shsm(model, restricted=True) == [
+            "restricted: ancestor 'b' and descendant 'z' share ['p']"]
 
     def test_sinks_match_reachable_flat_sinks(self):
         # Oracle: walk the flat states of the checked hierarchy from the
