@@ -250,10 +250,12 @@ _ORACLE_MAX_DEPTH = 100_000
 
 
 def oracle_count(ks: KripkeStructure, s: int, kind: str, grade: int,
-                 sat1, sat2=None, depth=None) -> int:
+                 sat1, sat2=None) -> int:
     """Independent evidence count for one path form at one state.
 
-    kind is 'X', 'G' or 'U'; sat1/sat2 are per-state child verdicts.
+    kind is 'X', 'G' or 'U'; sat1/sat2 are per-state child verdicts.  G and
+    U count in the unfolding tree at depth (grade + 2) * |S| and again at
+    twice that, and must agree.
     """
     if ks.n_states > ORACLE_MAX_STATES:
         raise OracleLimitError(
@@ -263,14 +265,13 @@ def oracle_count(ks: KripkeStructure, s: int, kind: str, grade: int,
         return count_next(ks, s, sat1, cap)
     if kind not in ("G", "U"):
         raise ValueError(f"unknown path form {kind!r}")
-    base_depth = depth if depth is not None else (grade + 2) * ks.n_states
-    base_depth = max(base_depth, ks.n_states + 1)
-    if base_depth * 2 > _ORACLE_MAX_DEPTH:
-        raise OracleLimitError(f"oracle depth {base_depth * 2} over the limit")
-    first, second = _oracle_tree_count(ks, s, kind, cap, sat1, sat2, base_depth)
+    depth = (grade + 2) * ks.n_states
+    if depth * 2 > _ORACLE_MAX_DEPTH:
+        raise OracleLimitError(f"oracle depth {depth * 2} over the limit")
+    first, second = _oracle_tree_count(ks, s, kind, cap, sat1, sat2, depth)
     if first != second:
         raise OracleLimitError(
-            f"oracle did not stabilize at depth {base_depth} (got {first} "
+            f"oracle did not stabilize at depth {depth} (got {first} "
             f"then {second})")
     return first
 
