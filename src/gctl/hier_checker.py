@@ -32,7 +32,7 @@ from .formula import (BOOLEAN, LOWER_GRADE, Atom, ExistsG, ExistsU, ExistsX,
                       boolean_row, count_row, evaluate, graded_rows,
                       position_of, render)
 # check_hier never calls reduce_to_hsm; perfbench/tracing.py hooks the name.
-from .hsm import Adjacency, Shsm, _descendants, reduce_to_hsm
+from .hsm import Adjacency, Shsm, _descendants, _reach, reduce_to_hsm
 
 # Machine copies one pass may make; more raise CapacityError.
 COPY_BUDGET = 250_000
@@ -146,8 +146,7 @@ def _from_shsm(model: Shsm) -> SpecializedHsm:
     machine set."""
     adjs = model.adjacency
     # input position -> working position
-    kept = {j: i for i, j in
-            enumerate(sorted(_descendants(adjs, model.h - 1)))}
+    kept = {j: i for i, j in enumerate(_descendants(adjs, model.h - 1))}
     return SpecializedHsm([
         WorkMachine(j, adjs[j], [None if t is None else kept[t]
                                  for t in adjs[j].expand]) for j in kept])
@@ -470,17 +469,6 @@ def _within(vs, present):
     return vs if len(kept) == len(vs) else kept
 
 
-def _reach(starts, edges):
-    seen = [False] * len(edges)
-    stack = list(starts)
-    while stack:
-        i = stack.pop()
-        if not seen[i]:
-            seen[i] = True
-            stack.extend(edges[i])
-    return seen
-
-
 def _nsc_one(machines, infos, mi, s_key, th1_key):
     m = machines[mi]
     a = m.adj
@@ -534,11 +522,11 @@ def _nsc_one(machines, infos, mi, s_key, th1_key):
         return len(edges[i]) + infos[expand[b]].internal_outdeg[o] >= 2
 
     def branch_through(b, o):
-        """A branching state on an entry-to-exit-o path through box b."""
+        """A branching state on an entry-to-exit-o path through box b, in
+        its target or at one of b's exit states."""
         info_t = infos[expand[b]]
         return info_t.branch_on_path[o] or any(
-            info_t.internal_outdeg[o2] + len(edges[a.bz_base[b] + o2]) >= 2
-            for o2 in info_t.interior_exits[o])
+            branching(a.bz_base[b] + o2) for o2 in info_t.interior_exits[o])
 
     def branching_cycle(comp):
         members = set(comp)

@@ -221,17 +221,25 @@ def _structure_problems(model):
     return problems
 
 
+def _reach(starts, edges):
+    """Flags by position, set where `starts` reach along `edges`, one
+    successor list per position: the hierarchy's one reachability search."""
+    seen = [False] * len(edges)
+    stack = list(starts)
+    while stack:
+        i = stack.pop()
+        if not seen[i]:
+            seen[i] = True
+            stack.extend(edges[i])
+    return seen
+
+
 def _descendants(adjs, start):
     """Machine indices reachable from machine `start` through expansion,
-    `start` included, read off the edge indexes `adjs`."""
-    seen = set()
-    stack = [start]
-    while stack:
-        j = stack.pop()
-        if j not in seen:
-            seen.add(j)
-            stack += (t for t in adjs[j].expand if t is not None)
-    return seen
+    `start` included, in index order, read off the edge indexes `adjs`."""
+    seen = _reach([start], [[t for t in a.expand if t is not None]
+                            for a in adjs])
+    return [j for j, r in enumerate(seen) if r]
 
 
 def _restricted_label_problems(model):
@@ -241,7 +249,7 @@ def _restricted_label_problems(model):
         for u, lab, t in zip(m.vertices, a.labels, a.expand):
             if t is None or not lab:
                 continue
-            for j in sorted(_descendants(adjs, t)):
+            for j in _descendants(adjs, t):
                 for v, vlab in zip(machines[j].vertices, adjs[j].labels):
                     clash = lab & vlab
                     if clash:
@@ -258,27 +266,19 @@ def _flat_sink_problems(model):
     A flat state ends at a node; it is a sink exactly when the node has no
     plain successor and the enclosing box (if any) has no exit successor
     through it.  The one exit edge the index drops leaves an exit with a
-    plain edge, which is never a sink.
+    plain edge, which is never a sink.  Bottom-up, one `_reach` per machine
+    finds the positions its entry reaches, a box stepping on through the
+    exits its target's own search reached.
     """
     machines, adjs = model.machines, model.adjacency
-    # Per machine: the vertex positions reachable from the entry, where a
-    # box is traversed through the exits its target can reach, and the
-    # reachable nodes without a plain successor, in name order.
+    # Per machine: the reachable positions, whether each output is among
+    # them, and the reachable nodes without a plain successor, in name order.
     reached, reach_out, stuck = [], [], []
     for m, a in zip(machines, adjs):
-        seen = [False] * len(m.vertices)
-        stack = [a.entry]
-        while stack:
-            v = stack.pop()
-            if seen[v]:
-                continue
-            seen[v] = True
-            stack += a.succ[v]
-            if a.exit_succ[v] is not None:
-                target_out = reach_out[a.expand[v]]
-                for vs, r in zip(a.exit_succ[v], target_out):
-                    if r:
-                        stack += vs
+        seen = _reach([a.entry], [
+            succ if t is None else
+            [w for ws, r in zip(exits, reach_out[t]) if r for w in ws]
+            for succ, exits, t in zip(a.succ, a.exit_succ, a.expand)])
         reached.append(seen)
         reach_out.append([seen[z] for z in a.outs])
         stuck.append(sorted((v for v, r in enumerate(seen) if r and

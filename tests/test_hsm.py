@@ -178,6 +178,20 @@ class TestValidate:
         assert validate_shsm(model, restricted=True) == [
             "restricted: ancestor 'b' and descendant 'z' share ['p']"]
 
+    def test_restricted_clashes_in_machine_order(self):
+        # Box c reaches B before A, but the report lists A's clash first.
+        leaf = self._machine(*self.LEAF, labels={"z": frozenset({"p"})})
+        mid = self._machine("B", ["j", "b", "y"],
+                            [("j", None, "b"), ("b", "z", "y"),
+                             ("y", None, "y")], outputs=["y"],
+                            expand={"b": 1}, labels={"y": frozenset({"p"})})
+        top = self._machine("C", ["k", "c"],
+                            [("k", None, "c"), ("c", "y", "k")],
+                            expand={"c": 2}, labels={"c": frozenset({"p"})})
+        assert validate_shsm(Shsm([leaf, mid, top]), restricted=True) == [
+            "restricted: ancestor 'c' and descendant 'z' share ['p']",
+            "restricted: ancestor 'c' and descendant 'y' share ['p']"]
+
     def test_sinks_match_reachable_flat_sinks(self):
         # Oracle: walk the flat states of the checked hierarchy from the
         # initial one and look for a state without successors.
