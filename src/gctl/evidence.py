@@ -32,7 +32,8 @@ class EvidenceTrace:
     states: list         # state names along the trace
     loop_start: int      # index the final state loops back to (lassos only)
     form: object         # the normalized path formula witnessed
-    evidence_len: int    # prefix length that is the evidence proper
+    evidence_len: int    # prefix length that is the evidence proper; a
+                         # lasso's may run into its loop, past its states
 
 
 def serialize_trace(trace: EvidenceTrace) -> str:
@@ -296,7 +297,8 @@ def _deepen(view, form, states, loop):
 
     An explaining lasso is normal (see `_walk`), but the evidence may end
     in its loop's last state, as `a,(b,a)*` for `(a,b)*`; such a loop
-    starts earlier, as far as it can without cutting into the evidence."""
+    starts earlier, and the evidence then runs into it: an `E X` evidence
+    `s,s` explained by a loop at `s` gives `(s)*`."""
     if loop is not None:
         return states, loop
     final = form.right if isinstance(form, ExistsU) else form.child
@@ -306,7 +308,7 @@ def _deepen(view, form, states, loop):
     if loop is None:
         return states, None
     loop += size - 1
-    while loop and len(states) > size and states[loop - 1] == states[-1]:
+    while loop and states[loop - 1] == states[-1]:
         states.pop()
         loop -= 1
     return states, loop
@@ -342,7 +344,8 @@ def _explain(view, s, g):
 def validate_trace(ks: KripkeStructure, trace: EvidenceTrace,
                    table: SatTable = None) -> list:
     """Replay a trace against the structure; empty report means it is a
-    well-formed path whose evidence prefix witnesses its path formula."""
+    well-formed path whose evidence prefix witnesses its path formula.  A
+    lasso's evidence prefix is read off its unrolled path."""
     problems = []
     try:
         idx = [ks.index_of(name) for name in trace.states]
@@ -358,7 +361,8 @@ def validate_trace(ks: KripkeStructure, trace: EvidenceTrace,
             problems.append("lasso does not close")
     elif trace.loop_start is not None:
         problems.append("finite trace with a loop start")
-    if not 1 <= trace.evidence_len <= len(idx):
+    if trace.evidence_len < 1 or (trace.kind == FINITE and
+                                  trace.evidence_len > len(idx)):
         problems.append(f"evidence length {trace.evidence_len} out of range")
     if problems:
         return problems
@@ -366,7 +370,8 @@ def validate_trace(ks: KripkeStructure, trace: EvidenceTrace,
     form = normalize(trace.form)
     if table is None or form not in table.index:
         table = check_flat(ks, form)
-    prefix = idx[:trace.evidence_len]
+    prefix = [ks.index_of(_state_at(trace, i))
+              for i in range(trace.evidence_len)]
     if isinstance(form, ExistsX):
         if len(prefix) != 2:
             problems.append("next evidence must have exactly two states")

@@ -15,6 +15,7 @@ from gctl.gen import random_formula, random_kripke, random_shsm
 from gctl.hier_checker import check_hier
 from gctl.hsm import flatten
 from gctl.kripke import KripkeStructure
+from gctl.modelfile import parse_model
 
 
 @pytest.fixture
@@ -241,6 +242,20 @@ class TestValidate:
         trace = EvidenceTrace("finite", states, None, form, evidence_len)
         assert validate_trace(fig2_flat, trace) == problems
 
+    # An evidence longer than the trace's states: a lasso's runs into its
+    # loop, as E X from Success to its own loop; a finite one is cut short.
+    @pytest.mark.parametrize("states, loop, evidence_len, problems", [
+        (["Success"], 0, 2, []),
+        (["Try1.Ack", "Success"], None, 3,
+         ["evidence length 3 out of range"]),
+    ])
+    def test_evidence_longer_than_states(self, retry_flat, states, loop,
+                                         evidence_len, problems):
+        trace = EvidenceTrace("finite" if loop is None else "lasso", states,
+                              loop, parse_formula("E X E G !abort"),
+                              evidence_len)
+        assert validate_trace(retry_flat, trace) == problems
+
     # Retry's run to success, and its run to abort.
     SUCCEED = ["Start", "Try1.Send", "Try1.Wait", "Try1.Ack", "Success"]
     ABORT = ["Start", "Try1.Send", "Try1.Wait", "Try1.Timeout", "Try1.Fail",
@@ -404,14 +419,11 @@ class TestLassoNormalForm:
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_counterexample_lassos_are_normal(self, hierarchical):
-        # Only a loop whose rotation would cut into the evidence may stay
-        # as it is, as s,(s)* for an E X evidence s,s.
         extended = 0
         for view, f, n in self._cases(hierarchical, 35, self._forall_formula):
             for t in traces_for(view, view.initial, f, n):
                 if t.kind == "lasso":
-                    assert _normal(t) or len(t.states) == t.evidence_len, \
-                        (render(f), t.states, t.loop_start)
+                    assert _normal(t), (render(f), t.states, t.loop_start)
                     extended += len(t.states) > t.evidence_len
         assert extended > 5
 
@@ -429,6 +441,20 @@ class TestLassoNormalForm:
         assert [serialize_trace(t) for t in
                 traces_for(view, view.initial, f, 2)] == \
             ["M1_in,M1_v0", "(M1_in,M1_v2)*"]
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_counterexample_evidence_runs_into_loop(self, hierarchical):
+        # The E X evidence a,a is explained by the loop at a: one state.
+        model = parse_model("machine M\n init a;\n node a;\n"
+                            "edge a -> a;\nend\n")
+        f = parse_formula("A X A F p")
+        if hierarchical:
+            _, view = check_hier(model, f, *trace_forms(f, 1))
+        else:
+            view = check_flat(flatten(model), f, *trace_forms(f, 1))
+        [t] = traces_for(view, view.initial, f, 1)
+        assert (serialize_trace(t), t.evidence_len) == ("(a)*", 2)
+        assert validate_trace(flatten(model), t) == []
 
 
 class TestRandomizedReplay:
