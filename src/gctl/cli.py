@@ -260,8 +260,6 @@ def build_parser():
             group = p.add_mutually_exclusive_group(required=True)
             group.add_argument("--formula", help="formula text")
             group.add_argument("--formula-file", help="file with the formula")
-        else:
-            p.set_defaults(formula=None, formula_file=None)
 
     p = sub.add_parser("check", help="decide a formula on a model")
     common(p, formula=True)
