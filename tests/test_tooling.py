@@ -9,7 +9,8 @@ pass's stages nested under it.  The stored seed-1 `hier_check` and
 `witness_traces` references must pass the benchmark's own output check, so
 a change that breaks a benchmark request fails here before a benchmark run.
 The model files and the README's model examples must read and validate, so
-the documented grammar cannot drift from the parser, and every name the
+the documented grammar cannot drift from the parser, the README's command
+lines must run with the exit codes and trace it shows, and every name the
 package exports or the README cites as `gctl.<module>.<name>` must exist, so
 a deletion cannot leave the docs naming something gone."""
 
@@ -17,6 +18,8 @@ import importlib
 import importlib.util
 import pathlib
 import re
+import shlex
+import shutil
 import sys
 
 import pytest
@@ -169,3 +172,25 @@ def test_documented_models_parse_and_validate(name):
 
 def test_readme_has_model_examples():
     assert any(name.startswith("README") for name in DOCUMENTED_MODELS)
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Each `gctl ...` line of the README's command-line block runs in a
+    directory holding the shipped models; only the failing `A G` check exits
+    1, and it prints the counterexample the README quotes."""
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", README,
+                      re.MULTILINE | re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("gctl ")]
+    quoted = re.search(r"shipped retry model:\n+ *```\n *(\S+)\n", README)
+    shutil.copytree(ROOT / "models", tmp_path / "models")
+    monkeypatch.chdir(tmp_path)
+    codes, outputs = [], []
+    for line in lines:
+        codes.append(main(shlex.split(line)[1:]))
+        outputs.append(capsys.readouterr().out)
+    failing = [i for i, line in enumerate(lines)
+               if "retry.gctl" in line and "A G ((t1 & fail)" in line]
+    assert len(lines) == 6 and len(failing) == 1
+    assert codes == [1 if i in failing else 0 for i in range(len(lines))]
+    traces = outputs[failing[0]].split("traces:\n", 1)[1]
+    assert traces.split() == [quoted.group(1)]
